@@ -17,6 +17,7 @@ All values are in bits. Every report carries a certified optimality gap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -273,15 +274,59 @@ def _assemble_sweep(probes, d_target: float, evaluate_mix):
     return value, max(best_rate - lower, 0.0), best_arg, best_rate, best_dist
 
 
+def _accelerated_fixed_point(step, x, max_iters: int, out=None, record=None):
+    """Iterate ``x <- step(x)`` with one squared-extrapolation candidate per two steps.
+
+    The candidate is SQUAREM's (Varadhan & Roland 2008) with the step length
+    clamped to [1, 1e4].
+    ``step(x)`` returns (next_x, objective, done, out). The objective is
+    maximized: an extrapolated candidate is kept only when its objective is
+    not below the last step's, so a rejected candidate is neither counted as
+    an iteration nor passed to ``record``, which sees the ``out`` of every
+    counted step. Stops once a counted step reports ``done`` or after
+    ``max_iters`` counted steps.
+
+    Returns (iterations, x, out) after the last counted step; ``out`` is the
+    given default when no step ran.
+    """
+    iters, obj = 0, -math.inf
+
+    def count(result) -> bool:
+        nonlocal iters, x, obj, out
+        x, obj, done, out = result
+        iters += 1
+        if record is not None:
+            record(out)
+        return done or iters >= max_iters
+
+    while iters < max_iters:
+        x0 = x
+        if count(step(x0)):
+            break
+        x1 = x
+        if count(step(x1)):
+            break
+        r = x1 - x0
+        v = x - 2.0 * x1 + x0
+        vn = float(np.linalg.norm(v))
+        if vn > 1e-300:
+            alpha = -max(1.0, min(float(np.linalg.norm(r)) / vn, 1e4))
+            cand = step(x0 - 2.0 * alpha * r + alpha * alpha * v)
+            if cand[1] >= obj and count(cand):
+                break
+    return iters, x, out
+
+
 def _rd_fixed_multiplier(p_x, d, beta, delta_bits, max_iters, q_init=None):
     """min over w(xhat|x) of I(X;Xhat) + beta E[d], with certificate.
 
-    The reproduction marginal is iterated in log space with the same squared
-    extrapolation as the other engines; the certificate is Blahut's bound
+    The reproduction marginal is iterated in log space by the shared
+    accelerated driver; the certificate is Blahut's bound
     F >= f(q) - log2 max_xhat c(xhat) with c the one-step growth ratios.
 
-    Returns (rate, achieved_distortion, gap, w, q): rate is the exact mutual
-    information of the final w; the gap certifies the Lagrangian value.
+    Returns (rate, achieved_distortion, gap, w, q, iterations): rate is the
+    exact mutual information of the final w; the gap certifies the Lagrangian
+    value.
     """
     n_x, n_hat = d.shape
     expd = np.exp2(-beta * d)
@@ -294,41 +339,18 @@ def _rd_fixed_multiplier(p_x, d, beta, delta_bits, max_iters, q_init=None):
         lq = lq - _logsumexp(lq, axis=0)
         q = np.exp(lq)
         z = expd @ q
-        phi = float(-(p_x @ np.log2(z)))
         c = (p_x / z) @ expd
         gap = math.log2(max(float(c.max()), 1.0))
-        return lq + np.log(c), gap, phi, q
+        # the driver maximizes, so it gets the negated Lagrangian value
+        return lq + np.log(c), float(p_x @ np.log2(z)), gap < delta_bits, (gap, q)
 
     lq = np.full(n_hat, -math.log(n_hat)) if q_init is None else np.log(q_init)
-    gap, phi, q = math.inf, math.inf, np.exp(lq)
-    iters = 0
-    while iters < max_iters:
-        l0 = lq
-        lq, gap, phi, q = step(l0)
-        iters += 1
-        if gap < delta_bits or iters >= max_iters:
-            break
-        l1 = lq
-        lq, gap, phi, q = step(l1)
-        iters += 1
-        if gap < delta_bits or iters >= max_iters:
-            break
-        r = l1 - l0
-        v = lq - 2.0 * l1 + l0
-        vn = float(np.linalg.norm(v))
-        if vn > 1e-300:
-            alpha = -max(1.0, min(float(np.linalg.norm(r)) / vn, 1e4))
-            cand = step(l0 - 2.0 * alpha * r + alpha * alpha * v)
-            if cand[2] <= phi:
-                lq, gap, phi, q = cand
-                iters += 1
-                if gap < delta_bits:
-                    break
+    iters, _, (gap, q) = _accelerated_fixed_point(step, lq, max_iters, (math.inf, np.exp(lq)))
     z = expd @ q
     w = expd * q[None, :] / z[:, None]
     dist = float(p_x @ (w * d).sum(axis=1))
     rate = float(-(p_x @ np.log2(z))) - beta * dist
-    return max(rate, 0.0), dist, gap, w, q
+    return max(rate, 0.0), dist, gap, w, q, iters
 
 
 def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = None) -> SolveReport:
@@ -345,28 +367,6 @@ def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = Non
         raise ProbabilityError("p_x and distortion shapes are inconsistent")
     p_x = p_x / p_x.sum()
 
-    d_zero_rate = float((p_x @ d).min())  # best constant reconstruction
-    if d_target >= d_zero_rate - 1e-12:
-        best = int((p_x @ d).argmin())
-        w = np.zeros_like(d)
-        w[:, best] = 1.0
-        return SolveReport(0.0, 0.0, 0, w, [(0.0, 0.0)], extras={"distortion": d_zero_rate})
-
-    status = "ok"
-    d_floor = float(p_x @ d.min(axis=1))
-    target = d_target
-    if d_target < d_floor - 1e-12:
-        status = "distortion-floor"
-        target = d_floor
-
-    positive = d[d > ZERO_TOL]
-    gamma_max = 50.0 / float(positive.min()) if positive.size else 1.0
-    inner_delta = min(opts.delta, 1e-8)
-
-    def inner(beta):
-        rate, dist, gap, w, _ = _rd_fixed_multiplier(p_x, d, beta, inner_delta, opts.max_iters)
-        return rate, dist, gap, w
-
     def evaluate_mix(w_a, w_b, mu):
         w_mix = (1.0 - mu) * w_a + mu * w_b
         py = p_x @ w_mix
@@ -377,11 +377,44 @@ def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = Non
         dist = float(p_x @ (w_mix * d).sum(axis=1))
         return max(rate, 0.0), dist, w_mix
 
+    fixed = functools.partial(_rd_fixed_multiplier, p_x, d)
+    return _lagrangian_sweep(p_x, d, d[d > ZERO_TOL], d_target, opts, fixed, evaluate_mix)
+
+
+def _lagrangian_sweep(p_x, dbar, positive, d_target, opts, fixed, evaluate_mix) -> SolveReport:
+    """R(D) through the Lagrangian family, shared by BA R(D) and the Wyner-Ziv primal.
+
+    ``dbar[x, a]`` is the expected distortion of answer a (a reconstruction
+    or a strategy) at source letter x, and ``positive`` the positive
+    distortion values, which set the multiplier range.
+    ``fixed(beta, delta_bits, max_iters)`` solves one Lagrangian problem and
+    returns (rate, dist, gap, argopt, ...). Targets at or above the best
+    constant answer's distortion have rate 0 exactly; targets below the
+    distortion floor are raised to it with status "distortion-floor".
+    """
+    d_zero_rate = float((p_x @ dbar).min())  # best constant answer
+    if d_target >= d_zero_rate - 1e-12:
+        arg = np.zeros_like(dbar)
+        arg[:, int((p_x @ dbar).argmin())] = 1.0
+        return SolveReport(0.0, 0.0, 0, arg, [(0.0, 0.0)], extras={"distortion": d_zero_rate})
+
+    status = "ok"
+    d_floor = float(p_x @ dbar.min(axis=1))
+    target = d_target
+    if d_target < d_floor - 1e-12:
+        status = "distortion-floor"
+        target = d_floor
+
+    gamma_max = 50.0 / float(positive.min()) if positive.size else 1.0
+    inner_delta = min(opts.delta, 1e-8)
+
+    def inner(beta):
+        return fixed(beta, inner_delta, opts.max_iters)[:4]
+
     probes = _sweep_multiplier(inner, target, gamma_max, opts.dist_tol)
-    value, gap, w, arg_rate, arg_dist = _assemble_sweep(probes, target, evaluate_mix)
-    iters = len(probes)
+    value, gap, arg, arg_rate, arg_dist = _assemble_sweep(probes, target, evaluate_mix)
     return SolveReport(
-        value, gap, iters, w, [(value, value + gap)], status=status,
+        value, gap, len(probes), arg, [(value, value + gap)], status=status,
         extras={
             "distortion_floor": d_floor,
             "zero_rate_distortion": d_zero_rate,
@@ -443,47 +476,23 @@ def _wz_fixed_multiplier(p_xs, dbar, beta, delta_bits, max_iters, log_bq_init=No
         s_term = p_s_given_x @ lbq - (beta * LN2) * dbar
         logz = _logsumexp(s_term, axis=1)
         logq = s_term - logz[:, None]
-        phi = -float(p_x @ logz)  # min_q of the Lagrangian at this Q, in nats
+        neg_phi = float(p_x @ logz)  # -min_q of the Lagrangian at this Q, in nats
         lbq_next = _logsumexp(ln_p_x_given_s.T[:, :, None] + logq[None, :, :], axis=1)
         lbq_next = np.where(sup_s[:, None], lbq_next, 0.0)  # dead s: zero weight
         growth = np.where(sup_s[:, None], lbq_next - lbq, -np.inf)
         gap = max(float(growth.max()), 0.0) / LN2
-        return lbq_next, gap, phi, logq
+        return lbq_next, neg_phi, gap < delta_bits, (gap, logq)
 
     log_bq = np.full((n_s, n_t), -math.log(n_t)) if log_bq_init is None else log_bq_init.copy()
-    gap = math.inf
-    phi = math.inf
-    logq = np.full((n_x, n_t), -math.log(n_t))
-    iters = 0
-    while iters < max_iters:
-        b0 = log_bq
-        log_bq, gap, phi, logq = step(b0)
-        iters += 1
-        if gap < delta_bits or iters >= max_iters:
-            break
-        b1 = log_bq
-        log_bq, gap, phi, logq = step(b1)
-        iters += 1
-        if gap < delta_bits or iters >= max_iters:
-            break
-        r = b1 - b0
-        v = log_bq - 2.0 * b1 + b0
-        vn = float(np.linalg.norm(v))
-        if vn > 1e-300:
-            alpha = -max(1.0, min(float(np.linalg.norm(r)) / vn, 1e4))
-            b_acc = b0 - 2.0 * alpha * r + alpha * alpha * v
-            cand = step(b_acc)
-            if cand[2] <= phi:  # the Lagrangian value never increases
-                log_bq, gap, phi, logq = cand
-                iters += 1
-                if gap < delta_bits:
-                    break
+    iters, log_bq, (gap, logq) = _accelerated_fixed_point(
+        step, log_bq, max_iters, (math.inf, np.full((n_x, n_t), -math.log(n_t)))
+    )
 
     # exact functionals at the final q
     weights = p_x[:, None] * np.exp(logq)
     rate = float((weights * (logq - p_s_given_x @ log_bq)).sum()) / LN2
     dist = float((weights * dbar).sum())
-    return max(rate, 0.0), dist, gap, np.exp(logq), log_bq
+    return max(rate, 0.0), dist, gap, np.exp(logq), log_bq, iters
 
 
 def wz_primal(
@@ -514,31 +523,6 @@ def wz_primal(
     p_s_given_x = np.where(sup_x[:, None], p_xs / np.where(sup_x, p_x, 1.0)[:, None], 0.0)
     dbar = np.einsum("xs,xts->xt", p_s_given_x, d_xts)
 
-    d_zero_rate = float((p_x @ dbar).min())
-    if d_target >= d_zero_rate - 1e-12:
-        best = int((p_x @ dbar).argmin())
-        q = np.zeros((src.x.size, len(strategies)))
-        q[:, best] = 1.0
-        arg = CondKernel((src.x,), (strategies.alphabet,), q)
-        return SolveReport(0.0, 0.0, 0, arg, [(0.0, 0.0)], extras={"distortion": d_zero_rate})
-
-    status = "ok"
-    d_floor = float(p_x @ dbar.min(axis=1))
-    target = d_target
-    if d_target < d_floor - 1e-12:
-        status = "distortion-floor"
-        target = d_floor
-
-    positive = d_xts[d_xts > ZERO_TOL]
-    gamma_max = 50.0 / float(positive.min()) if positive.size else 1.0
-    inner_delta = min(opts.delta, 1e-8)
-
-    def inner(beta):
-        rate, dist, gap, q, _ = _wz_fixed_multiplier(
-            p_xs, dbar, beta, inner_delta, opts.max_iters
-        )
-        return rate, dist, gap, q
-
     p_s = p_xs.sum(axis=0)
     sup_s = p_s > ZERO_TOL
     p_x_given_s = np.where(sup_s[None, :], p_xs / np.where(sup_s, p_s, 1.0)[None, :], 0.0)
@@ -555,18 +539,10 @@ def wz_primal(
         dist = float((weights * dbar).sum())
         return max(rate, 0.0), dist, q_mix
 
-    probes = _sweep_multiplier(inner, target, gamma_max, opts.dist_tol)
-    value, gap, q, arg_rate, arg_dist = _assemble_sweep(probes, target, evaluate_mix)
-    arg = CondKernel((src.x,), (strategies.alphabet,), q)
-    return SolveReport(
-        value, gap, len(probes), arg, [(value, value + gap)], status=status,
-        extras={
-            "distortion_floor": d_floor,
-            "zero_rate_distortion": d_zero_rate,
-            "argopt_rate": arg_rate,
-            "argopt_distortion": arg_dist,
-        },
-    )
+    fixed = functools.partial(_wz_fixed_multiplier, p_xs, dbar)
+    rep = _lagrangian_sweep(p_x, dbar, d_xts[d_xts > ZERO_TOL], d_target, opts, fixed, evaluate_mix)
+    rep.argopt = CondKernel((src.x,), (strategies.alphabet,), rep.argopt)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +555,15 @@ def alternating_strategy_max(
     p_ote: np.ndarray,
     delta_bits: float,
     max_iters: int,
-    accelerate: bool = True,
 ):
     """max over q(t|e) of I(T;O) - I(T;E) for the model p(e) q(t|e) p(o|t,e).
 
     Alternates the exponential-family update of q with the marginal update of
     the decoder posterior Q(t|o); terminates when the per-iterate upper bound
-    U(q) is within ``delta_bits`` of the objective J(q, Q). With
-    ``accelerate``, every third iterate is a squared-extrapolation candidate
-    in the log-weight table, kept only when it does not decrease J, so the
-    recorded trace stays monotone and every certificate is measured at a
-    valid distribution.
+    U(q) is within ``delta_bits`` of the objective J(q, Q). Every third
+    iterate is a squared-extrapolation candidate in the log-weight table,
+    kept only when it does not decrease J, so the recorded trace stays
+    monotone and every certificate is measured at a valid distribution.
 
     Returns (value_bits, gap_bits, iterations, q, big_q, trace, converged);
     ``q`` is (T, E) and ``big_q`` is (T, O).
@@ -622,43 +596,14 @@ def alternating_strategy_max(
         diff = nxt - logq
         j_val = float(np.einsum("e,te,te->", p_e, q, diff))
         u_val = float(p_e @ np.where(sup_e, diff.max(axis=0), 0.0))
-        return nxt, j_val, u_val, logq, log_big_q
+        out = (j_val, u_val, logq, log_big_q)
+        return nxt, j_val, u_val - j_val < delta_bits * LN2, out
 
-    s = np.full((n_t, n_e), -math.log(n_t))
     trace: list[tuple[float, float]] = []
-    iters = 0
-    state = None  # (J, U, logq, log_big_q)
-
-    def record(result):
-        nonlocal iters, state
-        nxt, j_val, u_val, logq, log_big_q = result
-        iters += 1
-        trace.append((j_val / LN2, u_val / LN2))
-        state = (j_val, u_val, logq, log_big_q)
-        return nxt, u_val - j_val < delta_bits * LN2
-
-    done = False
-    while iters < max_iters and not done:
-        s0 = s
-        s1, done = record(step(s0))
-        s = s1
-        if done or iters >= max_iters or not accelerate:
-            continue
-        s2, done = record(step(s1))
-        s = s2
-        if done or iters >= max_iters:
-            continue
-        r = s1 - s0
-        v = s2 - 2.0 * s1 + s0
-        vn = float(np.linalg.norm(v))
-        if vn > 1e-300:
-            alpha = -max(1.0, min(float(np.linalg.norm(r)) / vn, 1e4))
-            s_acc = s0 - 2.0 * alpha * r + alpha * alpha * v
-            cand = step(s_acc)
-            if cand[1] >= state[0]:  # J never decreases along the trace
-                s3, done = record(cand)
-                s = s3
-
+    iters, _, state = _accelerated_fixed_point(
+        step, np.full((n_t, n_e), -math.log(n_t)), max_iters,
+        record=lambda out: trace.append((out[0] / LN2, out[1] / LN2)),
+    )
     j_val, u_val, logq, log_big_q = state
     gap = max(u_val - j_val, 0.0)
     converged = gap < delta_bits * LN2
@@ -733,36 +678,39 @@ def strategy_channel_tables(
         raise ProbabilityError(
             f"strategy domain {strategies.domain_shape} does not match encoder axes {enc_shape}"
         )
-    n_t = len(strategies)
-    n_e = int(np.prod(enc_shape)) if enc_shape else 1
-    n_y = ch.y.size
     dec_shape = tuple(sizes[i] for i in dec)
-    n_o = n_y * int(np.prod(dec_shape)) if dec_shape else n_y
+    idx = np.indices(sizes).reshape(2, -1)  # (s1, s2) of every state, row-major
 
-    p_state = ch.state_joint.probs
+    def flat(axes):
+        out = np.zeros(idx.shape[1], dtype=np.intp)
+        for i in axes:
+            out = out * sizes[i] + idx[i]
+        return out
+
+    states = zip(ch.state_joint.probs.ravel(), idx[0], idx[1], flat(enc), flat(dec))
+    n_e = int(np.prod(enc_shape))
+    return _strategy_tables(ch, strategies, states, n_e, ch.y.size * int(np.prod(dec_shape)))
+
+
+def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, states, n_e: int, n_o: int):
+    """(p_e, p(o|t,e)) accumulated over flattened states.
+
+    Each state is (mass, s1, s2, e, d): its probability, the channel state it
+    selects, its encoder index (which is also the strategy cell that picks x)
+    and its decoder-state index; the decoder view is o = y * (n_o / |Y|) + d.
+    States with mass at most ZERO_TOL are skipped, and encoder views left
+    without mass get zero rows.
+    """
+    n_y = ch.y.size
+    y_cols = np.arange(n_y) * (n_o // n_y)
+    tables = strategies.tables
     p_e = np.zeros(n_e)
-    p_ote = np.zeros((n_t, n_e, n_o))
-    tables = strategies.tables  # (T, prod enc_shape)
-    for s1 in range(ch.s1.size):
-        for s2 in range(ch.s2.size):
-            ps = p_state[s1, s2]
-            if ps <= ZERO_TOL:
-                continue
-            state = (s1, s2)
-            e_tuple = tuple(state[i] for i in enc)
-            e_idx = int(np.ravel_multi_index(e_tuple, enc_shape)) if enc_shape else 0
-            p_e[e_idx] += ps
-            d_tuple = tuple(state[i] for i in dec)
-            cell = int(np.ravel_multi_index(e_tuple, enc_shape)) if enc_shape else 0
-            x_for_t = tables[:, cell]  # (T,)
-            rows = ch.kernel.probs[x_for_t, s1, s2, :]  # (T, Y)
-            for yy in range(n_y):
-                o_idx = (
-                    int(np.ravel_multi_index((yy,) + d_tuple, (n_y,) + dec_shape))
-                    if dec_shape
-                    else yy
-                )
-                p_ote[:, e_idx, o_idx] += ps * rows[:, yy]
+    p_ote = np.zeros((len(strategies), n_e, n_o))
+    for mass, s1, s2, e, d in states:
+        if mass <= ZERO_TOL:
+            continue
+        p_e[e] += mass
+        p_ote[:, e, y_cols + d] += mass * ch.kernel.probs[tables[:, e], s1, s2, :]
     sup = p_e > ZERO_TOL
     p_ote[:, sup, :] /= p_e[sup][None, :, None]
     p_ote[:, ~sup, :] = 0.0

@@ -12,8 +12,6 @@ into one plain Blahut-Arimoto capacity per v2 over strategies S1 -> X.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -23,6 +21,7 @@ from .ba import (
     ChannelInstance,
     SolveReport,
     SolverOptions,
+    _strategy_tables,
     alternating_strategy_max,
     ba_capacity,
     strategy_bound,
@@ -41,7 +40,7 @@ from .probability import (
     mutual_information,
     simplex_grid,
 )
-from .strategies import StrategySpace, enumerate_strategies, lift_channel
+from .strategies import StrategySpace, enumerate_strategies
 
 
 @dataclass
@@ -54,7 +53,6 @@ class Case2Options:
     grid_step: spacing of the description-kernel grid.
     v2_size: description alphabet size.
     max_inner_iters: inner iteration cap.
-    workers: grid points solved in parallel when > 1 (same results either way).
     """
 
     epsilon: float | None = None
@@ -62,7 +60,6 @@ class Case2Options:
     grid_step: float = 0.05
     v2_size: int = 2
     max_inner_iters: int = 5000
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and self.epsilon <= 0:
@@ -114,28 +111,12 @@ def r_w(ch: ChannelInstance, w: CondKernel) -> float:
 def _inner_tables(ch: ChannelInstance, w: CondKernel, strategies: StrategySpace):
     """p(e) over (s1, v2) and p(o|t, e) over (y, s2, v2) for the inner solve."""
     joint3 = _state_v2_joint(ch, w).probs  # (S1, S2, V2)
-    lifted = lift_channel(ch, strategies).probs  # (T, S1, S2, V2, Y)
-    n_t = len(strategies)
-    n_s1, n_s2 = ch.s1.size, ch.s2.size
-    n_v2 = w.out_axes[0].size
-    n_y = ch.y.size
-    n_e = n_s1 * n_v2
-    n_o = n_y * n_s2 * n_v2
-    p_e = joint3.sum(axis=1).reshape(n_e)  # (S1, V2) flattened
-    p_ote = np.zeros((n_t, n_e, n_o))
-    for s1 in range(n_s1):
-        for s2 in range(n_s2):
-            for v2 in range(n_v2):
-                mass = joint3[s1, s2, v2]
-                if mass <= ZERO_TOL:
-                    continue
-                e_idx = s1 * n_v2 + v2
-                o_base = np.arange(n_y) * (n_s2 * n_v2) + s2 * n_v2 + v2
-                p_ote[:, e_idx, o_base] += mass * lifted[:, s1, s2, v2, :]
-    sup = p_e > ZERO_TOL
-    p_ote[:, sup, :] /= p_e[sup][None, :, None]
-    p_ote[:, ~sup, :] = 0.0
-    return p_e, p_ote
+    n_v2 = joint3.shape[2]
+    if strategies.domain_shape != (ch.s1.size, n_v2):
+        raise ProbabilityError("strategies must map (S1, V2) to X")
+    s1s, s2s, v2s = np.indices(joint3.shape).reshape(3, -1)
+    states = zip(joint3.ravel(), s1s, s2s, s1s * n_v2 + v2s, s2s * n_v2 + v2s)
+    return _strategy_tables(ch, strategies, states, ch.s1.size * n_v2, joint3[0].size * ch.y.size)
 
 
 def inner_max(
@@ -209,32 +190,21 @@ def _auto_epsilon(rws: Sequence[float]) -> float:
     return max(0.02, coarsest)
 
 
-def _map_indexed(fn: Callable[[int], object], indices: Sequence[int], workers: int):
-    if workers > 1 and len(indices) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, indices))
-    return [fn(i) for i in indices]
-
-
-def default_workers() -> int:
-    """Worker count from SIDEINFO_THREADS (0 or unset means sequential)."""
-    raw = os.environ.get("SIDEINFO_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(n, 1)
-
-
 def _grid_sweep(
     rate_of_w: Callable[[CondKernel], float],
-    solve_w: Callable[[int, CondKernel], tuple[float, int, float, str]],
+    solve_w: Callable[[CondKernel], tuple[float, int, float, str, dict]],
     grid_factory: Callable[[float], SimplexGrid],
     r_prime: float,
     r_clamped: float,
     opts: Case2Options,
     maximize: bool,
 ) -> CurvePoint:
+    """Best ``solve_w`` value over the grid kernels admissible for R'.
+
+    ``solve_w(w)`` returns (value, iterations, gap, status, extras); the
+    winner's extras join the point's. Ties within 1e-9 go to the smallest
+    grid index. ``opts`` supplies ``grid_step`` and ``epsilon``.
+    """
     step = opts.grid_step
     for attempt in range(2):
         grid = grid_factory(step)
@@ -249,20 +219,18 @@ def _grid_sweep(
         step /= 2.0  # refine once, then fail loudly
     else:
         return CurvePoint(r_prime, math.nan, math.nan, -1, "no-feasible-w")
-    if not feasible:
-        return CurvePoint(r_prime, math.nan, math.nan, -1, "no-feasible-w")
 
-    results = _map_indexed(lambda i: solve_w(i, grid.points[i]), feasible, opts.workers)
+    results = [solve_w(grid.points[i]) for i in feasible]
     sign = 1.0 if maximize else -1.0
     best_idx = None
     best_val = -math.inf
-    for i, (val, _, _, _) in zip(feasible, results):
+    for i, (val, _, _, _, _) in zip(feasible, results):
         sval = sign * val
         if sval > best_val + 1e-9 or (sval > best_val - 1e-9 and best_idx is None):
             best_val = sval
             best_idx = i
     winner_pos = feasible.index(best_idx)
-    value, iters, gap, status = results[winner_pos]
+    value, iters, gap, status, extras = results[winner_pos]
     return CurvePoint(
         r_prime=r_prime,
         value=value,
@@ -273,7 +241,7 @@ def _grid_sweep(
         gap=gap,
         winning_kernel=grid.points[best_idx],
         winning_r_w=rws[best_idx],
-        extras={"epsilon": eps, "grid_step": step, "clamped_r_prime": r_clamped},
+        extras={"epsilon": eps, "grid_step": step, "clamped_r_prime": r_clamped, **extras},
     )
 
 
@@ -290,27 +258,35 @@ def capacity_case2(
     ties within 1e-9).
     """
     opts = opts or Case2Options()
+    r_max = conditional_entropy(ch.state_joint, (1,), (0,))
+    strategies = enumerate_strategies((ch.s1, Alphabet(opts.v2_size, "V2")), ch.x)
+    return _capacity_point(ch, r_prime, opts, r_max, strategies, r_w, inner_max)
+
+
+def _capacity_point(ch, r_prime, opts, r_max, strategies, rate, inner) -> CurvePoint:
+    """The sweep over w(v2|s2) behind both capacity curves.
+
+    ``rate(ch, w)`` is checked against R' clamped to ``r_max``, and
+    ``inner(ch, w, opts, strategies)`` solves each admissible kernel.
+    """
     if r_prime < 0:
         raise ValueError("r_prime must be >= 0")
-    h_s2_given_s1 = conditional_entropy(ch.state_joint, (1,), (0,))
-    r_clamped = min(r_prime, h_s2_given_s1)
     v2 = Alphabet(opts.v2_size, "V2")
-    strategies = enumerate_strategies((ch.s1, v2), ch.x)
 
-    def solve_w(_: int, w: CondKernel):
-        rep = inner_max(ch, w, opts, strategies)
-        return rep.value, rep.iterations, rep.gap, rep.status
+    def solve_w(w: CondKernel):
+        rep = inner(ch, w, opts, strategies)
+        return rep.value, rep.iterations, rep.gap, rep.status, {}
 
     point = _grid_sweep(
-        rate_of_w=lambda w: r_w(ch, w),
+        rate_of_w=lambda w: rate(ch, w),
         solve_w=solve_w,
         grid_factory=lambda step: simplex_grid(ch.s2.size, v2, step),
         r_prime=r_prime,
-        r_clamped=r_clamped,
+        r_clamped=min(r_prime, r_max),
         opts=opts,
         maximize=True,
     )
-    point.extras["r_max"] = h_s2_given_s1
+    point.extras["r_max"] = r_max
     return point
 
 
@@ -319,17 +295,20 @@ def _causal_rate(ch: ChannelInstance, w: CondKernel) -> float:
     return mutual_information(joint, (2,), (1,))
 
 
-def _causal_inner(
+def causal_inner_max(
     ch: ChannelInstance,
     w: CondKernel,
-    opts: Case2Options,
-    strategies: StrategySpace,
+    opts: Case2Options | None = None,
+    strategies: StrategySpace | None = None,
 ) -> SolveReport:
     """max over p(u|v2) of I(U;Y,S2|V2), U ranging over strategies S1 -> X.
 
     Decomposes into one capacity computation per v2 with output (Y, S2),
     averaged by p(v2).
     """
+    opts = opts or Case2Options()
+    if strategies is None:
+        strategies = enumerate_strategies((ch.s1,), ch.x)
     joint3 = _state_v2_joint(ch, w).probs  # (S1, S2, V2)
     n_v2 = w.out_axes[0].size
     n_t = len(strategies)
@@ -370,18 +349,6 @@ def _causal_inner(
     )
 
 
-def causal_inner_max(
-    ch: ChannelInstance,
-    w: CondKernel,
-    opts: Case2Options | None = None,
-    strategies: StrategySpace | None = None,
-) -> SolveReport:
-    opts = opts or Case2Options()
-    if strategies is None:
-        strategies = enumerate_strategies((ch.s1,), ch.x)
-    return _causal_inner(ch, w, opts, strategies)
-
-
 def capacity_case2_causal(
     ch: ChannelInstance,
     r_prime: float,
@@ -393,28 +360,9 @@ def capacity_case2_causal(
     description cannot be binned against S1), so R' is clamped to H(S2).
     """
     opts = opts or Case2Options()
-    if r_prime < 0:
-        raise ValueError("r_prime must be >= 0")
-    h_s2 = entropy(JointPmf((ch.s2,), ch.state_joint.probs.sum(axis=0)))
-    r_clamped = min(r_prime, h_s2)
-    v2 = Alphabet(opts.v2_size, "V2")
+    r_max = entropy(JointPmf((ch.s2,), ch.state_joint.probs.sum(axis=0)))
     strategies = enumerate_strategies((ch.s1,), ch.x)
-
-    def solve_w(_: int, w: CondKernel):
-        rep = _causal_inner(ch, w, opts, strategies)
-        return rep.value, rep.iterations, rep.gap, rep.status
-
-    point = _grid_sweep(
-        rate_of_w=lambda w: _causal_rate(ch, w),
-        solve_w=solve_w,
-        grid_factory=lambda step: simplex_grid(ch.s2.size, v2, step),
-        r_prime=r_prime,
-        r_clamped=r_clamped,
-        opts=opts,
-        maximize=True,
-    )
-    point.extras["r_max"] = h_s2
-    return point
+    return _capacity_point(ch, r_prime, opts, r_max, strategies, _causal_rate, causal_inner_max)
 
 
 def monotone_post_pass(points: list[CurvePoint], maximize: bool = True) -> list[CurvePoint]:

@@ -1,9 +1,8 @@
 """Command-line surface: problem ingestion, solver dispatch, sweeps, CSV/JSON out.
 
-Exit codes: 0 success, 2 parse/usage errors, 3 solver failures (a partial CSV
-is still written). Reals print with 6 decimal digits; values are bits.
-The environment variable SIDEINFO_THREADS caps grid parallelism (0 or unset
-means sequential).
+Exit codes: 0 success, 2 parse/usage errors (options and grids are checked
+before any solve), 3 solver failures (a partial CSV is still written). Reals
+print with 6 decimal digits; values are bits.
 """
 
 from __future__ import annotations
@@ -16,15 +15,25 @@ import sys
 import numpy as np
 
 from .ba import ChannelInstance, SolverOptions, SourceInstance, wz_primal
-from .case2 import Case2Options, capacity_case2_sweep, default_workers
+from .case2 import Case2Options, capacity_case2_sweep
 from .evaluators import case_descriptor, dualize, eval_cc, eval_fact, eval_sc
-from .gpdual import Case1Options, GpOptions, rd_case1_sweep, wz_rate_via_gp
+from .gpdual import (
+    Case1Options,
+    GpInfeasibleError,
+    GpNumericalError,
+    GpOptions,
+    rd_case1_sweep,
+    wz_rate_via_gp,
+)
 from .probability import Alphabet, JointPmf, ProbabilityError
 from .problems import ProblemFileError, load_problem
+from .strategies import StrategyCapacityError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
+# failures of a solve on valid input; anything else is a programming error
+SOLVER_ERRORS = (GpNumericalError, GpInfeasibleError, ProbabilityError, StrategyCapacityError)
 
 
 class CliError(Exception):
@@ -40,22 +49,35 @@ def _fmt(x: float) -> str:
 
 
 def _parse_grid(text: str) -> list[float]:
+    """Values of 'a:b:step' or of a single value; every value must be >= 0."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise CliError(f"grid {text!r} must be 'a:b:step' or a single value", EXIT_PARSE)
-    a, b, step = (float(p) for p in parts)
-    if step <= 0 and a != b:
-        raise CliError(f"grid step must be > 0 in {text!r}", EXIT_PARSE)
-    if a == b:
-        return [a]
-    values = []
-    v = a
-    while v <= b + 1e-12:
-        values.append(round(v, 12))
-        v += step
+    try:
+        nums = [float(p) for p in parts]
+    except ValueError as exc:
+        raise CliError(f"grid {text!r} is not numeric", EXIT_PARSE) from exc
+    values = nums[:1]
+    if len(nums) == 3 and nums[0] != nums[1]:
+        a, b, step = nums
+        if step <= 0:
+            raise CliError(f"grid step must be > 0 in {text!r}", EXIT_PARSE)
+        values = []
+        v = a
+        while v <= b + 1e-12:
+            values.append(round(v, 12))
+            v += step
+    if any(v < 0 for v in values):
+        raise CliError(f"grid {text!r} has a negative value", EXIT_PARSE)
     return values
+
+
+def _options(factory, **kwargs):
+    """``factory(**kwargs)``, with an invalid value reported as a usage error."""
+    try:
+        return factory(**kwargs)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PARSE) from exc
 
 
 def _load(problem: str):
@@ -88,12 +110,12 @@ def _require_source(inst) -> SourceInstance:
 
 def _cmd_capacity_case2(args, causal: bool) -> int:
     ch = _require_channel(_load(args.problem))
-    opts = Case2Options(
+    opts = _options(
+        Case2Options,
         epsilon=args.epsilon,
         delta=args.delta,
         grid_step=args.grid_step,
         v2_size=args.v2,
-        workers=default_workers(),
     )
     grid = _parse_grid(args.rprime_grid)
     lines = ["r_prime,value,raw_value,winning_w,iterations,gap,status"]
@@ -107,7 +129,7 @@ def _cmd_capacity_case2(args, causal: bool) -> int:
             )
             if pt.status != "ok":
                 code = EXIT_SOLVER
-    except Exception as exc:  # partial CSV on solver failure
+    except SOLVER_ERRORS as exc:  # partial CSV on solver failure
         print(f"solver failure: {exc}", file=sys.stderr)
         code = EXIT_SOLVER
     _emit(lines, args.out)
@@ -116,10 +138,10 @@ def _cmd_capacity_case2(args, causal: bool) -> int:
 
 def _cmd_wz_rate(args) -> int:
     src = _require_source(_load(args.problem))
-    ds = _parse_grid(args.d_grid) if args.d_grid else [args.d]
-    if ds is None or (len(ds) == 1 and ds[0] is None):
+    if args.d_grid is None and args.d is None:
         raise CliError("wz-rate needs --d or --d-grid", EXIT_PARSE)
-    opts = SolverOptions(delta=args.delta)
+    ds = _parse_grid(args.d_grid if args.d_grid else repr(args.d))
+    opts = _options(SolverOptions, delta=args.delta)
     code = EXIT_OK
     lines = []
     try:
@@ -146,7 +168,7 @@ def _cmd_wz_rate(args) -> int:
                 )
                 if rep.status not in ("ok", "distortion-floor"):
                     code = EXIT_SOLVER
-    except Exception as exc:
+    except SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         code = EXIT_SOLVER
     _emit(lines, args.out)
@@ -155,12 +177,8 @@ def _cmd_wz_rate(args) -> int:
 
 def _cmd_rd_case1(args) -> int:
     src = _require_source(_load(args.problem))
-    opts = Case1Options(
-        epsilon=args.epsilon,
-        grid_step=args.grid_step,
-        v1_size=args.v1,
-        workers=default_workers(),
-        gp=GpOptions(),
+    opts = _options(
+        Case1Options, epsilon=args.epsilon, grid_step=args.grid_step, v1_size=args.v1, gp=GpOptions()
     )
     ds = _parse_grid(args.d)
     rps = _parse_grid(args.rprime)
@@ -176,7 +194,7 @@ def _cmd_rd_case1(args) -> int:
                 )
                 if pt.status != "ok":
                     code = EXIT_SOLVER
-    except Exception as exc:
+    except SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         code = EXIT_SOLVER
     _emit(lines, args.out)

@@ -242,15 +242,6 @@ _DUAL_CASE = {
     ("source", "1c"): ("channel", "2c"),
 }
 
-# role substitution, applied symmetrically in both directions
-_ROLE_SWAP = {
-    "X": "Xhat", "Xhat": "X",
-    "Y": "X_src", "X_src": "Y",
-    "S1": "S2", "S2": "S1",
-    "V1": "V2", "V2": "V1",
-    "U": "U",
-}
-
 
 def case_descriptor(problem: str, case: str, alphabets: dict[str, int] | None = None) -> CaseDescriptor:
     key = (problem.lower(), case.lower())
@@ -303,6 +294,12 @@ def example2_closed_form(d: float, r_prime: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _state_strategy_grid(ch: ChannelInstance, w: CondKernel, strategies: StrategySpace):
+    """Open index grids over (S1, S2, V, U) and a zero joint over (S1, S2, V, U, X, Y)."""
+    sizes = (ch.s1.size, ch.s2.size, w.out_axes[0].size, len(strategies))
+    return np.ix_(*map(range, sizes)), np.zeros(sizes + (ch.x.size, ch.y.size))
+
+
 def build_case2_joint(
     ch: ChannelInstance,
     w: CondKernel,
@@ -313,23 +310,10 @@ def build_case2_joint(
 
     U is the strategy variable; X = t(s1, v2) deterministically.
     """
-    n_s1, n_s2 = ch.s1.size, ch.s2.size
-    n_v2 = w.out_axes[0].size
-    n_t = len(strategies)
-    n_x, n_y = ch.x.size, ch.y.size
-    tbl = strategies.tables.reshape(n_t, n_s1, n_v2)
-    out = np.zeros((n_s1, n_s2, n_v2, n_t, n_x, n_y))
-    for s1 in range(n_s1):
-        for s2 in range(n_s2):
-            for v2 in range(n_v2):
-                base = ch.state_joint.probs[s1, s2] * w.probs[s2, v2]
-                if base <= 0:
-                    continue
-                for t in range(n_t):
-                    x = tbl[t, s1, v2]
-                    out[s1, s2, v2, t, x, :] = (
-                        base * q.probs[s1, v2, t] * ch.kernel.probs[x, s1, s2, :]
-                    )
+    (s1, s2, v2, t), out = _state_strategy_grid(ch, w, strategies)
+    x = strategies.tables.reshape(len(strategies), ch.s1.size, -1)[t, s1, v2]
+    base = ch.state_joint.probs[s1, s2] * w.probs[s2, v2]
+    out[s1, s2, v2, t, x] = (base * q.probs[s1, v2, t])[..., None] * ch.kernel.probs[x, s1, s2]
     axes = (ch.s1, ch.s2, w.out_axes[0], strategies.alphabet, ch.x, ch.y)
     return JointPmf(axes, out)
 
@@ -341,21 +325,10 @@ def build_case2c_joint(
     strategies: StrategySpace,
 ) -> JointPmf:
     """Joint (S1, S2, V, U, X, Y) for the causal variant: U ~ p(t|v2), X = t(s1)."""
-    n_s1, n_s2 = ch.s1.size, ch.s2.size
-    n_v2 = w.out_axes[0].size
-    n_t = len(strategies)
-    out = np.zeros((n_s1, n_s2, n_v2, n_t, ch.x.size, ch.y.size))
-    for s1 in range(n_s1):
-        for s2 in range(n_s2):
-            for v2 in range(n_v2):
-                base = ch.state_joint.probs[s1, s2] * w.probs[s2, v2]
-                if base <= 0:
-                    continue
-                for t in range(n_t):
-                    x = int(strategies.tables[t, s1])
-                    out[s1, s2, v2, t, x, :] = (
-                        base * u_dist.probs[v2, t] * ch.kernel.probs[x, s1, s2, :]
-                    )
+    (s1, s2, v2, t), out = _state_strategy_grid(ch, w, strategies)
+    x = strategies.tables[t, s1]
+    base = ch.state_joint.probs[s1, s2] * w.probs[s2, v2]
+    out[s1, s2, v2, t, x] = (base * u_dist.probs[v2, t])[..., None] * ch.kernel.probs[x, s1, s2]
     axes = (ch.s1, ch.s2, w.out_axes[0], strategies.alphabet, ch.x, ch.y)
     return JointPmf(axes, out)
 
@@ -373,14 +346,9 @@ def build_wz_joint(
     if src.s1.size != 1:
         raise ProbabilityError("expected a single-side source (|S1| = 1)")
     n_x, n_s2 = src.x.size, src.s2.size
-    n_t = len(strategies)
     point = Alphabet(1, "V")
-    out = np.zeros((n_x, 1, n_s2, 1, n_t, src.xhat.size))
-    p_xs = src.joint.probs.reshape(n_x, n_s2)
-    for x in range(n_x):
-        for s2 in range(n_s2):
-            for t in range(n_t):
-                xh = int(strategies.tables[t, s2])
-                out[x, 0, s2, 0, t, xh] = p_xs[x, s2] * q.probs[x, t]
+    x, s2, t = np.ix_(range(n_x), range(n_s2), range(len(strategies)))
+    out = np.zeros((n_x, 1, n_s2, 1, len(strategies), src.xhat.size))
+    out[x, 0, s2, 0, t, strategies.tables[t, s2]] = src.joint.probs[x, 0, s2] * q.probs[x, t]
     axes = (src.x, src.s1, src.s2, point, strategies.alphabet, src.xhat)
     return JointPmf(axes, out)

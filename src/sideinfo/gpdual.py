@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .ba import LN2, SolveReport, SolverOptions, SourceInstance, wz_primal
-from .case2 import CurvePoint, _auto_epsilon, _map_indexed, monotone_post_pass
+from .case2 import CurvePoint, _grid_sweep, monotone_post_pass
 from .probability import (
     Alphabet,
     CondKernel,
@@ -322,97 +322,12 @@ def build_wz_gp(
 
     Variables are ordered (alpha_x | gamma | y_{x,s,t}); one affine row per
     (x, t) and one log-sum-exp group per (s, t). Source symbols with zero
-    probability are dropped. The program is posed in nats.
+    probability are dropped. The program is posed in nats. It is the
+    case-1 program with a one-letter description (see ``build_case1_rd_gp``).
     """
-    if d_target < 0:
-        raise ValueError("distortion target must be >= 0")
     if src.s1.size != 1:
         raise ProbabilityError("build_wz_gp uses S2 as the side axis; merge S1 first")
-    if strategies is None:
-        strategies = enumerate_strategies((src.s2,), src.xhat)
-    if strategies.domain_shape != (src.s2.size,):
-        raise ProbabilityError("strategies must map the side alphabet to Xhat")
-
-    p_xs = src.joint.probs.reshape(src.x.size, src.s2.size)
-    p_x = p_xs.sum(axis=1)
-    p_s = p_xs.sum(axis=0)
-    xs_kept = [x for x in range(src.x.size) if p_x[x] > ZERO_TOL]
-    ss_kept = [s for s in range(src.s2.size) if p_s[s] > ZERO_TOL]
-    n_t = len(strategies)
-    tbl = strategies.tables  # (T, S)
-
-    alpha_idx = {x: i for i, x in enumerate(xs_kept)}
-    gamma_idx = len(xs_kept)
-    y_idx: dict[tuple[int, int, int], int] = {}
-    labels = [f"alpha[{x}]" for x in xs_kept] + ["gamma"]
-    for x in xs_kept:
-        for s in ss_kept:
-            if p_xs[x, s] <= ZERO_TOL:
-                continue
-            for t in range(n_t):
-                y_idx[(x, s, t)] = len(labels)
-                labels.append(f"y[{x},{s},{t}]")
-    n = len(labels)
-
-    p_s_given_x = p_xs / p_x[:, None]
-    p_x_given_s = p_xs / p_s[None, :]
-
-    rows = []
-    consts = []
-    for x in xs_kept:
-        for t in range(n_t):
-            row = np.zeros(n)
-            row[alpha_idx[x]] = 1.0
-            const = 0.0
-            for s in ss_kept:
-                w = p_s_given_x[x, s]
-                if w <= ZERO_TOL:
-                    continue
-                const += w * math.log(p_x_given_s[x, s])
-                row[gamma_idx] -= w * float(src.distortion[x, tbl[t, s]])
-                row[y_idx[(x, s, t)]] = -w
-            rows.append(row)
-            consts.append(const)
-
-    groups = []
-    for s in ss_kept:
-        for t in range(n_t):
-            g = [y_idx[(x, s, t)] for x in xs_kept if (x, s, t) in y_idx]
-            if g:
-                groups.append(np.array(g, dtype=np.intp))
-
-    c = np.zeros(n)
-    for x in xs_kept:
-        c[alpha_idx[x]] = p_x[x]
-    c[gamma_idx] = -d_target
-
-    cap = _gamma_cap(src.distortion)
-    a_mat = np.vstack(rows)
-    b_vec = np.asarray(consts)
-
-    start = np.zeros(n)
-    y0 = math.log(1.0 / len(xs_kept)) - 0.1
-    for key, idx in y_idx.items():
-        start[idx] = y0
-    start[gamma_idx] = 0.1
-    # alpha_x = -max_t(row residual) - 0.1, residual evaluated at (gamma0, y0)
-    per_row = a_mat @ start + b_vec  # alpha coefficients hit zeros in start
-    k = 0
-    for x in xs_kept:
-        worst = max(per_row[k : k + n_t])
-        start[alpha_idx[x]] = -worst - 0.1
-        k += n_t
-
-    return GpProblem(
-        c=c,
-        a_mat=a_mat,
-        b_vec=b_vec,
-        lse_groups=groups,
-        nonneg=np.array([gamma_idx], dtype=np.intp),
-        bounds=[(gamma_idx, cap)],
-        start=start,
-        var_labels=labels,
-    )
+    return _build_dual(src, src.joint.probs[..., None], d_target, strategies, wz_labels=True)
 
 
 def wz_rate_via_gp(
@@ -467,21 +382,34 @@ def build_case1_rd_gp(
     of zero probability are dropped. With |V1| = 1 this reduces exactly to
     the plain Wyner-Ziv dual on the (X, S1) pair source.
     """
-    if d_target < 0:
-        raise ValueError("distortion target must be >= 0")
     if w.given_shape != (src.s1.size,):
         raise ProbabilityError("description kernel must condition on S1")
+    return _build_dual(src, chain(src.joint, w, bind=(1,)).probs, d_target, strategies)
+
+
+def _build_dual(
+    src: SourceInstance,
+    p4: np.ndarray,
+    d_target: float,
+    strategies: StrategySpace | None,
+    wz_labels: bool = False,
+) -> GpProblem:
+    """The dual program of ``build_case1_rd_gp`` for the joint p4 over (X, S1, S2, V1).
+
+    ``wz_labels`` names variables by (x) and (x, s2, t) only, as the
+    Wyner-Ziv dual does.
+    """
+    if d_target < 0:
+        raise ValueError("distortion target must be >= 0")
     if strategies is None:
         strategies = enumerate_strategies((src.s2,), src.xhat)
     if strategies.domain_shape != (src.s2.size,):
         raise ProbabilityError("strategies must map S2 to Xhat")
 
-    n_x, n_s1, n_s2 = src.x.size, src.s1.size, src.s2.size
-    n_v1 = w.out_axes[0].size
+    n_x, n_s1, n_s2, n_v1 = p4.shape
     n_t = len(strategies)
     tbl = strategies.tables  # (T, S2)
 
-    p4 = chain(src.joint, w, bind=(1,)).probs  # (X, S1, S2, V1)
     p_xs1 = p4.sum(axis=(2, 3))
     p_xs1v1 = p4.sum(axis=2)
     p_s2v1 = p4.sum(axis=(0, 1))
@@ -502,7 +430,8 @@ def build_case1_rd_gp(
     ]
     alpha_idx = {cell: i for i, cell in enumerate(alpha_cells)}
     gamma_idx = len(alpha_cells)
-    labels = [f"alpha[{x},{s1},{v1}]" for (x, s1, v1) in alpha_cells] + ["gamma"]
+    labels = [f"alpha[{x}]" if wz_labels else f"alpha[{x},{s1},{v1}]" for x, s1, v1 in alpha_cells]
+    labels.append("gamma")
     y_idx: dict[tuple[int, int, int, int, int], int] = {}
     for x in range(n_x):
         for s1 in range(n_s1):
@@ -512,7 +441,8 @@ def build_case1_rd_gp(
                         continue
                     for t in range(n_t):
                         y_idx[(x, s1, s2, v1, t)] = len(labels)
-                        labels.append(f"y[{x},{s1},{s2},{v1},{t}]")
+                        cell = (x, s2, t) if wz_labels else (x, s1, s2, v1, t)
+                        labels.append(f"y[{','.join(map(str, cell))}]")
     n = len(labels)
 
     rows = []
@@ -555,11 +485,13 @@ def build_case1_rd_gp(
     a_mat = np.vstack(rows)
     b_vec = np.asarray(consts)
     start = np.zeros(n)
-    y0 = math.log(1.0 / (n_x * n_s1)) - 0.1
+    # y below log(1 / #kept (x, s1) cells) keeps every group's log-sum-exp < 0
+    y0 = math.log(1.0 / np.count_nonzero(p_xs1 > ZERO_TOL)) - 0.1
     for idx in y_idx.values():
         start[idx] = y0
     start[gamma_idx] = 0.1
-    per_row = a_mat @ start + b_vec
+    # alpha = -max_t(row residual) - 0.1, residual evaluated at (gamma0, y0)
+    per_row = a_mat @ start + b_vec  # alpha coefficients hit zeros in start
     k = 0
     for cell in alpha_cells:
         worst = max(per_row[k : k + n_t])
@@ -585,8 +517,15 @@ class Case1Options:
     epsilon: float | None = None
     grid_step: float = 0.05
     v1_size: int = 2
-    workers: int = 1
     gp: GpOptions = field(default_factory=GpOptions)
+
+    def __post_init__(self) -> None:
+        if self.epsilon is not None and self.epsilon <= 0:
+            raise ValueError("epsilon must be > 0")
+        if not 0 < self.grid_step <= 1:
+            raise ValueError("grid_step must be in (0, 1]")
+        if self.v1_size < 1:
+            raise ValueError("v1_size must be >= 1")
 
 
 def description_rate_case1(src: SourceInstance, w: CondKernel) -> float:
@@ -619,52 +558,22 @@ def rd_case1(
     v1 = Alphabet(opts.v1_size, "V1")
     strategies = enumerate_strategies((src.s2,), src.xhat)
 
-    step = opts.grid_step
-    for _attempt in range(2):
-        grid = simplex_grid(src.s1.size, v1, step)
-        rates = [description_rate_case1(src, w) for w in grid.points]
-        eps = opts.epsilon if opts.epsilon is not None else _auto_epsilon(rates)
-        feasible = [
-            i for i, rw in enumerate(rates)
-            if r_clamped - eps - 1e-12 <= rw <= r_clamped + 1e-12
-        ]
-        if feasible:
-            break
-        step /= 2.0
-    if not feasible:
-        return CurvePoint(r_prime, math.nan, math.nan, -1, "no-feasible-w")
+    def solve_w(w: CondKernel):
+        report = solve_gp(build_case1_rd_gp(src, w, d_target, strategies), opts.gp)
+        value = max(report.value / LN2, 0.0)
+        return value, report.newton_steps, report.gap_bound / LN2, "ok", {"gp_report": report}
 
-    def solve_one(i: int):
-        problem = build_case1_rd_gp(src, grid.points[i], d_target, strategies)
-        report = solve_gp(problem, opts.gp)
-        return max(report.value / LN2, 0.0), report.newton_steps, report.gap_bound / LN2, report
-
-    results = _map_indexed(solve_one, feasible, opts.workers)
-    best_idx = None
-    best_val = math.inf
-    for i, (val, _, _, _) in zip(feasible, results):
-        if val < best_val - 1e-9 or (val < best_val + 1e-9 and best_idx is None):
-            best_val = val
-            best_idx = i
-    value, steps, gap, report = results[feasible.index(best_idx)]
-    return CurvePoint(
+    point = _grid_sweep(
+        rate_of_w=lambda w: description_rate_case1(src, w),
+        solve_w=solve_w,
+        grid_factory=lambda step: simplex_grid(src.s1.size, v1, step),
         r_prime=r_prime,
-        value=value,
-        raw_value=value,
-        winning_w=best_idx,
-        status="ok",
-        iterations=steps,
-        gap=gap,
-        winning_kernel=grid.points[best_idx],
-        winning_r_w=rates[best_idx],
-        extras={
-            "epsilon": eps,
-            "grid_step": step,
-            "clamped_r_prime": r_clamped,
-            "gp_report": report,
-            "d_target": d_target,
-        },
+        r_clamped=r_clamped,
+        opts=opts,
+        maximize=False,
     )
+    point.extras["d_target"] = d_target
+    return point
 
 
 def rd_case1_sweep(

@@ -6,6 +6,9 @@ import pytest
 from sideinfo.ba import (
     ChannelInstance,
     SolverOptions,
+    _accelerated_fixed_point,
+    _rd_fixed_multiplier,
+    _wz_fixed_multiplier,
     ba_capacity,
     ba_rate_distortion,
     gp_channel_capacity,
@@ -187,3 +190,73 @@ class TestStrategyCapacity:
         lows = [lo for lo, up in rep.trace]
         assert all(lows[i + 1] >= lows[i] - 1e-10 for i in range(len(lows) - 1))
         assert all(up >= lo - 1e-12 for lo, up in rep.trace)
+
+
+class TestAcceleratedDriver:
+    @staticmethod
+    def halving(objective):
+        """x <- x / 2, with every evaluation logged."""
+        evaluated = []
+
+        def step(x):
+            evaluated.append(x)
+            nxt = x / 2.0
+            return nxt, objective(nxt), False, nxt
+
+        return step, evaluated
+
+    def test_accepted_candidate_counts_and_is_recorded(self):
+        # from 1 the squared extrapolation lands on the fixed point 0
+        step, evaluated = self.halving(lambda x: -abs(x))
+        recorded = []
+        iters, x, out = _accelerated_fixed_point(step, 1.0, 5, record=recorded.append)
+        assert evaluated == [1.0, 0.5, 0.0, 0.0, 0.0]
+        assert iters == 5 and recorded == [0.5, 0.25, 0.0, 0.0, 0.0]
+        assert x == out == 0.0
+
+    def test_rejected_candidate_is_neither_counted_nor_recorded(self):
+        step, evaluated = self.halving(abs)  # the candidate 0 lowers the objective
+        recorded = []
+        iters, x, _ = _accelerated_fixed_point(step, 1.0, 5, record=recorded.append)
+        assert evaluated == [1.0, 0.5, 0.0, 0.25, 0.125, 0.0, 0.0625]
+        assert iters == 5 and recorded == [0.5, 0.25, 0.125, 0.0625, 0.03125]
+        assert x == 0.03125
+
+    def test_no_step_returns_the_default(self):
+        step, evaluated = self.halving(abs)
+        assert _accelerated_fixed_point(step, 1.0, 0, out="init") == (0, 1.0, "init")
+        assert evaluated == []
+
+    # reference figures of the three engines that run on the driver: a change
+    # to its order of operations, its acceptance rule or its counting moves them
+    @pytest.mark.parametrize(
+        "beta, rate, dist, gap, iterations",
+        [
+            (1.5, 0.052733291309234875, 0.46120387498775584, 9.40593293445978e-11, 252),
+            (3.0, 0.6716087091947653, 0.1825396825396862, 6.80471857924317e-11, 17),
+        ],
+    )
+    def test_rd_fixed_multiplier_pinned(self, beta, rate, dist, gap, iterations):
+        p_x = np.array([0.2, 0.5, 0.3])
+        d = np.abs(np.subtract.outer(np.arange(3), np.arange(3))).astype(float)
+        got = _rd_fixed_multiplier(p_x, d, beta, 1e-10, 10000)
+        assert got[5] == iterations
+        assert got[:3] == pytest.approx((rate, dist, gap), abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "beta, rate, dist, gap, iterations",
+        [
+            (2.5, 0.4004902580283156, 0.12096488451346502, 4.179342379635873e-11, 19),
+            (4.0, 0.6414030758350817, 0.04400218151965954, 2.743542594927248e-11, 15),
+        ],
+    )
+    def test_wz_fixed_multiplier_pinned(self, beta, rate, dist, gap, iterations):
+        # a doubly symmetric binary source (crossover 0.3) under Hamming
+        # distortion, with the four strategies S -> Xhat
+        p_xs = np.array([[0.35, 0.15], [0.15, 0.35]])
+        tables = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+        d = (np.arange(2)[:, None, None] != tables[None, :, :]).astype(float)  # (X, T, S)
+        dbar = np.einsum("xs,xts->xt", p_xs / p_xs.sum(axis=1, keepdims=True), d)
+        got = _wz_fixed_multiplier(p_xs, dbar, beta, 1e-10, 10000)
+        assert got[5] == iterations
+        assert got[:3] == pytest.approx((rate, dist, gap), abs=1e-14)

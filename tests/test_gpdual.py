@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sideinfo.ba import LN2, SolverOptions, wz_primal
+from sideinfo.ba import LN2, SolverOptions, SourceInstance, wz_primal
 from sideinfo.gpdual import (
     Case1Options,
     GpInfeasibleError,
@@ -18,7 +19,7 @@ from sideinfo.gpdual import (
     wz_rate_via_gp,
 )
 from sideinfo.evaluators import example2_closed_form
-from sideinfo.probability import Alphabet, CondKernel
+from sideinfo.probability import Alphabet, CondKernel, JointPmf
 from sideinfo.problems import example2_source, example3_source, example4_source
 
 
@@ -127,6 +128,26 @@ class TestCase1Dual:
         assert len(p_case1.lse_groups) == len(p_wz.lse_groups)
         r1, r2 = solve_gp(p_case1), solve_gp(p_wz)
         assert r1.value == pytest.approx(r2.value, abs=1e-10)
+
+    def test_one_letter_description_builds_the_wyner_ziv_program(self):
+        # X = 2 has zero mass, so the program drops its alpha and y variables
+        x, xhat, s1, s2 = Alphabet(3, "X"), Alphabet(2, "Xhat"), Alphabet(1, "S1"), Alphabet(2, "S2")
+        probs = np.array([[0.4, 0.1], [0.15, 0.35], [0.0, 0.0]]).reshape(3, 1, 2)
+        distortion = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        src = SourceInstance(x, xhat, s1, s2, JointPmf((x, s1, s2), probs), distortion)
+        w = CondKernel((s1,), (Alphabet(1, "V1"),), np.ones((1, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p_wz = build_wz_gp(src, 0.1)
+            p_case1 = build_case1_rd_gp(src, w, 0.1)
+        for name in ("c", "a_mat", "b_vec", "nonneg", "start"):
+            assert np.array_equal(getattr(p_wz, name), getattr(p_case1, name)), name
+        assert len(p_wz.lse_groups) == len(p_case1.lse_groups)
+        assert all(np.array_equal(g, h) for g, h in zip(p_wz.lse_groups, p_case1.lse_groups))
+        assert p_wz.bounds == p_case1.bounds
+        assert p_wz.var_labels[:3] == ["alpha[0]", "alpha[1]", "gamma"]
+        assert p_case1.var_labels[:3] == ["alpha[0,0,0]", "alpha[1,0,0]", "gamma"]
+        assert solve_gp(p_wz).slater_ok
 
     def test_variable_count_binary_two_descriptions(self):
         src = example4_source()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sideinfo.ba import ChannelInstance, SourceInstance
+import sideinfo.cli
 from sideinfo.cli import main
+from sideinfo.gpdual import GpNumericalError
 from sideinfo.probability import binary_entropy
 from sideinfo.problems import (
     ProblemFileError,
@@ -197,3 +199,47 @@ class TestCli:
 
     def test_dualize_unknown_case_exits_2(self):
         assert main(["dualize", "--case", "zz9"]) == 2
+
+
+class TestCliInputErrors:
+    """Invalid options and grids exit 2 with a message, before any solve."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0.1", "--delta", "0"],
+            ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--delta", "0"],
+            ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0.1", "--grid-step", "0"],
+            ["rd-case1", "--problem", "builtin:example2", "--d", "0.1", "--rprime", "0.1", "--grid-step", "0"],
+            ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid=-0.2:0.2:0.2"],
+            ["rd-case1", "--problem", "builtin:example2", "--d", "0.1", "--rprime=-0.1"],
+            ["rd-case1", "--problem", "builtin:example2", "--d=-0.1", "--rprime", "0.1"],
+            ["wz-rate", "--problem", "builtin:example3", "--d=-0.1"],
+            ["wz-rate", "--problem", "builtin:example3", "--d-grid=-0.1:0.1:0.1"],
+            ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0:x:0.1"],
+        ],
+    )
+    def test_exits_2_with_message(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_solver_error_still_writes_partial_csv(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise GpNumericalError("line search failed")
+
+        monkeypatch.setattr(sideinfo.cli, "rd_case1_sweep", fail)
+        code = main(["rd-case1", "--problem", "builtin:example2", "--d", "0.1", "--rprime", "0.1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "d,r_prime,value,raw_value,winning_w,iterations,gap,status\n"
+        assert "solver failure: line search failed" in captured.err
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("unexpected argument")
+
+        monkeypatch.setattr(sideinfo.cli, "capacity_case2_sweep", broken)
+        with pytest.raises(TypeError, match="unexpected argument"):
+            main(["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0.1"])
