@@ -52,7 +52,6 @@ from .gpdual import (
     Case1Options,
     GpInfeasibleError,
     GpNumericalError,
-    GpOptions,
     GpProblem,
     GpReport,
     build_case1_rd_gp,

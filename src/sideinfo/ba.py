@@ -571,7 +571,8 @@ def alternating_strategy_max(
     n_t, n_e, n_o = p_ote.shape
     p_e = np.asarray(p_e, dtype=float)
     sup_e = p_e > ZERO_TOL
-    pm = np.where(p_ote > ZERO_TOL, p_ote, 0.0)
+    # drop the rows of zero-mass letters: a view reached only through them makes J 0 * nan
+    pm = np.where((p_ote > ZERO_TOL) & sup_e[None, :, None], p_ote, 0.0)
     pm_mask = pm > 0
     with np.errstate(divide="ignore"):
         ln_pm = np.where(pm_mask, np.log(np.where(pm_mask, pm, 1.0)), -np.inf)

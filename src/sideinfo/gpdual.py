@@ -81,18 +81,18 @@ class GpProblem:
                 raise ValueError("empty log-sum-exp group")
             if np.any(g < 0) or np.any(g >= n):
                 raise ValueError("log-sum-exp index out of range")
+            if np.unique(g).size != len(g):
+                raise ValueError("log-sum-exp group repeats an index")
         if self.nonneg.size and (self.nonneg.min() < 0 or self.nonneg.max() >= n):
             raise ValueError("nonneg index out of range")
 
 
-@dataclass
-class GpOptions:
-    t0: float = 1.0
-    mu: float = 20.0
-    newton_tol: float = 1e-10  # on half the squared Newton decrement
-    tol: float = 1e-9          # outer stop: m / t < tol
-    max_newton: int = 200      # Newton steps per barrier stage
-    max_backtracks: int = 60
+_T0 = 1.0
+_MU = 20.0
+_NEWTON_TOL = 1e-10  # on half the squared Newton decrement
+_GAP_TOL = 1e-9      # outer stop and certificate: m / t < _GAP_TOL
+_MAX_NEWTON = 200    # Newton steps per barrier stage
+_MAX_BACKTRACKS = 60
 
 
 @dataclass
@@ -127,26 +127,32 @@ def _canonical_rows(p: GpProblem):
 
 
 class _Barrier:
-    """Barrier-function oracle for min -t c.z - sum log(-f_i)."""
+    """Barrier-function oracle for min -t c.z - sum log(-f_i).
 
-    def __init__(self, c, a_mat, b_vec, lse):
-        # lse entries: (index array, extra affine vector or None)
+    The affine constraints are a z + b <= 0. Row k of the 0/1 matrix
+    ``member`` selects group k of the log-sum-exp constraints
+    log sum_{i in group k} exp(z_i) + extra[k] @ z <= 0; ``extra`` is zero
+    except in phase one.
+    """
+
+    def __init__(self, c, a_mat, b_vec, member, extra):
         self.c = c
         self.a = a_mat
         self.b = b_vec
-        self.lse = lse
-        self.m = a_mat.shape[0] + len(lse)
+        self.member = member
+        self.extra = extra
+        self.m = a_mat.shape[0] + member.shape[0]
+
+    def _lse(self, z):
+        """Each group's constraint value and softmax weights (zero off the group)."""
+        zg = np.where(self.member, z, -np.inf)
+        mx = zg.max(axis=1, keepdims=True)
+        e = np.exp(zg - mx)
+        s = e.sum(axis=1, keepdims=True)
+        return (mx + np.log(s))[:, 0] + self.extra @ z, e / s
 
     def constraints(self, z):
-        vals = [self.a @ z + self.b] if self.a.shape[0] else [np.zeros(0)]
-        for g, extra in self.lse:
-            zg = z[g]
-            mx = zg.max()
-            v = mx + math.log(np.exp(zg - mx).sum())
-            if extra is not None:
-                v += float(extra @ z)
-            vals.append(np.array([v]))
-        return np.concatenate(vals)
+        return np.concatenate([self.a @ z + self.b, self._lse(z)[0]])
 
     def value(self, t, z):
         f = self.constraints(z)
@@ -155,45 +161,29 @@ class _Barrier:
         return -t * float(self.c @ z) + float(-np.log(-f).sum()), f
 
     def grad_hess(self, t, z):
-        n = z.shape[0]
-        grad = -t * self.c.copy()
-        hess = np.zeros((n, n))
-        if self.a.shape[0]:
-            f_aff = self.a @ z + self.b
-            inv = 1.0 / (-f_aff)
-            grad += self.a.T @ inv
-            hess += (self.a * (inv**2)[:, None]).T @ self.a
-        for g, extra in self.lse:
-            zg = z[g]
-            mx = zg.max()
-            e = np.exp(zg - mx)
-            sigma = e / e.sum()
-            f = mx + math.log(e.sum()) + (float(extra @ z) if extra is not None else 0.0)
-            u = np.zeros(n)
-            u[g] = sigma
-            if extra is not None:
-                u += extra
-            grad += u / (-f)
-            hess += np.outer(u, u) / f**2
-            block = (np.diag(sigma) - np.outer(sigma, sigma)) / (-f)
-            hess[np.ix_(g, g)] += block
+        f_lse, sigma = self._lse(z)
+        inv_aff = 1.0 / -(self.a @ z + self.b)
+        inv_lse = 1.0 / -f_lse
+        u = sigma + self.extra  # gradient of each group's constraint
+        grad = -t * self.c + self.a.T @ inv_aff + u.T @ inv_lse
+        softmax = np.diag(sigma.T @ inv_lse) - (sigma.T * inv_lse) @ sigma
+        hess = (self.a.T * inv_aff**2) @ self.a + (u.T * inv_lse**2) @ u + softmax
         return grad, hess
 
 
 def _newton_stages(
     barrier: _Barrier,
     z: np.ndarray,
-    opts: GpOptions,
     trace: list,
     stage_values: list,
     stop_early=None,
 ):
     """Run the barrier path; returns (z, t_final, stages, newton_steps)."""
-    t = opts.t0
+    t = _T0
     stages = 0
     steps = 0
     while True:
-        for _ in range(opts.max_newton):
+        for _ in range(_MAX_NEWTON):
             grad, hess = barrier.grad_hess(t, z)
             ridge = 1e-12 * max(1.0, float(np.trace(hess)) / hess.shape[0])
             try:
@@ -207,7 +197,7 @@ def _newton_stages(
             val, _ = barrier.value(t, z)
             alpha = 1.0
             ok = False
-            for _bt in range(opts.max_backtracks):
+            for _bt in range(_MAX_BACKTRACKS):
                 cand = z + alpha * dz
                 vnew, _ = barrier.value(t, cand)
                 if vnew < val - 0.25 * alpha * decrement + 1e-14 * abs(val):
@@ -216,86 +206,74 @@ def _newton_stages(
                     break
                 alpha *= 0.5
             if not ok:
-                if decrement / 2.0 <= max(opts.newton_tol, 1e-8):
+                if decrement / 2.0 <= max(_NEWTON_TOL, 1e-8):
                     break
                 raise GpNumericalError(
                     f"line search failed at barrier t={t} (decrement {decrement})", trace
                 )
             steps += 1
             trace.append((t, float(barrier.c @ z)))
-            if decrement / 2.0 <= opts.newton_tol:
+            if decrement / 2.0 <= _NEWTON_TOL:
                 break
         stages += 1
         stage_values.append(float(barrier.c @ z))
         if stop_early is not None and stop_early(z):
             return z, t, stages, steps
-        if barrier.m / t < opts.tol:
+        if barrier.m / t < _GAP_TOL:
             return z, t, stages, steps
-        t *= opts.mu
+        t *= _MU
 
 
-def _phase_one(p: GpProblem, opts: GpOptions) -> np.ndarray:
+def _phase_one(barrier: _Barrier) -> np.ndarray:
     """Find a strictly feasible point by minimizing the worst violation."""
-    a_all, b_all = _canonical_rows(p)
-    n = p.num_vars
-    z0 = np.zeros(n)
-    base = _Barrier(np.zeros(n), a_all, b_all, [(g, None) for g in p.lse_groups])
-    worst = float(base.constraints(z0).max())
-    s0 = worst + 1.0
+    n = barrier.c.shape[0]
+    s0 = float(barrier.constraints(np.zeros(n)).max()) + 1.0
     # augmented problem over (z, s): minimize s with every f_i <= s
     c_aug = np.zeros(n + 1)
     c_aug[-1] = -1.0  # maximize -s
-    a_aug = np.hstack([a_all, -np.ones((a_all.shape[0], 1))])
-    lse_aug = []
-    for g in p.lse_groups:
-        extra = np.zeros(n + 1)
-        extra[-1] = -1.0
-        lse_aug.append((g, extra))
-    barrier = _Barrier(c_aug, a_aug, b_all, lse_aug)
-    z = np.concatenate([z0, [s0]])
-    trace: list = []
-    stage_values: list = []
-    z, _, _, _ = _newton_stages(
-        barrier, z, opts, trace, stage_values, stop_early=lambda zz: zz[-1] < -1e-7
+
+    def with_s(mat, coef):
+        return np.hstack([mat, np.full((mat.shape[0], 1), coef)])
+
+    aug = _Barrier(
+        c_aug, with_s(barrier.a, -1.0), barrier.b,
+        with_s(barrier.member, False), with_s(barrier.extra, -1.0),
     )
+    z = np.append(np.zeros(n), s0)
+    z, _, _, _ = _newton_stages(aug, z, [], [], stop_early=lambda zz: zz[-1] < -1e-7)
     if z[-1] >= 0:
         raise GpInfeasibleError(f"no strictly feasible point found (margin {z[-1]:.3e})")
     return z[:-1]
 
 
-def solve_gp(p: GpProblem, opts: GpOptions | None = None) -> GpReport:
+def solve_gp(p: GpProblem) -> GpReport:
     """Maximize the linear objective by a log-barrier Newton method.
 
-    Deterministic for fixed options: t grows geometrically from t0 by mu
-    until m/t < tol, each stage centered by damped Newton with backtracking.
+    Deterministic: t grows geometrically from _T0 by _MU until m/t < _GAP_TOL,
+    each stage centered by damped Newton with backtracking.
     """
-    opts = opts or GpOptions()
     p.validate()
     a_all, b_all = _canonical_rows(p)
-    barrier = _Barrier(p.c, a_all, b_all, [(g, None) for g in p.lse_groups])
+    member = np.zeros((len(p.lse_groups), p.num_vars), dtype=bool)
+    for k, g in enumerate(p.lse_groups):
+        member[k, g] = True
+    barrier = _Barrier(p.c, a_all, b_all, member, np.zeros(member.shape))
 
-    slater_ok = False
-    z = None
-    if p.start is not None:
-        slack = -barrier.constraints(np.asarray(p.start, dtype=float))
-        if slack.min() > 0:
-            z = np.asarray(p.start, dtype=float).copy()
-            slater_ok = bool(slack.min() >= 1e-8)
-    if z is None:
-        z = _phase_one(p, opts)
-        slack = -barrier.constraints(z)
-        slater_ok = bool(slack.min() >= 1e-8)
+    z = None if p.start is None else np.asarray(p.start, dtype=float).copy()
+    if z is None or barrier.constraints(z).max() >= 0:
+        z = _phase_one(barrier)
+    slater_ok = bool(-barrier.constraints(z).max() >= 1e-8)
 
     trace: list = []
     stage_values: list = []
-    z, t_final, stages, steps = _newton_stages(barrier, z, opts, trace, stage_values)
+    z, t_final, stages, steps = _newton_stages(barrier, z, trace, stage_values)
     gap = barrier.m / t_final
     return GpReport(
         value=float(p.c @ z),
         z_opt=z,
         barrier_iters=stages,
         newton_steps=steps,
-        certified=bool(slater_ok and gap < opts.tol),
+        certified=bool(slater_ok and gap < _GAP_TOL),
         slater_ok=slater_ok,
         gap_bound=gap,
         trace=trace,
@@ -334,23 +312,28 @@ def wz_rate_via_gp(
     src: SourceInstance,
     d_target: float,
     opts: SolverOptions | None = None,
-    gp_opts: GpOptions | None = None,
     strategies: StrategySpace | None = None,
     cross_check: bool = True,
     tight_tol: float = 1e-3,
 ) -> SolveReport:
-    """Wyner-Ziv rate from the dual program, with an optional primal cross-check."""
+    """Wyner-Ziv rate from the dual program, with an optional primal cross-check.
+
+    The status is "uncertified" when the barrier solve is not certified, else
+    "not-tight" when the cross-check misses the primal by more than ``tight_tol``.
+    """
     opts = opts or SolverOptions()
     problem = build_wz_gp(src, d_target, strategies)
-    report = solve_gp(problem, gp_opts)
+    report = solve_gp(problem)
     value = max(report.value / LN2, 0.0)
     extras = {"gp_report": report, "certified": report.certified}
-    status = "ok"
+    status = "ok" if report.certified else "uncertified"
     if cross_check:
         primal = wz_primal(src, d_target, opts, strategies)
         extras["primal_value"] = primal.value
         extras["primal_report"] = primal
         extras["tight"] = abs(primal.value - value) <= tight_tol
+        if status == "ok" and not extras["tight"]:
+            status = "not-tight"
     return SolveReport(
         value=value,
         gap=report.gap_bound / LN2,
@@ -517,7 +500,6 @@ class Case1Options:
     epsilon: float | None = None
     grid_step: float = 0.05
     v1_size: int = 2
-    gp: GpOptions = field(default_factory=GpOptions)
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and self.epsilon <= 0:
@@ -559,7 +541,7 @@ def rd_case1(
     strategies = enumerate_strategies((src.s2,), src.xhat)
 
     def solve_w(w: CondKernel):
-        report = solve_gp(build_case1_rd_gp(src, w, d_target, strategies), opts.gp)
+        report = solve_gp(build_case1_rd_gp(src, w, d_target, strategies))
         value = max(report.value / LN2, 0.0)
         return value, report.newton_steps, report.gap_bound / LN2, "ok", {"gp_report": report}
 

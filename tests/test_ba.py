@@ -9,6 +9,7 @@ from sideinfo.ba import (
     _accelerated_fixed_point,
     _rd_fixed_multiplier,
     _wz_fixed_multiplier,
+    alternating_strategy_max,
     ba_capacity,
     ba_rate_distortion,
     gp_channel_capacity,
@@ -191,6 +192,21 @@ class TestStrategyCapacity:
         assert all(lows[i + 1] >= lows[i] - 1e-10 for i in range(len(lows) - 1))
         assert all(up >= lo - 1e-12 for lo, up in rep.trace)
 
+
+    def test_zero_mass_encoder_letter_with_nonzero_rows(self):
+        # decoder view 4 is reachable only from e = 3, which has no mass
+        rng = np.random.default_rng(5)
+        p_ote = rng.random((3, 4, 5)) + 0.05
+        p_ote[:, :3, 4] = 0.0
+        p_ote /= p_ote.sum(axis=2, keepdims=True)
+        p_e = np.array([0.25, 0.35, 0.4, 0.0])
+        zeroed = p_ote.copy()
+        zeroed[:, 3, :] = 0.0
+        got = alternating_strategy_max(p_e, p_ote, 1e-9, 3000)
+        want = alternating_strategy_max(p_e, zeroed, 1e-9, 3000)
+        assert got[6] and math.isfinite(got[0])
+        assert got[:3] == want[:3] and got[5:] == want[5:]
+        assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
 
 class TestAcceleratedDriver:
     @staticmethod

@@ -1,15 +1,18 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import sideinfo.gpdual
 from sideinfo.ba import LN2, SolverOptions, SourceInstance, wz_primal
 from sideinfo.gpdual import (
     Case1Options,
     GpInfeasibleError,
-    GpOptions,
     GpProblem,
+    _Barrier,
     build_case1_rd_gp,
     build_wz_gp,
     description_rate_case1,
@@ -75,6 +78,94 @@ class TestBarrierSolver:
         assert all(sv[i + 1] >= sv[i] - 1e-12 for i in range(len(sv) - 1))
 
 
+
+def random_barrier(seed, n_aff, n_groups, phase_one):
+    """A strictly feasible point of a random oracle, with its groups.
+
+    Groups have uneven sizes and may overlap. With ``phase_one`` the last
+    variable is the phase-one slack s: it is in no group, and every group's
+    constraint is log-sum-exp - s, as in the augmented program.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    n_grp = n - 1 if phase_one else n
+    groups = [
+        rng.choice(n_grp, size=int(rng.integers(1, n_grp + 1)), replace=False)
+        for _ in range(n_groups)
+    ]
+    member = np.zeros((n_groups, n), dtype=bool)
+    extra = np.zeros((n_groups, n))
+    for k, g in enumerate(groups):
+        member[k, g] = True
+    if phase_one:
+        extra[:, -1] = -1.0
+    z = rng.normal(size=n)
+    z[:n_grp] -= max((np.log(np.exp(z[g]).sum()) for g in groups), default=0.0)
+    z[:n_grp] -= rng.uniform(0.2, 2.0)  # every log-sum-exp <= -0.2 before the slack
+    if phase_one:
+        z[-1] = rng.uniform(-0.1, 1.0)
+    a = rng.normal(size=(n_aff, n))
+    b = -(a @ z) - rng.uniform(0.1, 2.0, size=n_aff)
+    return _Barrier(rng.normal(size=n), a, b, member, extra), z, groups
+
+
+def per_group_oracle(barrier, t, z, groups):
+    """Reference: constraint values, gradient and Hessian, one group at a time."""
+    n = z.size
+    f_aff = barrier.a @ z + barrier.b
+    grad = -t * barrier.c + barrier.a.T @ (1.0 / -f_aff)
+    hess = (barrier.a.T * f_aff**-2) @ barrier.a
+    fs = []
+    for k, g in enumerate(groups):
+        sigma = np.exp(z[g]) / np.exp(z[g]).sum()
+        f = math.log(np.exp(z[g]).sum()) + barrier.extra[k] @ z
+        u = barrier.extra[k].copy()
+        u[g] += sigma
+        grad += u / -f
+        hess += np.outer(u, u) / f**2
+        hess[np.ix_(g, g)] += (np.diag(sigma) - np.outer(sigma, sigma)) / -f
+        fs.append(f)
+    return np.concatenate([f_aff, fs]), grad, hess
+
+
+class TestBarrierOracle:
+    """The array oracle against a per-group loop and against finite differences."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_aff=st.integers(0, 4),
+        n_groups=st.integers(0, 5),
+        phase_one=st.booleans(),
+        t=st.floats(0.1, 100.0),
+    )
+    @example(seed=1, n_aff=0, n_groups=3, phase_one=False, t=1.0)
+    @example(seed=2, n_aff=3, n_groups=0, phase_one=False, t=1.0)
+    @example(seed=3, n_aff=2, n_groups=4, phase_one=True, t=20.0)
+    def test_matches_per_group_reference(self, seed, n_aff, n_groups, phase_one, t):
+        barrier, z, groups = random_barrier(seed, n_aff, n_groups, phase_one)
+        f_ref, grad_ref, hess_ref = per_group_oracle(barrier, t, z, groups)
+        assert f_ref.max(initial=-np.inf) < 0
+        np.testing.assert_allclose(barrier.constraints(z), f_ref, rtol=1e-13, atol=1e-13)
+        grad, hess = barrier.grad_hess(t, z)
+        assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+        assert np.abs(hess - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
+        # the gradient is that of ``value``: central differences
+        h = 1e-6
+        fd = np.array([
+            (barrier.value(t, z + h * e)[0] - barrier.value(t, z - h * e)[0]) / (2 * h)
+            for e in np.eye(z.size)
+        ])
+        assert np.abs(fd - grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+
+    def test_group_with_a_repeated_index_rejected(self):
+        p = GpProblem(
+            c=np.array([1.0, 0.0]), a_mat=np.zeros((0, 2)), b_vec=np.zeros(0),
+            lse_groups=[np.array([0, 1, 0])],
+        )
+        with pytest.raises(ValueError, match="repeats"):
+            solve_gp(p)
+
 class TestWzDual:
     def test_layout_counts(self):
         src = example3_source()
@@ -100,6 +191,20 @@ class TestWzDual:
         rep = wz_rate_via_gp(src, 0.1)
         assert abs(rep.value - rep.extras["primal_value"]) <= 1e-3
         assert rep.extras["tight"]
+
+    def test_status_not_tight(self):
+        rep = wz_rate_via_gp(example3_source(), 0.1, tight_tol=1e-15)
+        assert rep.extras["gp_report"].certified and not rep.extras["tight"]
+        assert rep.status == "not-tight"
+
+    def test_status_uncertified(self, monkeypatch):
+        solve = sideinfo.gpdual.solve_gp
+        monkeypatch.setattr(
+            sideinfo.gpdual, "solve_gp", lambda p: dataclasses.replace(solve(p), certified=False)
+        )
+        rep = wz_rate_via_gp(example3_source(), 0.1, tight_tol=1e-15)
+        assert rep.status == "uncertified"
+        assert wz_rate_via_gp(example3_source(), 0.1, cross_check=False).status == "uncertified"
 
     def test_zero_distortion_endpoint(self):
         src = example3_source()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sideinfo.ba import ChannelInstance, SourceInstance
 import sideinfo.cli
+import sideinfo.gpdual
 from sideinfo.cli import main
 from sideinfo.gpdual import GpNumericalError
 from sideinfo.probability import binary_entropy
@@ -217,6 +219,7 @@ class TestCliInputErrors:
             ["wz-rate", "--problem", "builtin:example3", "--d=-0.1"],
             ["wz-rate", "--problem", "builtin:example3", "--d-grid=-0.1:0.1:0.1"],
             ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0:x:0.1"],
+            ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0.3:0.1:0.1"],
         ],
     )
     def test_exits_2_with_message(self, argv, capsys):
@@ -235,6 +238,14 @@ class TestCliInputErrors:
         captured = capsys.readouterr()
         assert captured.out == "d,r_prime,value,raw_value,winning_w,iterations,gap,status\n"
         assert "solver failure: line search failed" in captured.err
+
+    def test_uncertified_dual_exits_3(self, monkeypatch, capsys):
+        solve = sideinfo.gpdual.solve_gp
+        monkeypatch.setattr(
+            sideinfo.gpdual, "solve_gp", lambda p: dataclasses.replace(solve(p), certified=False)
+        )
+        assert main(["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--via", "gp"]) == 3
+        assert capsys.readouterr().out.splitlines()[1].endswith(",uncertified")
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
