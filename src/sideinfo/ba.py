@@ -5,7 +5,7 @@ Four engines live here:
 * ``ba_capacity`` -- classic channel capacity with the per-iteration
   upper bound certificate.
 * ``ba_rate_distortion`` -- classic rate-distortion via the Lagrangian
-  family, with a golden-section sweep on the multiplier.
+  family, with a bisection on the multiplier that stops on the certified gap.
 * ``wz_primal`` -- Wyner-Ziv rate over distributions on reconstruction
   strategies, alternating minimization plus the same multiplier sweep.
 * ``gp_channel_capacity`` -- Gelfand-Pinsker-type capacity
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,13 +108,12 @@ class SolverOptions:
 
     delta: target certified gap in bits.
     max_iters: inner iteration cap; exceeding it yields status "nonconverged".
-    dist_tol: multiplier sweeps stop once the achieved distortion is within
-        this of the target (or the bracket collapses).
+        A multiplier sweep passes it to each probe and reports
+        "nonconverged" when its final certified gap exceeds ``delta``.
     """
 
     delta: float = 1e-6
     max_iters: int = 10000
-    dist_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.delta <= 0:
@@ -183,48 +182,40 @@ def ba_capacity(kernel, opts: SolverOptions | None = None) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_multiplier(
-    inner: Callable[[float], tuple[float, float, float, object]],
-    d_target: float,
-    gamma_max: float,
-    dist_tol: float,
-):
-    """Golden-section search on the distortion multiplier.
+def _sweep_multiplier(inner, assemble, d_target: float, gamma_max: float, delta: float):
+    """Bisection on the distortion multiplier, stopped by the certified gap.
 
     ``inner(beta)`` solves the Lagrangian problem and returns
-    (rate, achieved_distortion, certified_gap, argopt). The achieved
-    distortion is nonincreasing in beta, so |achieved - target| is unimodal.
+    (rate, achieved_distortion, certified_gap, argopt). Each probe gives the
+    lower bound L(beta) = rate + beta * (dist - D) - gap, which is concave in
+    beta with subgradient dist - D, so the sign of dist - D says on which side
+    of the probe the maximizer lies. The search stops once ``assemble(probes)``
+    (``_assemble_sweep``) certifies a gap of at most ``delta`` or the bracket
+    collapses.
     Returns the list of all probes as (beta, rate, dist, gap, argopt).
     """
     probes = []
 
-    def probe(beta: float):
-        rate, dist, gap, arg = inner(beta)
-        probes.append((beta, rate, dist, gap, arg))
-        return abs(dist - d_target)
+    def probe(beta: float) -> float:
+        probes.append((beta, *inner(beta)))
+        return probes[-1][2] - d_target
+
+    def certified() -> bool:
+        return assemble(probes)[1] <= delta
 
     lo, hi = 0.0, gamma_max
-    if probe(lo) <= dist_tol or probe(hi) <= dist_tol:
-        return probes
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = probe(c), probe(d)
-    while hi - lo > 1e-8 * max(1.0, gamma_max):
-        if min(fc, fd) <= dist_tol:
-            break
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = probe(c)
+    probe(lo)
+    probe(hi)
+    while not certified() and hi - lo > 1e-8 * max(1.0, gamma_max):
+        mid = 0.5 * (lo + hi)
+        if probe(mid) > 0.0:
+            lo = mid
         else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = probe(d)
+            hi = mid
     return probes
 
 
-def _assemble_sweep(probes, d_target: float, evaluate_mix):
+def _assemble_sweep(probes, d_target: float, evaluate_mix, slack: float):
     """Certified value and gap for R(D) from the Lagrangian probes.
 
     Each probe yields the lower bound rate + beta*(dist - D) - gap. Probes
@@ -236,7 +227,9 @@ def _assemble_sweep(probes, d_target: float, evaluate_mix):
     Lagrangian lower bound.
 
     ``evaluate_mix(arg_a, arg_b, mu)`` returns the exact (rate, dist, arg) of
-    the mixture (1-mu) * arg_a + mu * arg_b.
+    the mixture (1-mu) * arg_a + mu * arg_b. A probe is feasible when its
+    distortion is at most D + ``slack``; with no feasible probe there is no
+    achievable witness and the gap is infinite.
 
     Returns (value, gap, argopt, argopt_rate, argopt_dist); the rate and
     distortion of ``argopt`` are exact functionals of that distribution.
@@ -246,12 +239,11 @@ def _assemble_sweep(probes, d_target: float, evaluate_mix):
         lower = max(lower, rate + beta * (dist - d_target) - gap)
     lower = max(lower, 0.0)
 
-    feasible = [p for p in probes if p[2] <= d_target + 1e-12]
-    infeasible = [p for p in probes if p[2] > d_target + 1e-12]
+    feasible = [p for p in probes if p[2] <= d_target + slack]
+    infeasible = [p for p in probes if p[2] > d_target + slack]
     if not feasible:
-        # target below every probe's distortion (clamped floors make this rare)
-        _, rate, dist, _, arg = min(probes, key=lambda p: abs(p[2] - d_target))
-        return lower, 0.0, arg, rate, dist
+        _, rate, dist, _, arg = min(probes, key=lambda p: p[2])
+        return lower, math.inf, arg, rate, dist
 
     best_rate, best_dist, best_arg = math.inf, math.nan, None
     for _, rate, dist, _, arg in feasible:
@@ -356,9 +348,11 @@ def _rd_fixed_multiplier(p_x, d, beta, delta_bits, max_iters, q_init=None):
 def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = None) -> SolveReport:
     """R(D) = min I(X;Xhat) s.t. E[d(X,Xhat)] <= D, by Blahut's algorithm.
 
-    The multiplier is swept by golden-section search on [0, gamma_max]; the
-    reported value is the best Lagrangian lower bound, with the gap measured
-    against the cheapest feasible probe.
+    The multiplier is bisected on [0, gamma_max] by the sign of each probe's
+    dist - D, a subgradient of the concave Lagrangian lower bound, until the
+    certified gap is at most half of ``opts.delta``. The gap is measured from
+    the best lower bound to the cheapest achievable probe or time-shared pair
+    of probes.
     """
     opts = opts or SolverOptions()
     p_x = np.asarray(p_x, dtype=float)
@@ -377,26 +371,42 @@ def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = Non
         dist = float(p_x @ (w_mix * d).sum(axis=1))
         return max(rate, 0.0), dist, w_mix
 
-    fixed = functools.partial(_rd_fixed_multiplier, p_x, d)
-    return _lagrangian_sweep(p_x, d, d[d > ZERO_TOL], d_target, opts, fixed, evaluate_mix)
+    # each probe sees d less its row minima: the same minimizer, and
+    # exp2(-beta * d) keeps an entry of 1 in every row at any beta
+    shift = d.min(axis=1)
+    excess = d - shift[:, None]
+
+    def fixed(beta, delta_bits, max_iters):
+        rate, dist, *rest = _rd_fixed_multiplier(p_x, excess, beta, delta_bits, max_iters)
+        return (rate, dist + float(p_x @ shift), *rest)
+
+    return _lagrangian_sweep(p_x, d, excess, d_target, opts, fixed, evaluate_mix)
 
 
-def _lagrangian_sweep(p_x, dbar, positive, d_target, opts, fixed, evaluate_mix) -> SolveReport:
+def _lagrangian_sweep(p_x, dbar, excess, d_target, opts, fixed, evaluate_mix) -> SolveReport:
     """R(D) through the Lagrangian family, shared by BA R(D) and the Wyner-Ziv primal.
 
     ``dbar[x, a]`` is the expected distortion of answer a (a reconstruction
-    or a strategy) at source letter x, and ``positive`` the positive
-    distortion values, which set the multiplier range.
+    or a strategy) at source letter x, and ``excess`` the distortions minus
+    their least value at the same source letter (and side letter), which
+    set the multiplier range: adding a function of the source letter to the
+    distortion leaves the problem unchanged.
     ``fixed(beta, delta_bits, max_iters)`` solves one Lagrangian problem and
     returns (rate, dist, gap, argopt, ...). Targets at or above the best
     constant answer's distortion have rate 0 exactly; targets below the
     distortion floor are raised to it with status "distortion-floor".
+    Each probe is solved to a quarter of ``opts.delta``, and the sweep stops
+    once the certified gap is at most half of it. A final gap above
+    ``opts.delta`` gives status "nonconverged". ``extras`` counts the
+    ``probes`` and the ``probes_capped`` that stopped at ``opts.max_iters``
+    short of their own gap.
     """
     d_zero_rate = float((p_x @ dbar).min())  # best constant answer
     if d_target >= d_zero_rate - 1e-12:
         arg = np.zeros_like(dbar)
         arg[:, int((p_x @ dbar).argmin())] = 1.0
-        return SolveReport(0.0, 0.0, 0, arg, [(0.0, 0.0)], extras={"distortion": d_zero_rate})
+        extras = {"distortion": d_zero_rate, "probes": 0, "probes_capped": 0}
+        return SolveReport(0.0, 0.0, 0, arg, [(0.0, 0.0)], extras=extras)
 
     status = "ok"
     d_floor = float(p_x @ dbar.min(axis=1))
@@ -405,14 +415,20 @@ def _lagrangian_sweep(p_x, dbar, positive, d_target, opts, fixed, evaluate_mix) 
         status = "distortion-floor"
         target = d_floor
 
+    positive = excess[excess > ZERO_TOL]
     gamma_max = 50.0 / float(positive.min()) if positive.size else 1.0
-    inner_delta = min(opts.delta, 1e-8)
+    inner_delta = opts.delta / 4.0
 
     def inner(beta):
         return fixed(beta, inner_delta, opts.max_iters)[:4]
 
-    probes = _sweep_multiplier(inner, target, gamma_max, opts.dist_tol)
-    value, gap, arg, arg_rate, arg_dist = _assemble_sweep(probes, target, evaluate_mix)
+    def assemble(probes):
+        return _assemble_sweep(probes, target, evaluate_mix, 1e-12 * max(1.0, float(dbar.max())))
+
+    probes = _sweep_multiplier(inner, assemble, target, gamma_max, opts.delta / 2.0)
+    value, gap, arg, arg_rate, arg_dist = assemble(probes)
+    if gap > opts.delta:
+        status = "nonconverged"
     return SolveReport(
         value, gap, len(probes), arg, [(value, value + gap)], status=status,
         extras={
@@ -420,6 +436,8 @@ def _lagrangian_sweep(p_x, dbar, positive, d_target, opts, fixed, evaluate_mix) 
             "zero_rate_distortion": d_zero_rate,
             "argopt_rate": arg_rate,
             "argopt_distortion": arg_dist,
+            "probes": len(probes),
+            "probes_capped": sum(p[3] >= inner_delta for p in probes),
         },
     )
 
@@ -540,7 +558,8 @@ def wz_primal(
         return max(rate, 0.0), dist, q_mix
 
     fixed = functools.partial(_wz_fixed_multiplier, p_xs, dbar)
-    rep = _lagrangian_sweep(p_x, dbar, d_xts[d_xts > ZERO_TOL], d_target, opts, fixed, evaluate_mix)
+    excess = d_xts - d_xts.min(axis=1, keepdims=True)
+    rep = _lagrangian_sweep(p_x, dbar, excess, d_target, opts, fixed, evaluate_mix)
     rep.argopt = CondKernel((src.x,), (strategies.alphabet,), rep.argopt)
     return rep
 

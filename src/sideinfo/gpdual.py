@@ -543,7 +543,8 @@ def rd_case1(
     def solve_w(w: CondKernel):
         report = solve_gp(build_case1_rd_gp(src, w, d_target, strategies))
         value = max(report.value / LN2, 0.0)
-        return value, report.newton_steps, report.gap_bound / LN2, "ok", {"gp_report": report}
+        status = "ok" if report.certified else "uncertified"
+        return value, report.newton_steps, report.gap_bound / LN2, status, {"gp_report": report}
 
     point = _grid_sweep(
         rate_of_w=lambda w: description_rate_case1(src, w),

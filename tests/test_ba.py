@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sideinfo.ba import (
     ChannelInstance,
     SolverOptions,
     _accelerated_fixed_point,
+    _assemble_sweep,
     _rd_fixed_multiplier,
     _wz_fixed_multiplier,
     alternating_strategy_max,
@@ -153,6 +155,113 @@ class TestWynerZiv:
         merged = pair_source(src)
         assert merged.x.size == 4 and merged.s1.size == 1
         wz_primal(merged, 0.1)  # merged source is accepted
+
+
+def dsbs_wyner_ziv(p, d):
+    """Wyner-Ziv rate of the doubly symmetric binary source with crossover p.
+
+    It is the lower convex envelope of g(d) = h(p(1-d) + (1-p)d) - h(d) and
+    the point (p, 0): g up to the point d_c where the line through (p, 0)
+    touches g, then that line.
+    """
+
+    def g(x):
+        return binary_entropy(p * (1 - x) + (1 - p) * x) - binary_entropy(x)
+
+    def slope(x):
+        conv = p * (1 - x) + (1 - p) * x
+        return (1 - 2 * p) * math.log2((1 - conv) / conv) - math.log2((1 - x) / x)
+
+    # the tangent to g at x passes below (p, 0) for x < d_c and above it after
+    lo, hi = 1e-12, p - 1e-9
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) + slope(mid) * (p - mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    d_c = 0.5 * (lo + hi)
+    return g(d) if d <= d_c else g(d_c) * (p - d) / (p - d_c)
+
+
+def shifted(src, shift):
+    """The same source with ``shift[x]`` added to every distortion of source letter x."""
+    from sideinfo.ba import SourceInstance
+
+    d = src.distortion + np.asarray(shift, dtype=float)[:, None]
+    return SourceInstance(src.x, src.xhat, src.s1, src.s2, src.joint, d)
+
+
+class TestLagrangianSweep:
+    @pytest.mark.parametrize("d", [0.15, 0.2, 0.25])
+    def test_time_sharing_segment_certified(self, d):
+        # example3 is the doubly symmetric binary source with crossover 0.3;
+        # these targets lie on the segment to (0.3, 0), where the Lagrangian
+        # minimizer at the kink multiplier is not unique
+        opts = SolverOptions()
+        rep = wz_primal(example3_source(), d, opts)
+        assert rep.status == "ok"
+        assert rep.gap <= opts.delta
+        assert rep.extras["probes_capped"] == 0
+        assert rep.extras["probes"] == rep.iterations
+        assert rep.value == pytest.approx(dsbs_wyner_ziv(0.3, d), abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda opts: ba_rate_distortion(np.array([0.4, 0.6]), HAMMING, 0.1, opts),
+            lambda opts: wz_primal(example3_source(), 0.1, opts),
+        ],
+        ids=["rate-distortion", "wyner-ziv"],
+    )
+    def test_capped_probes_are_not_ok(self, solve):
+        rep = solve(SolverOptions(max_iters=2))
+        assert rep.status == "nonconverged"
+        assert rep.gap > 1e-6
+        assert 0 < rep.extras["probes_capped"] <= rep.extras["probes"]
+        assert solve(SolverOptions()).status == "ok"
+
+    def test_capped_probes_at_the_distortion_floor_are_not_ok(self):
+        d = np.array([[1.0, 2.0, 1.5], [2.0, 1.0, 1.5], [1.5, 1.5, 1.0]])
+        p_x = np.array([0.2, 0.3, 0.5])
+        assert ba_rate_distortion(p_x, d, 0.5).status == "distortion-floor"
+        assert ba_rate_distortion(p_x, d, 0.5, SolverOptions(max_iters=1)).status == "nonconverged"
+
+    def test_large_distortion_scale_has_a_witness(self):
+        # at the largest multiplier the distortion is 8.9e-12, above D = 0 by
+        # more than an absolute 1e-12: feasibility is judged relative to 1e4
+        opts = SolverOptions()
+        rep = ba_rate_distortion(np.array([0.5, 0.5]), 1e4 * HAMMING, 0.0, opts)
+        assert rep.status == "ok" and rep.gap <= opts.delta
+        assert rep.extras["argopt_distortion"] <= 1e-12 * 1e4
+        assert rep.value == pytest.approx(1.0, abs=1e-6)
+
+    def test_no_feasible_probe_gives_an_infinite_gap(self):
+        arg = np.eye(2)
+        probes = [(0.0, 0.0, 0.5, 0.0, arg), (10.0, 0.9, 0.2, 1e-9, arg)]
+        value, gap, _, _, dist = _assemble_sweep(probes, 0.1, None, 1e-12)
+        assert gap == math.inf and dist == 0.2
+        assert value == pytest.approx(0.9 + 10.0 * (0.2 - 0.1) - 1e-9)
+
+    @pytest.mark.parametrize("scale, offset", [(1.0, 100.0), (0.01, 1.0)])
+    def test_shifted_distortion_rate_distortion(self, scale, offset):
+        # a distortion scale * Hamming + offset has R(offset + scale * D) = R(D)
+        # under Hamming; the multipliers it needs are set by the scale alone
+        opts = SolverOptions()
+        d = scale * HAMMING + offset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ba_rate_distortion(np.array([0.5, 0.5]), d, offset + scale * 0.1, opts)
+        assert rep.status == "ok" and rep.gap <= opts.delta
+        assert rep.value == pytest.approx(1.0 - binary_entropy(0.1), abs=1e-6)
+
+    def test_shifted_distortion_wyner_ziv(self):
+        opts = SolverOptions()
+        src = example3_source()
+        shift = np.array([100.0, 40.0])
+        rep = wz_primal(shifted(src, shift), 0.1 + float(src.joint.probs.sum(axis=(1, 2)) @ shift), opts)
+        assert rep.status == "ok" and rep.gap <= opts.delta
+        assert rep.value == pytest.approx(dsbs_wyner_ziv(0.3, 0.1), abs=1e-6)
 
 
 class TestStrategyCapacity:

@@ -206,6 +206,30 @@ class TestWzDual:
         assert rep.status == "uncertified"
         assert wz_rate_via_gp(example3_source(), 0.1, cross_check=False).status == "uncertified"
 
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), frac=st.floats(0.05, 0.95))
+    def test_primal_and_dual_agree_within_their_gaps(self, seed, frac):
+        # a random source p(x, s2) on 2 x 2 letters with 2 reconstructions and
+        # a random distortion where xhat = x is the best answer to x, at a
+        # target between the distortion floor and the distortion of the best
+        # strategy s2 -> xhat
+        rng = np.random.default_rng(seed)
+        p_xs = rng.random((2, 2)) + 0.02
+        p_xs /= p_xs.sum()
+        d = np.sort(2.0 * rng.random((2, 2)), axis=1)
+        d[1] = d[1, ::-1]
+        x, s1, s2 = Alphabet(2, "X"), Alphabet(1, "S1"), Alphabet(2, "S2")
+        src = SourceInstance(x, x, s1, s2, JointPmf((x, s1, s2), p_xs.reshape(2, 1, 2)), d)
+        floor = p_xs.sum(axis=1) @ d.min(axis=1)
+        zero_rate = (p_xs.T @ d).min(axis=1).sum()
+        target = floor + frac * (zero_rate - floor)
+        primal = wz_primal(src, target)
+        dual = wz_rate_via_gp(src, target, cross_check=False)
+        assert dual.status == "ok"
+        assert abs(primal.value - dual.value) <= primal.gap + dual.gap + 1e-12
+        if primal.status == "ok":
+            assert primal.gap <= SolverOptions().delta
+
     def test_zero_distortion_endpoint(self):
         src = example3_source()
         rep = wz_rate_via_gp(src, 0.0, cross_check=False)
@@ -299,6 +323,15 @@ class TestCase1Curve:
 
         wz = wz_primal(pair_source(src), 0.1, SolverOptions())
         assert pt.value == pytest.approx(wz.value, abs=1e-3)
+
+    def test_status_uncertified(self, monkeypatch):
+        src, opts = example2_source(), Case1Options(grid_step=0.5)
+        assert rd_case1(src, 0.1, 0.2, opts).status == "ok"
+        solve = sideinfo.gpdual.solve_gp
+        monkeypatch.setattr(
+            sideinfo.gpdual, "solve_gp", lambda p: dataclasses.replace(solve(p), certified=False)
+        )
+        assert rd_case1(src, 0.1, 0.2, opts).status == "uncertified"
 
     def test_sweep_monotone_post_pass(self):
         src = example2_source()
