@@ -1,13 +1,13 @@
-"""Blahut-Arimoto style alternating-maximization solvers.
-
-Four engines live here:
+"""Blahut-Arimoto style alternating solvers.
 
 * ``ba_capacity`` -- classic channel capacity with the per-iteration
   upper bound certificate.
-* ``ba_rate_distortion`` -- classic rate-distortion via the Lagrangian
-  family, with a bisection on the multiplier that stops on the certified gap.
-* ``wz_primal`` -- Wyner-Ziv rate over distributions on reconstruction
-  strategies, alternating minimization plus the same multiplier sweep.
+* ``wz_primal`` -- the Wyner-Ziv rate over distributions on reconstruction
+  strategies: alternating minimization at a fixed distortion multiplier,
+  inside a bisection on the multiplier that stops on the certified gap.
+* ``ba_rate_distortion`` -- classic rate-distortion, the same problem with a
+  single side letter, whose strategies are the reconstruction letters
+  (Blahut 1972); both run through ``_lagrangian_sweep``.
 * ``gp_channel_capacity`` -- Gelfand-Pinsker-type capacity
   max I(T;O) - I(T;E) over distributions q(t|e) on input strategies,
   the engine shared with the state-description capacity solver.
@@ -17,7 +17,6 @@ All values are in bits. Every report carries a certified optimality gap.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -182,39 +181,6 @@ def ba_capacity(kernel, opts: SolverOptions | None = None) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_multiplier(inner, assemble, d_target: float, gamma_max: float, delta: float):
-    """Bisection on the distortion multiplier, stopped by the certified gap.
-
-    ``inner(beta)`` solves the Lagrangian problem and returns
-    (rate, achieved_distortion, certified_gap, argopt). Each probe gives the
-    lower bound L(beta) = rate + beta * (dist - D) - gap, which is concave in
-    beta with subgradient dist - D, so the sign of dist - D says on which side
-    of the probe the maximizer lies. The search stops once ``assemble(probes)``
-    (``_assemble_sweep``) certifies a gap of at most ``delta`` or the bracket
-    collapses.
-    Returns the list of all probes as (beta, rate, dist, gap, argopt).
-    """
-    probes = []
-
-    def probe(beta: float) -> float:
-        probes.append((beta, *inner(beta)))
-        return probes[-1][2] - d_target
-
-    def certified() -> bool:
-        return assemble(probes)[1] <= delta
-
-    lo, hi = 0.0, gamma_max
-    probe(lo)
-    probe(hi)
-    while not certified() and hi - lo > 1e-8 * max(1.0, gamma_max):
-        mid = 0.5 * (lo + hi)
-        if probe(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return probes
-
-
 def _assemble_sweep(probes, d_target: float, evaluate_mix, slack: float):
     """Certified value and gap for R(D) from the Lagrangian probes.
 
@@ -309,133 +275,116 @@ def _accelerated_fixed_point(step, x, max_iters: int, out=None, record=None):
     return iters, x, out
 
 
-def _rd_fixed_multiplier(p_x, d, beta, delta_bits, max_iters, q_init=None):
-    """min over w(xhat|x) of I(X;Xhat) + beta E[d], with certificate.
-
-    The reproduction marginal is iterated in log space by the shared
-    accelerated driver; the certificate is Blahut's bound
-    F >= f(q) - log2 max_xhat c(xhat) with c the one-step growth ratios.
-
-    Returns (rate, achieved_distortion, gap, w, q, iterations): rate is the
-    exact mutual information of the final w; the gap certifies the Lagrangian
-    value.
-    """
-    n_x, n_hat = d.shape
-    expd = np.exp2(-beta * d)
-
-    def step(lq):
-        # shift before normalizing: extrapolated tables can carry entries so
-        # large that subtracting the log-normalizer would round away the
-        # correction entirely; the clip keeps all later arithmetic exact
-        lq = np.maximum(lq - lq.max(), -800.0)
-        lq = lq - _logsumexp(lq, axis=0)
-        q = np.exp(lq)
-        z = expd @ q
-        c = (p_x / z) @ expd
-        gap = math.log2(max(float(c.max()), 1.0))
-        # the driver maximizes, so it gets the negated Lagrangian value
-        return lq + np.log(c), float(p_x @ np.log2(z)), gap < delta_bits, (gap, q)
-
-    lq = np.full(n_hat, -math.log(n_hat)) if q_init is None else np.log(q_init)
-    iters, _, (gap, q) = _accelerated_fixed_point(step, lq, max_iters, (math.inf, np.exp(lq)))
-    z = expd @ q
-    w = expd * q[None, :] / z[:, None]
-    dist = float(p_x @ (w * d).sum(axis=1))
-    rate = float(-(p_x @ np.log2(z))) - beta * dist
-    return max(rate, 0.0), dist, gap, w, q, iters
-
-
 def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = None) -> SolveReport:
     """R(D) = min I(X;Xhat) s.t. E[d(X,Xhat)] <= D, by Blahut's algorithm.
 
-    The multiplier is bisected on [0, gamma_max] by the sign of each probe's
-    dist - D, a subgradient of the concave Lagrangian lower bound, until the
-    certified gap is at most half of ``opts.delta``. The gap is measured from
-    the best lower bound to the cheapest achievable probe or time-shared pair
-    of probes.
+    This is the Wyner-Ziv problem with one side letter, whose strategies are
+    the reconstruction letters, so it runs through ``_lagrangian_sweep``;
+    ``argopt`` is the test channel w(xhat|x).
     """
     opts = opts or SolverOptions()
     p_x = np.asarray(p_x, dtype=float)
     d = np.asarray(d, dtype=float)
-    if p_x.ndim != 1 or d.shape[0] != p_x.shape[0]:
+    if p_x.ndim != 1 or d.ndim != 2 or d.shape[0] != p_x.shape[0]:
         raise ProbabilityError("p_x and distortion shapes are inconsistent")
     p_x = p_x / p_x.sum()
-
-    def evaluate_mix(w_a, w_b, mu):
-        w_mix = (1.0 - mu) * w_a + mu * w_b
-        py = p_x @ w_mix
-        mask = w_mix > ZERO_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(mask, np.log2(np.where(mask, w_mix, 1.0) / py[None, :]), 0.0)
-        rate = float((p_x[:, None] * w_mix * ratio).sum())
-        dist = float(p_x @ (w_mix * d).sum(axis=1))
-        return max(rate, 0.0), dist, w_mix
-
-    # each probe sees d less its row minima: the same minimizer, and
-    # exp2(-beta * d) keeps an entry of 1 in every row at any beta
-    shift = d.min(axis=1)
-    excess = d - shift[:, None]
-
-    def fixed(beta, delta_bits, max_iters):
-        rate, dist, *rest = _rd_fixed_multiplier(p_x, excess, beta, delta_bits, max_iters)
-        return (rate, dist + float(p_x @ shift), *rest)
-
-    return _lagrangian_sweep(p_x, d, excess, d_target, opts, fixed, evaluate_mix)
+    return _lagrangian_sweep(p_x[:, None], d[:, :, None], d_target, opts)
 
 
-def _lagrangian_sweep(p_x, dbar, excess, d_target, opts, fixed, evaluate_mix) -> SolveReport:
-    """R(D) through the Lagrangian family, shared by BA R(D) and the Wyner-Ziv primal.
+def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
+    """R(D) = min over q(t|x) of I(T;X|S) s.t. E[d(X, t, S)] <= D, by the multiplier sweep.
 
-    ``dbar[x, a]`` is the expected distortion of answer a (a reconstruction
-    or a strategy) at source letter x, and ``excess`` the distortions minus
-    their least value at the same source letter (and side letter), which
-    set the multiplier range: adding a function of the source letter to the
-    distortion leaves the problem unchanged.
-    ``fixed(beta, delta_bits, max_iters)`` solves one Lagrangian problem and
-    returns (rate, dist, gap, argopt, ...). Targets at or above the best
-    constant answer's distortion have rate 0 exactly; targets below the
-    distortion floor are raised to it with status "distortion-floor".
-    Each probe is solved to a quarter of ``opts.delta``, and the sweep stops
-    once the certified gap is at most half of it. A final gap above
-    ``opts.delta`` gives status "nonconverged". ``extras`` counts the
-    ``probes`` and the ``probes_capped`` that stopped at ``opts.max_iters``
-    short of their own gap.
+    ``p_xs`` is the source joint p(x, s) and ``d_xts[x, t, s]`` the
+    distortion of answer t (a reconstruction strategy) at source letter x and
+    side letter s. The sweep works in excess units: it subtracts from d its
+    least value at each (x, s), which leaves every minimizer unchanged and
+    keeps exp2(-beta * d) from underflowing a whole row, and moves the target
+    by the offset sum p(x, s) * least(x, s). The probes, the zero-rate
+    shortcut, the distortion floor, the feasibility slack and the mixtures
+    all see the excess; the reported distortions have the offset added back.
+
+    Targets at or above the best constant answer's distortion have rate 0
+    exactly; targets below the distortion floor are raised to it with status
+    "distortion-floor". The multiplier is bisected on [0, gamma_max] by the
+    sign of each probe's dist - D, a subgradient of the concave Lagrangian
+    lower bound rate + beta * (dist - D) - gap, until ``_assemble_sweep``
+    certifies a gap of at most half of ``opts.delta`` or the bracket
+    collapses. Each probe is solved to a quarter of ``opts.delta``. A final
+    gap above ``opts.delta`` gives status "nonconverged". ``extras`` counts
+    the ``probes`` and the ``probes_capped`` that stopped at
+    ``opts.max_iters`` short of their own gap.
     """
+    p_x = p_xs.sum(axis=1)
+    p_s = p_xs.sum(axis=0)
+    sup_x = p_x > ZERO_TOL
+    sup_s = p_s > ZERO_TOL
+    p_s_given_x = np.where(sup_x[:, None], p_xs / np.where(sup_x, p_x, 1.0)[:, None], 0.0)
+    p_x_given_s = np.where(sup_s[None, :], p_xs / np.where(sup_s, p_s, 1.0)[None, :], 0.0)
+    least = d_xts.min(axis=1)
+    offset = float((p_xs * least).sum())
+    excess = d_xts - least[:, None, :]
+    dbar = np.einsum("xs,xts->xt", p_s_given_x, excess)
+    target = d_target - offset
+
     d_zero_rate = float((p_x @ dbar).min())  # best constant answer
-    if d_target >= d_zero_rate - 1e-12:
+    if target >= d_zero_rate - 1e-12:
         arg = np.zeros_like(dbar)
         arg[:, int((p_x @ dbar).argmin())] = 1.0
-        extras = {"distortion": d_zero_rate, "probes": 0, "probes_capped": 0}
+        extras = {"distortion": d_zero_rate + offset, "probes": 0, "probes_capped": 0}
         return SolveReport(0.0, 0.0, 0, arg, [(0.0, 0.0)], extras=extras)
 
     status = "ok"
     d_floor = float(p_x @ dbar.min(axis=1))
-    target = d_target
-    if d_target < d_floor - 1e-12:
+    if target < d_floor - 1e-12:
         status = "distortion-floor"
         target = d_floor
 
+    def evaluate_mix(q_a, q_b, mu):
+        q_mix = (1.0 - mu) * q_a + mu * q_b
+        big_q = p_x_given_s.T @ q_mix  # (S, T)
+        mask_q = q_mix > ZERO_TOL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logq = np.where(mask_q, np.log2(np.where(mask_q, q_mix, 1.0)), 0.0)
+            log_bq = np.where(big_q > ZERO_TOL, np.log2(np.where(big_q > ZERO_TOL, big_q, 1.0)), 0.0)
+        weights = p_x[:, None] * q_mix
+        rate = float((weights * np.where(mask_q, logq - p_s_given_x @ log_bq, 0.0)).sum())
+        dist = float((weights * dbar).sum())
+        return max(rate, 0.0), dist, q_mix
+
+    # the multiplier range follows the per-(x, t, s) excess, not its average
     positive = excess[excess > ZERO_TOL]
     gamma_max = 50.0 / float(positive.min()) if positive.size else 1.0
     inner_delta = opts.delta / 4.0
+    slack = 1e-12 * max(1.0, float(dbar.max()))
+    probes = []  # (beta, rate, dist, gap, argopt)
 
-    def inner(beta):
-        return fixed(beta, inner_delta, opts.max_iters)[:4]
+    def probe(beta: float) -> bool:
+        """Solve at ``beta``; True when the maximizer of the bound lies above it."""
+        rate, dist, gap, q, _, _ = _wz_fixed_multiplier(p_xs, dbar, beta, inner_delta, opts.max_iters)
+        probes.append((beta, rate, dist, gap, q))
+        return dist > target
 
-    def assemble(probes):
-        return _assemble_sweep(probes, target, evaluate_mix, 1e-12 * max(1.0, float(dbar.max())))
-
-    probes = _sweep_multiplier(inner, assemble, target, gamma_max, opts.delta / 2.0)
-    value, gap, arg, arg_rate, arg_dist = assemble(probes)
+    lo, hi = 0.0, gamma_max
+    probe(lo)
+    probe(hi)
+    while True:
+        value, gap, arg, arg_rate, arg_dist = _assemble_sweep(probes, target, evaluate_mix, slack)
+        if gap <= opts.delta / 2.0 or hi - lo <= 1e-8 * max(1.0, gamma_max):
+            break
+        mid = 0.5 * (lo + hi)
+        if probe(mid):
+            lo = mid
+        else:
+            hi = mid
     if gap > opts.delta:
         status = "nonconverged"
     return SolveReport(
         value, gap, len(probes), arg, [(value, value + gap)], status=status,
         extras={
-            "distortion_floor": d_floor,
-            "zero_rate_distortion": d_zero_rate,
+            "distortion_floor": d_floor + offset,
+            "zero_rate_distortion": d_zero_rate + offset,
             "argopt_rate": arg_rate,
-            "argopt_distortion": arg_dist,
+            "argopt_distortion": arg_dist + offset,
             "probes": len(probes),
             "probes_capped": sum(p[3] >= inner_delta for p in probes),
         },
@@ -456,10 +405,10 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _wz_fixed_multiplier(p_xs, dbar, beta, delta_bits, max_iters, log_bq_init=None):
+def _wz_fixed_multiplier(p_xs, dbar, beta, delta_bits, max_iters):
     """min over q(t|x) of I(T;X|S) + beta E[d], alternating minimization.
 
-    ``dbar[x, t] = sum_s p(s|x) d(x, t(s))``. The certificate mirrors the
+    ``dbar[x, t] = sum_s p(s|x) d(x, t, s)``. The certificate mirrors the
     capacity bound: the optimum is at least the current partition value minus
     log of the largest one-step multiplicative growth of the side-conditional
     marginal Q(t|s). The growth ratios are tracked in log space; clamping
@@ -501,9 +450,8 @@ def _wz_fixed_multiplier(p_xs, dbar, beta, delta_bits, max_iters, log_bq_init=No
         gap = max(float(growth.max()), 0.0) / LN2
         return lbq_next, neg_phi, gap < delta_bits, (gap, logq)
 
-    log_bq = np.full((n_s, n_t), -math.log(n_t)) if log_bq_init is None else log_bq_init.copy()
     iters, log_bq, (gap, logq) = _accelerated_fixed_point(
-        step, log_bq, max_iters, (math.inf, np.full((n_x, n_t), -math.log(n_t)))
+        step, np.full((n_s, n_t), -math.log(n_t)), max_iters, (math.inf, np.full((n_x, n_t), -math.log(n_t)))
     )
 
     # exact functionals at the final q
@@ -535,31 +483,7 @@ def wz_primal(
         raise ProbabilityError("strategies must map the side alphabet S2 to Xhat")
 
     p_xs = src.joint.probs.reshape(src.x.size, src.s2.size)
-    d_xts = lift_source(src, strategies)  # (X, T, S)
-    p_x = p_xs.sum(axis=1)
-    sup_x = p_x > ZERO_TOL
-    p_s_given_x = np.where(sup_x[:, None], p_xs / np.where(sup_x, p_x, 1.0)[:, None], 0.0)
-    dbar = np.einsum("xs,xts->xt", p_s_given_x, d_xts)
-
-    p_s = p_xs.sum(axis=0)
-    sup_s = p_s > ZERO_TOL
-    p_x_given_s = np.where(sup_s[None, :], p_xs / np.where(sup_s, p_s, 1.0)[None, :], 0.0)
-
-    def evaluate_mix(q_a, q_b, mu):
-        q_mix = (1.0 - mu) * q_a + mu * q_b
-        big_q = p_x_given_s.T @ q_mix  # (S, T)
-        mask_q = q_mix > ZERO_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logq = np.where(mask_q, np.log2(np.where(mask_q, q_mix, 1.0)), 0.0)
-            log_bq = np.where(big_q > ZERO_TOL, np.log2(np.where(big_q > ZERO_TOL, big_q, 1.0)), 0.0)
-        weights = p_x[:, None] * q_mix
-        rate = float((weights * np.where(mask_q, logq - p_s_given_x @ log_bq, 0.0)).sum())
-        dist = float((weights * dbar).sum())
-        return max(rate, 0.0), dist, q_mix
-
-    fixed = functools.partial(_wz_fixed_multiplier, p_xs, dbar)
-    excess = d_xts - d_xts.min(axis=1, keepdims=True)
-    rep = _lagrangian_sweep(p_x, dbar, excess, d_target, opts, fixed, evaluate_mix)
+    rep = _lagrangian_sweep(p_xs, lift_source(src, strategies), d_target, opts)
     rep.argopt = CondKernel((src.x,), (strategies.alphabet,), rep.argopt)
     return rep
 

@@ -202,8 +202,10 @@ def _grid_sweep(
     """Best ``solve_w`` value over the grid kernels admissible for R'.
 
     ``solve_w(w)`` returns (value, iterations, gap, status, extras); the
-    winner's extras join the point's. Ties within 1e-9 go to the smallest
-    grid index. ``opts`` supplies ``grid_step`` and ``epsilon``.
+    winner's extras join the point's, and ``kernels_not_ok`` counts the
+    admissible kernels, winner included, whose status is not "ok". Ties
+    within 1e-9 go to the smallest grid index. ``opts`` supplies
+    ``grid_step`` and ``epsilon``.
     """
     step = opts.grid_step
     for attempt in range(2):
@@ -241,7 +243,10 @@ def _grid_sweep(
         gap=gap,
         winning_kernel=grid.points[best_idx],
         winning_r_w=rws[best_idx],
-        extras={"epsilon": eps, "grid_step": step, "clamped_r_prime": r_clamped, **extras},
+        extras={
+            "epsilon": eps, "grid_step": step, "clamped_r_prime": r_clamped,
+            "kernels_not_ok": sum(r[3] != "ok" for r in results), **extras,
+        },
     )
 
 

@@ -9,7 +9,6 @@ from sideinfo.ba import (
     SolverOptions,
     _accelerated_fixed_point,
     _assemble_sweep,
-    _rd_fixed_multiplier,
     _wz_fixed_multiplier,
     alternating_strategy_max,
     ba_capacity,
@@ -184,14 +183,6 @@ def dsbs_wyner_ziv(p, d):
     return g(d) if d <= d_c else g(d_c) * (p - d) / (p - d_c)
 
 
-def shifted(src, shift):
-    """The same source with ``shift[x]`` added to every distortion of source letter x."""
-    from sideinfo.ba import SourceInstance
-
-    d = src.distortion + np.asarray(shift, dtype=float)[:, None]
-    return SourceInstance(src.x, src.xhat, src.s1, src.s2, src.joint, d)
-
-
 class TestLagrangianSweep:
     @pytest.mark.parametrize("d", [0.15, 0.2, 0.25])
     def test_time_sharing_segment_certified(self, d):
@@ -255,13 +246,39 @@ class TestLagrangianSweep:
         assert rep.status == "ok" and rep.gap <= opts.delta
         assert rep.value == pytest.approx(1.0 - binary_entropy(0.1), abs=1e-6)
 
-    def test_shifted_distortion_wyner_ziv(self):
+    @pytest.mark.parametrize("d", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize(
+        "scale, shift", [(1.0, [100.0, 40.0]), (0.01, [1000.0, 1000.0])], ids=["1-100-40", "0.01-1000-1000"]
+    )
+    def test_shifted_distortion_wyner_ziv(self, scale, shift, d):
+        # at a large multiplier the rounding of beta * d must not swamp the
+        # certificate: the certified gap has to contain the closed form
+        from sideinfo.ba import SourceInstance
+
         opts = SolverOptions()
         src = example3_source()
-        shift = np.array([100.0, 40.0])
-        rep = wz_primal(shifted(src, shift), 0.1 + float(src.joint.probs.sum(axis=(1, 2)) @ shift), opts)
+        moved = scale * src.distortion + np.array(shift)[:, None]
+        target = scale * d + float(src.joint.probs.sum(axis=(1, 2)) @ shift)
+        rep = wz_primal(SourceInstance(src.x, src.xhat, src.s1, src.s2, src.joint, moved), target, opts)
         assert rep.status == "ok" and rep.gap <= opts.delta
-        assert rep.value == pytest.approx(dsbs_wyner_ziv(0.3, 0.1), abs=1e-6)
+        assert abs(rep.value - dsbs_wyner_ziv(0.3, d)) <= rep.gap + 1e-9
+
+    def test_rate_distortion_raises_no_warning(self):
+        p_x = np.array([0.88, 0.35, 0.77, 0.53])
+        d = np.array([
+            [0.0158, 0.0126, 0.0034, 0.0182],
+            [0.0178, 0.0182, 0.0178, 0.009],
+            [0.008, 0.0154, 0.0032, 0.0003],
+            [0.0136, 0.0093, 0.0199, 0.0091],
+        ])
+        p = p_x / p_x.sum()
+        floor, zero_rate = p @ d.min(axis=1), (p @ d).min()
+        target = floor + 0.3 * (zero_rate - floor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ba_rate_distortion(p_x, d, target)
+        assert rep.status == "ok"
+        assert rep.value == pytest.approx(0.3455477687, abs=1e-6)
 
 
 class TestStrategyCapacity:
@@ -364,7 +381,7 @@ class TestAcceleratedDriver:
     def test_rd_fixed_multiplier_pinned(self, beta, rate, dist, gap, iterations):
         p_x = np.array([0.2, 0.5, 0.3])
         d = np.abs(np.subtract.outer(np.arange(3), np.arange(3))).astype(float)
-        got = _rd_fixed_multiplier(p_x, d, beta, 1e-10, 10000)
+        got = _wz_fixed_multiplier(p_x[:, None], d, beta, 1e-10, 10000)
         assert got[5] == iterations
         assert got[:3] == pytest.approx((rate, dist, gap), abs=1e-14)
 

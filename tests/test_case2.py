@@ -11,6 +11,7 @@ from sideinfo.ba import (
 )
 from sideinfo.case2 import (
     Case2Options,
+    _grid_sweep,
     capacity_case2,
     capacity_case2_causal,
     capacity_case2_sweep,
@@ -27,6 +28,7 @@ from sideinfo.probability import (
     conditional_entropy,
     conditional_mutual_information,
     chain,
+    simplex_grid,
 )
 from sideinfo.problems import example1_channel
 from sideinfo.strategies import enumerate_strategies
@@ -217,6 +219,25 @@ class TestCapacityCurve:
         a = capacity_case2(ch, 0.0, Case2Options())
         b = capacity_case2(ch, 0.0, Case2Options())
         assert a.winning_w == b.winning_w and a.value == b.value
+
+    def test_losing_kernels_that_did_not_converge_are_counted(self):
+        # five kernels [a, 1 - a], all admissible; the winner a = 1 is "ok"
+        # but the losers a = 0.25 and a = 0.5 are not
+        def solve_w(w):
+            a = float(w.probs[0, 0])
+            return a, 1, 0.0, "inner-nonconverged" if a in (0.25, 0.5) else "ok", {}
+
+        point = _grid_sweep(
+            rate_of_w=lambda w: 0.0,
+            solve_w=solve_w,
+            grid_factory=lambda step: simplex_grid(1, V2, step),
+            r_prime=0.0,
+            r_clamped=0.0,
+            opts=Case2Options(epsilon=0.1, grid_step=0.25),
+            maximize=True,
+        )
+        assert point.value == 1.0 and point.status == "ok"
+        assert point.extras["kernels_not_ok"] == 2
 
 
 class TestCausal:
