@@ -232,6 +232,12 @@ def _assemble_sweep(probes, d_target: float, evaluate_mix, slack: float):
     return value, max(best_rate - lower, 0.0), best_arg, best_rate, best_dist
 
 
+def _norm(a) -> float:
+    """Euclidean norm of an array or a scalar, summed as ``np.linalg.norm`` sums it."""
+    flat = np.ravel(a)
+    return math.sqrt(flat.dot(flat))
+
+
 def _accelerated_fixed_point(step, x, max_iters: int, out=None, record=None):
     """Iterate ``x <- step(x)`` with one squared-extrapolation candidate per two steps.
 
@@ -266,9 +272,9 @@ def _accelerated_fixed_point(step, x, max_iters: int, out=None, record=None):
             break
         r = x1 - x0
         v = x - 2.0 * x1 + x0
-        vn = float(np.linalg.norm(v))
+        vn = _norm(v)
         if vn > 1e-300:
-            alpha = -max(1.0, min(float(np.linalg.norm(r)) / vn, 1e4))
+            alpha = -max(1.0, min(_norm(r) / vn, 1e4))
             cand = step(x0 - 2.0 * alpha * r + alpha * alpha * v)
             if cand[1] >= obj and count(cand):
                 break
@@ -521,22 +527,41 @@ def alternating_strategy_max(
         ln_pm = np.where(pm_mask, np.log(np.where(pm_mask, pm, 1.0)), -np.inf)
         ln_pe = np.where(sup_e, np.log(np.where(sup_e, p_e, 1.0)), -np.inf)
     ln_pe_pm = ln_pe[None, :, None] + ln_pm  # constant part of the joint
+    # structural zeros: the (t, o) cells no e reaches, and the views no t reaches
+    reach_to = pm_mask.any(axis=1)
+    reach_o = reach_to.any(axis=0)
+    # work buffers for the masked ufuncs below; the cells they skip keep these fills
+    buf_to = np.full((n_t, n_o), -np.inf)  # log p(t, o) at unreached cells
+    buf_o = np.zeros(n_o)  # a finite stand-in for log p(o) at unreached views
+    buf_terms = np.zeros(pm.shape)  # pm * log Q(t|o) off pm's support
 
     def step(table):
         """One alternating cycle from the log-weight table s[t, e].
 
         The shift-then-clip keeps the normalization exact for extrapolated
         tables whose entries would otherwise be too large for the correction
-        to survive floating-point rounding.
+        to survive floating-point rounding. It also makes each column's max
+        exactly 0, so the first log-sum-exp needs no shift. The other two
+        shift by their max where a cell is reached and take no log elsewhere:
+        log p(t, o) is -inf at unreached cells, and log Q(t|o) is -inf at
+        unreached views.
         """
         table = np.maximum(table - table.max(axis=0, keepdims=True), -800.0)
-        logq = table - _logsumexp(table, axis=0)[None, :]
+        logq = table - np.log(np.exp(table).sum(axis=0))
         q = np.exp(logq)
-        log_p_to = _logsumexp(ln_pe_pm + logq[:, :, None], axis=1)
-        log_p_o = _logsumexp(log_p_to, axis=0)
-        with np.errstate(invalid="ignore"):
-            log_big_q = log_p_to - log_p_o[None, :]
-            nxt = np.where(pm_mask, pm * log_big_q[:, None, :], 0.0).sum(axis=2)
+        joint = ln_pe_pm + logq[:, :, None]
+        m_to = np.where(reach_to, joint.max(axis=1), 0.0)
+        log_p_to = np.log(
+            np.exp(joint - m_to[:, None, :]).sum(axis=1), out=buf_to, where=reach_to
+        ) + m_to
+        m_o = np.where(reach_o, log_p_to.max(axis=0), 0.0)
+        log_p_o = np.log(
+            np.exp(log_p_to - m_o).sum(axis=0), out=buf_o, where=reach_o
+        ) + m_o
+        log_big_q = log_p_to - log_p_o
+        nxt = np.multiply(
+            pm, log_big_q[:, None, :], out=buf_terms, where=pm_mask
+        ).sum(axis=2)
         diff = nxt - logq
         j_val = float(np.einsum("e,te,te->", p_e, q, diff))
         u_val = float(p_e @ np.where(sup_e, diff.max(axis=0), 0.0))
@@ -551,8 +576,7 @@ def alternating_strategy_max(
     j_val, u_val, logq, log_big_q = state
     gap = max(u_val - j_val, 0.0)
     converged = gap < delta_bits * LN2
-    big_q = np.exp(np.where(np.isfinite(log_big_q), log_big_q, -np.inf))
-    return j_val / LN2, gap / LN2, iters, np.exp(logq), big_q, trace, converged
+    return j_val / LN2, gap / LN2, iters, np.exp(logq), np.exp(log_big_q), trace, converged
 
 
 def strategy_bound(p_e, p_ote, q, big_q) -> float:

@@ -194,60 +194,85 @@ def _grid_sweep(
     rate_of_w: Callable[[CondKernel], float],
     solve_w: Callable[[CondKernel], tuple[float, int, float, str, dict]],
     grid_factory: Callable[[float], SimplexGrid],
-    r_prime: float,
-    r_clamped: float,
+    r_primes: Sequence[float],
+    r_max: float,
     opts: Case2Options,
     maximize: bool,
-) -> CurvePoint:
-    """Best ``solve_w`` value over the grid kernels admissible for R'.
+) -> list[CurvePoint]:
+    """One point per R': the best ``solve_w`` value over the kernels admissible there.
+
+    R' is clamped to ``r_max``, and a kernel is admissible when its rate lies
+    in [R' - eps, R']; when none is, the grid is refined once to half the
+    step. The curve is the unit of work: each grid it uses is built, and all
+    of its rates computed, once, and each admissible kernel is solved once,
+    by the first point that needs it. The table of solved kernels lives only
+    for this call.
 
     ``solve_w(w)`` returns (value, iterations, gap, status, extras); the
-    winner's extras join the point's, and ``kernels_not_ok`` counts the
-    admissible kernels, winner included, whose status is not "ok". Ties
-    within 1e-9 go to the smallest grid index. ``opts`` supplies
-    ``grid_step`` and ``epsilon``.
+    winner's extras join the point's. ``kernels_admissible`` counts the
+    point's admissible kernels, ``kernels_solved`` those of them solved for
+    this point and not an earlier one, and ``kernels_not_ok`` those, winner
+    included, whose status is not "ok". Ties within 1e-9 go to the smallest
+    grid index. ``opts`` supplies ``grid_step`` and ``epsilon``.
     """
-    step = opts.grid_step
-    for attempt in range(2):
-        grid = grid_factory(step)
-        rws = [rate_of_w(w) for w in grid.points]
-        eps = opts.epsilon if opts.epsilon is not None else _auto_epsilon(rws)
-        feasible = [
-            i for i, rw in enumerate(rws)
-            if r_clamped - eps - 1e-12 <= rw <= r_clamped + 1e-12
-        ]
-        if feasible:
-            break
-        step /= 2.0  # refine once, then fail loudly
-    else:
-        return CurvePoint(r_prime, math.nan, math.nan, -1, "no-feasible-w")
+    grids: dict[float, tuple[SimplexGrid, list[float], float]] = {}
+    solved: dict[tuple[float, int], tuple] = {}
 
-    results = [solve_w(grid.points[i]) for i in feasible]
+    def grid_at(step: float):
+        if step not in grids:
+            grid = grid_factory(step)
+            rws = [rate_of_w(w) for w in grid.points]
+            eps = opts.epsilon if opts.epsilon is not None else _auto_epsilon(rws)
+            grids[step] = grid, rws, eps
+        return grids[step]
+
     sign = 1.0 if maximize else -1.0
-    best_idx = None
-    best_val = -math.inf
-    for i, (val, _, _, _, _) in zip(feasible, results):
-        sval = sign * val
-        if sval > best_val + 1e-9 or (sval > best_val - 1e-9 and best_idx is None):
-            best_val = sval
-            best_idx = i
-    winner_pos = feasible.index(best_idx)
-    value, iters, gap, status, extras = results[winner_pos]
-    return CurvePoint(
-        r_prime=r_prime,
-        value=value,
-        raw_value=value,
-        winning_w=best_idx,
-        status=status,
-        iterations=iters,
-        gap=gap,
-        winning_kernel=grid.points[best_idx],
-        winning_r_w=rws[best_idx],
-        extras={
-            "epsilon": eps, "grid_step": step, "clamped_r_prime": r_clamped,
-            "kernels_not_ok": sum(r[3] != "ok" for r in results), **extras,
-        },
-    )
+    points = []
+    for r_prime in r_primes:
+        r_clamped = min(r_prime, r_max)
+        step = opts.grid_step
+        for _ in range(2):
+            grid, rws, eps = grid_at(step)
+            feasible = [
+                i for i, rw in enumerate(rws)
+                if r_clamped - eps - 1e-12 <= rw <= r_clamped + 1e-12
+            ]
+            if feasible:
+                break
+            step /= 2.0  # refine once, then fail loudly
+        else:
+            points.append(CurvePoint(r_prime, math.nan, math.nan, -1, "no-feasible-w"))
+            continue
+
+        fresh = [i for i in feasible if (step, i) not in solved]
+        for i in fresh:
+            solved[step, i] = solve_w(grid.points[i])
+        results = [solved[step, i] for i in feasible]
+        best_idx = None
+        best_val = -math.inf
+        for i, (val, _, _, _, _) in zip(feasible, results):
+            sval = sign * val
+            if sval > best_val + 1e-9 or (sval > best_val - 1e-9 and best_idx is None):
+                best_val = sval
+                best_idx = i
+        value, iters, gap, status, extras = solved[step, best_idx]
+        points.append(CurvePoint(
+            r_prime=r_prime,
+            value=value,
+            raw_value=value,
+            winning_w=best_idx,
+            status=status,
+            iterations=iters,
+            gap=gap,
+            winning_kernel=grid.points[best_idx],
+            winning_r_w=rws[best_idx],
+            extras={
+                "epsilon": eps, "grid_step": step, "clamped_r_prime": r_clamped,
+                "kernels_admissible": len(feasible), "kernels_solved": len(fresh),
+                "kernels_not_ok": sum(r[3] != "ok" for r in results), **extras,
+            },
+        ))
+    return points
 
 
 def capacity_case2(
@@ -260,39 +285,47 @@ def capacity_case2(
     R' is clamped to H(S2|S1) (beyond which extra description of S2 is
     useless); the grid over w(v2|s2) keeps kernels whose R_w is eps-close to
     R' from below, and the best inner maximum wins (smallest grid index on
-    ties within 1e-9).
+    ties within 1e-9). This is the one-point case of ``capacity_case2_sweep``.
+    """
+    return _capacity_curve(ch, [r_prime], opts, causal=False)[0]
+
+
+def _capacity_curve(ch, r_primes, opts, causal: bool) -> list[CurvePoint]:
+    """The sweep over w(v2|s2) behind both capacity curves, one point per R'.
+
+    The noncausal curve checks R_w against R' clamped to H(S2|S1) and solves
+    each admissible kernel with ``inner_max``; the causal one checks I(V2;S2)
+    against R' clamped to H(S2) and solves with ``causal_inner_max``.
     """
     opts = opts or Case2Options()
-    r_max = conditional_entropy(ch.state_joint, (1,), (0,))
-    strategies = enumerate_strategies((ch.s1, Alphabet(opts.v2_size, "V2")), ch.x)
-    return _capacity_point(ch, r_prime, opts, r_max, strategies, r_w, inner_max)
-
-
-def _capacity_point(ch, r_prime, opts, r_max, strategies, rate, inner) -> CurvePoint:
-    """The sweep over w(v2|s2) behind both capacity curves.
-
-    ``rate(ch, w)`` is checked against R' clamped to ``r_max``, and
-    ``inner(ch, w, opts, strategies)`` solves each admissible kernel.
-    """
-    if r_prime < 0:
+    if any(rp < 0 for rp in r_primes):
         raise ValueError("r_prime must be >= 0")
     v2 = Alphabet(opts.v2_size, "V2")
+    if causal:
+        r_max = entropy(JointPmf((ch.s2,), ch.state_joint.probs.sum(axis=0)))
+        strategies = enumerate_strategies((ch.s1,), ch.x)
+        rate, inner = _causal_rate, causal_inner_max
+    else:
+        r_max = conditional_entropy(ch.state_joint, (1,), (0,))
+        strategies = enumerate_strategies((ch.s1, v2), ch.x)
+        rate, inner = r_w, inner_max
 
     def solve_w(w: CondKernel):
         rep = inner(ch, w, opts, strategies)
         return rep.value, rep.iterations, rep.gap, rep.status, {}
 
-    point = _grid_sweep(
+    points = _grid_sweep(
         rate_of_w=lambda w: rate(ch, w),
         solve_w=solve_w,
         grid_factory=lambda step: simplex_grid(ch.s2.size, v2, step),
-        r_prime=r_prime,
-        r_clamped=min(r_prime, r_max),
+        r_primes=r_primes,
+        r_max=r_max,
         opts=opts,
         maximize=True,
     )
-    point.extras["r_max"] = r_max
-    return point
+    for point in points:
+        point.extras["r_max"] = r_max
+    return points
 
 
 def _causal_rate(ch: ChannelInstance, w: CondKernel) -> float:
@@ -363,11 +396,9 @@ def capacity_case2_causal(
 
     The admissibility band uses the unconditional rate I(V2;S2) (the causal
     description cannot be binned against S1), so R' is clamped to H(S2).
+    This is the one-point case of ``capacity_case2_sweep(..., causal=True)``.
     """
-    opts = opts or Case2Options()
-    r_max = entropy(JointPmf((ch.s2,), ch.state_joint.probs.sum(axis=0)))
-    strategies = enumerate_strategies((ch.s1,), ch.x)
-    return _capacity_point(ch, r_prime, opts, r_max, strategies, _causal_rate, causal_inner_max)
+    return _capacity_curve(ch, [r_prime], opts, causal=True)[0]
 
 
 def monotone_post_pass(points: list[CurvePoint], maximize: bool = True) -> list[CurvePoint]:
@@ -393,7 +424,5 @@ def capacity_case2_sweep(
     opts: Case2Options | None = None,
     causal: bool = False,
 ) -> list[CurvePoint]:
-    """Solve a whole R' grid and apply the monotone post-pass."""
-    solver = capacity_case2_causal if causal else capacity_case2
-    points = [solver(ch, rp, opts) for rp in r_primes]
-    return monotone_post_pass(points, maximize=True)
+    """Solve a whole R' grid as one curve and apply the monotone post-pass."""
+    return monotone_post_pass(_capacity_curve(ch, r_primes, opts, causal), maximize=True)

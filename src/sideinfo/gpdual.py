@@ -527,16 +527,20 @@ def rd_case1(
 
     R' is clamped to H(S1|S2); kernels w(v1|s1) whose I(V1;S1|S2) is
     eps-close to R' from below are admissible, each solved through the dual
-    program, and the smallest rate wins (smallest grid index on ties).
+    program, and the smallest rate wins (smallest grid index on ties). This
+    is the one-point case of ``rd_case1_sweep``.
     """
+    return _rd_curve(src, d_target, [r_prime], opts)[0]
+
+
+def _rd_curve(src, d_target, r_primes, opts) -> list[CurvePoint]:
+    """One point per R' at distortion D, each admissible kernel's program solved once."""
     opts = opts or Case1Options()
-    if r_prime < 0:
+    if any(rp < 0 for rp in r_primes):
         raise ValueError("r_prime must be >= 0")
     if d_target < 0:
         raise ValueError("distortion target must be >= 0")
     p_s1s2 = marginalize(src.joint, (1, 2))
-    h_s1_given_s2 = conditional_entropy(p_s1s2, (0,), (1,))
-    r_clamped = min(r_prime, h_s1_given_s2)
     v1 = Alphabet(opts.v1_size, "V1")
     strategies = enumerate_strategies((src.s2,), src.xhat)
 
@@ -546,17 +550,18 @@ def rd_case1(
         status = "ok" if report.certified else "uncertified"
         return value, report.newton_steps, report.gap_bound / LN2, status, {"gp_report": report}
 
-    point = _grid_sweep(
+    points = _grid_sweep(
         rate_of_w=lambda w: description_rate_case1(src, w),
         solve_w=solve_w,
         grid_factory=lambda step: simplex_grid(src.s1.size, v1, step),
-        r_prime=r_prime,
-        r_clamped=r_clamped,
+        r_primes=r_primes,
+        r_max=conditional_entropy(p_s1s2, (0,), (1,)),
         opts=opts,
         maximize=False,
     )
-    point.extras["d_target"] = d_target
-    return point
+    for point in points:
+        point.extras["d_target"] = d_target
+    return points
 
 
 def rd_case1_sweep(
@@ -565,6 +570,5 @@ def rd_case1_sweep(
     r_primes: Sequence[float],
     opts: Case1Options | None = None,
 ) -> list[CurvePoint]:
-    """Solve an R' grid at fixed distortion, then enforce monotonicity (min)."""
-    points = [rd_case1(src, d_target, rp, opts) for rp in r_primes]
-    return monotone_post_pass(points, maximize=False)
+    """Solve an R' grid at fixed distortion as one curve, then enforce monotonicity (min)."""
+    return monotone_post_pass(_rd_curve(src, d_target, r_primes, opts), maximize=False)

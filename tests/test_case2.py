@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sideinfo.case2
 from sideinfo.ba import (
     ChannelInstance,
     SolverOptions,
@@ -11,6 +12,7 @@ from sideinfo.ba import (
 )
 from sideinfo.case2 import (
     Case2Options,
+    _causal_rate,
     _grid_sweep,
     capacity_case2,
     capacity_case2_causal,
@@ -227,12 +229,12 @@ class TestCapacityCurve:
             a = float(w.probs[0, 0])
             return a, 1, 0.0, "inner-nonconverged" if a in (0.25, 0.5) else "ok", {}
 
-        point = _grid_sweep(
+        (point,) = _grid_sweep(
             rate_of_w=lambda w: 0.0,
             solve_w=solve_w,
             grid_factory=lambda step: simplex_grid(1, V2, step),
-            r_prime=0.0,
-            r_clamped=0.0,
+            r_primes=[0.0],
+            r_max=0.0,
             opts=Case2Options(epsilon=0.1, grid_step=0.25),
             maximize=True,
         )
@@ -287,3 +289,48 @@ class TestCausal:
         pt = capacity_case2_causal(ch, 0.3, opts)
         rep = causal_inner_max(ch, pt.winning_kernel, opts)
         assert rep.value == pytest.approx(pt.raw_value, abs=1e-12)
+
+
+class TestCurveIsOneSweep:
+    # with epsilon 0.05 no kernel of the step-0.25 grid is admissible at
+    # R' = 0.3 and 0.31 (noncausal) or 0.25 (causal), so those grids are halved
+    R_PRIMES = {False: [0.0, 0.1, 0.12, 0.13, 0.3, 0.31], True: [0.0, 0.14, 0.18, 0.19, 0.22, 0.25]}
+    REFINED = {False: 2, True: 1}
+    FIELDS = ("raw_value", "winning_w", "iterations", "gap", "status", "winning_r_w")
+    EXTRAS = ("epsilon", "grid_step", "kernels_not_ok")
+
+    @pytest.mark.parametrize("epsilon", [None, 0.05])
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_sweep_points_equal_one_point_calls(self, causal, epsilon):
+        ch = example1_channel()
+        opts = Case2Options(epsilon=epsilon, grid_step=0.25)
+        r_primes = self.R_PRIMES[causal]
+        sweep = capacity_case2_sweep(ch, r_primes, opts, causal=causal)
+        one_point = capacity_case2_causal if causal else capacity_case2
+        for rp, pt in zip(r_primes, sweep):
+            alone = one_point(ch, rp, opts)
+            assert alone.value == alone.raw_value == pt.raw_value
+            for name in self.FIELDS:
+                assert getattr(alone, name) == getattr(pt, name), (rp, name)
+            for name in self.EXTRAS:
+                assert alone.extras[name] == pt.extras[name], (rp, name)
+        refined = [pt.extras["grid_step"] for pt in sweep if pt.extras["grid_step"] != 0.25]
+        assert refined == [0.125] * (0 if epsilon is None else self.REFINED[causal])
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_each_admissible_kernel_solved_once(self, causal, monkeypatch, admissible_kernels):
+        ch = example1_channel()
+        opts = Case2Options(epsilon=0.05, grid_step=0.25)
+        name = "causal_inner_max" if causal else "inner_max"
+        solve = getattr(sideinfo.case2, name)
+        calls = []
+        monkeypatch.setattr(sideinfo.case2, name, lambda *a: calls.append(a[1]) or solve(*a))
+        rate = _causal_rate if causal else r_w
+        for _ in range(2):  # the second sweep starts from nothing again
+            calls.clear()
+            sweep = capacity_case2_sweep(ch, self.R_PRIMES[causal], opts, causal=causal)
+            bands = admissible_kernels(sweep, lambda w: rate(ch, w), ch.s2.size, V2)
+            assert len(calls) == len(set().union(*bands)) < sum(map(len, bands))
+            assert sum(pt.extras["kernels_solved"] for pt in sweep) == len(calls)
+            assert [pt.extras["kernels_admissible"] for pt in sweep] == [len(b) for b in bands]
+            assert {step for b in bands for step, _ in b} == {0.25, 0.125}

@@ -338,3 +338,39 @@ class TestCase1Curve:
         pts = rd_case1_sweep(src, 0.1, [0.0, 0.2, 0.4], Case1Options())
         vals = [p.value for p in pts]
         assert all(vals[i + 1] <= vals[i] + 1e-12 for i in range(len(vals) - 1))
+
+
+class TestCase1CurveIsOneSweep:
+    # with epsilon 0.05 no kernel of the step-0.25 grid is admissible at
+    # R' = 0.25, so that grid is halved
+    R_PRIMES = [0.0, 0.14, 0.18, 0.19, 0.22, 0.25]
+
+    @pytest.mark.parametrize("epsilon", [None, 0.05])
+    def test_sweep_points_equal_one_point_calls(self, epsilon):
+        src, opts = example2_source(), Case1Options(epsilon=epsilon, grid_step=0.25)
+        sweep = rd_case1_sweep(src, 0.1, self.R_PRIMES, opts)
+        for rp, pt in zip(self.R_PRIMES, sweep):
+            alone = rd_case1(src, 0.1, rp, opts)
+            assert alone.value == alone.raw_value == pt.raw_value
+            for name in ("winning_w", "iterations", "gap", "status", "winning_r_w"):
+                assert getattr(alone, name) == getattr(pt, name), (rp, name)
+            for name in ("epsilon", "grid_step", "kernels_not_ok"):
+                assert alone.extras[name] == pt.extras[name], (rp, name)
+        refined = [pt.extras["grid_step"] for pt in sweep if pt.extras["grid_step"] != 0.25]
+        assert refined == ([] if epsilon is None else [0.125])
+
+    def test_each_admissible_kernel_solved_once(self, monkeypatch, admissible_kernels):
+        src, opts = example2_source(), Case1Options(epsilon=0.05, grid_step=0.25)
+        solve = sideinfo.gpdual.solve_gp
+        calls = []
+        monkeypatch.setattr(sideinfo.gpdual, "solve_gp", lambda p: calls.append(p) or solve(p))
+        for _ in range(2):  # the second sweep starts from nothing again
+            calls.clear()
+            sweep = rd_case1_sweep(src, 0.1, self.R_PRIMES, opts)
+            bands = admissible_kernels(
+                sweep, lambda w: description_rate_case1(src, w), src.s1.size, Alphabet(2, "V1")
+            )
+            assert len(calls) == len(set().union(*bands)) < sum(map(len, bands))
+            assert sum(pt.extras["kernels_solved"] for pt in sweep) == len(calls)
+            assert [pt.extras["kernels_admissible"] for pt in sweep] == [len(b) for b in bands]
+            assert {step for b in bands for step, _ in b} == {0.25, 0.125}

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -176,6 +177,25 @@ class TestCli:
         row = out.read_text().strip().splitlines()[1]
         value = float(row.split(",")[2])
         assert value == pytest.approx(0.3310, abs=2e-2)
+
+    @pytest.mark.parametrize(
+        "args, sha256",
+        [
+            (
+                "capacity-case2c --problem builtin:example1 --rprime-grid 0:0.6:0.2",
+                "f00f8d63622657a34230edebb929c3fb76bdb712cb0bcb9155c8698755296307",
+            ),
+            (
+                "rd-case1 --problem builtin:example2 --d 0.1 --rprime 0.2",
+                "f911e25877144f589226a84a79d56aa1df8c0ccba308d7a38a5ffab5ffe7eb46",
+            ),
+        ],
+        ids=["capacity-case2c", "rd-case1"],
+    )
+    def test_readme_csv_bytes(self, args, sha256, capsys):
+        # the README commands' CSV, recorded byte for byte in CHANGES.md
+        assert main(args.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
     def test_eval_command_json(self, tmp_path, capsys):
         joint = np.zeros((2, 2, 2, 2, 2, 2))
