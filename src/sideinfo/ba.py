@@ -1,7 +1,8 @@
 """Blahut-Arimoto style alternating solvers.
 
 * ``ba_capacity`` -- classic channel capacity with the per-iteration
-  upper bound certificate.
+  upper bound certificate: the strategy objective below with one encoder
+  letter, whose strategies are the inputs (Blahut 1972).
 * ``wz_primal`` -- the Wyner-Ziv rate over distributions on reconstruction
   strategies: alternating minimization at a fixed distortion multiplier,
   inside a bisection on the multiplier that stops on the certified gap.
@@ -9,8 +10,10 @@
   single side letter, whose strategies are the reconstruction letters
   (Blahut 1972); both run through ``_lagrangian_sweep``.
 * ``gp_channel_capacity`` -- Gelfand-Pinsker-type capacity
-  max I(T;O) - I(T;E) over distributions q(t|e) on input strategies,
-  the engine shared with the state-description capacity solver.
+  max I(T;O) - I(T;E) over distributions q(t|e) on input strategies.
+  ``alternating_strategy_max`` is the one capacity iteration: classic
+  capacity, these oracles and both state-description capacity solvers run
+  on it, with tables from ``_strategy_tables``.
 
 All values are in bits. Every report carries a certified optimality gap.
 """
@@ -148,32 +151,19 @@ def _as_channel_matrix(kernel) -> np.ndarray:
 def ba_capacity(kernel, opts: SolverOptions | None = None) -> SolveReport:
     """Capacity of a memoryless channel p(y|x) by Blahut-Arimoto.
 
-    The per-iteration bracket is I(r) <= C <= max_x D(p(y|x) || p_r(y));
-    iteration stops once the bracket is narrower than ``opts.delta``.
+    This is the strategy objective of ``alternating_strategy_max`` with one
+    encoder letter, whose strategies are the inputs x: there U(q) is the
+    bracket max_x D(p(y|x) || p_q(y)) and J the mutual information I(q), so
+    each trace entry is (lower, upper) in bits and iteration stops once the
+    bracket is narrower than ``opts.delta``. ``argopt`` is the input
+    distribution.
     """
     opts = opts or SolverOptions()
     p = _as_channel_matrix(kernel)
-    n_x = p.shape[0]
-    mask = p > ZERO_TOL
-    logp = np.where(mask, np.log2(np.where(mask, p, 1.0)), 0.0)
-    r = np.full(n_x, 1.0 / n_x)
-    trace: list[tuple[float, float]] = []
-    value = 0.0
-    gap = math.inf
-    iters = 0
-    for iters in range(1, opts.max_iters + 1):
-        py = r @ p
-        logpy = np.where(py > ZERO_TOL, np.log2(np.where(py > ZERO_TOL, py, 1.0)), LOG_FLOOR)
-        d_x = np.where(mask, p * (logp - logpy[None, :]), 0.0).sum(axis=1)
-        value = float(r @ d_x)
-        upper = float(d_x.max())
-        gap = max(upper - value, 0.0)
-        trace.append((value, upper))
-        if gap < opts.delta:
-            return SolveReport(value, gap, iters, r, trace)
-        r = r * np.exp2(d_x - d_x.max())
-        r /= r.sum()
-    return SolveReport(value, gap, iters, r, trace, status="nonconverged")
+    value, gap, iters, q, _, trace, ok = alternating_strategy_max(
+        np.ones(1), p[:, None, :], opts.delta, opts.max_iters
+    )
+    return SolveReport(value, gap, iters, q[:, 0], trace, status="ok" if ok else "nonconverged")
 
 
 # ---------------------------------------------------------------------------
@@ -579,22 +569,26 @@ def alternating_strategy_max(
     return j_val / LN2, gap / LN2, iters, np.exp(logq), np.exp(log_big_q), trace, converged
 
 
+def _floored_log(a: np.ndarray) -> np.ndarray:
+    return np.where(a > ZERO_TOL, np.log(np.where(a > ZERO_TOL, a, 1.0)), LOG_FLOOR)
+
+
+def _strategy_scores(p_ote, big_q) -> np.ndarray:
+    """The (T, E) table sum_o p(o|t,e) log Q(t|o), with log Q floored where Q vanishes."""
+    pm = np.where(p_ote > ZERO_TOL, p_ote, 0.0)
+    return np.einsum("teo,to->te", pm, _floored_log(big_q))
+
+
 def strategy_bound(p_e, p_ote, q, big_q) -> float:
     """The dominance bound U(q) in bits for given q(t|e) and Q(t|o)."""
-    pm = np.where(p_ote > ZERO_TOL, p_ote, 0.0)
-    log_big_q = np.where(big_q > ZERO_TOL, np.log(np.where(big_q > ZERO_TOL, big_q, 1.0)), LOG_FLOOR)
-    logq = np.where(q > ZERO_TOL, np.log(np.where(q > ZERO_TOL, q, 1.0)), LOG_FLOOR)
-    diff = np.einsum("teo,to->te", pm, log_big_q) - logq
+    diff = _strategy_scores(p_ote, big_q) - _floored_log(q)
     sup_e = p_e > ZERO_TOL
     return float(p_e @ np.where(sup_e, diff.max(axis=0), 0.0)) / LN2
 
 
 def strategy_objective(p_e, p_ote, q, big_q) -> float:
     """The objective J(q, Q) in bits for given q(t|e) and Q(t|o)."""
-    pm = np.where(p_ote > ZERO_TOL, p_ote, 0.0)
-    log_big_q = np.where(big_q > ZERO_TOL, np.log(np.where(big_q > ZERO_TOL, big_q, 1.0)), LOG_FLOOR)
-    logq = np.where(q > ZERO_TOL, np.log(np.where(q > ZERO_TOL, q, 1.0)), LOG_FLOOR)
-    diff = np.einsum("teo,to->te", pm, log_big_q) - logq
+    diff = _strategy_scores(p_ote, big_q) - _floored_log(q)
     return float(np.einsum("e,te,te->", p_e, q, diff)) / LN2
 
 
@@ -612,9 +606,7 @@ def strategy_posterior(p_e, p_ote, q) -> np.ndarray:
 
 def strategy_q_update(p_ote, big_q) -> np.ndarray:
     """The maximizing q*(t|e) for a given decoder posterior Q(t|o)."""
-    pm = np.where(p_ote > ZERO_TOL, p_ote, 0.0)
-    log_big_q = np.where(big_q > ZERO_TOL, np.log(np.where(big_q > ZERO_TOL, big_q, 1.0)), LOG_FLOOR)
-    s = np.einsum("teo,to->te", pm, log_big_q)
+    s = _strategy_scores(p_ote, big_q)
     logq = s - _logsumexp(s, axis=0)[None, :]
     return np.exp(logq)
 
@@ -655,7 +647,8 @@ def strategy_channel_tables(
             out = out * sizes[i] + idx[i]
         return out
 
-    states = zip(ch.state_joint.probs.ravel(), idx[0], idx[1], flat(enc), flat(dec))
+    e = flat(enc)
+    states = zip(ch.state_joint.probs.ravel(), idx[0], idx[1], e, e, flat(dec))
     n_e = int(np.prod(enc_shape))
     return _strategy_tables(ch, strategies, states, n_e, ch.y.size * int(np.prod(dec_shape)))
 
@@ -663,8 +656,8 @@ def strategy_channel_tables(
 def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, states, n_e: int, n_o: int):
     """(p_e, p(o|t,e)) accumulated over flattened states.
 
-    Each state is (mass, s1, s2, e, d): its probability, the channel state it
-    selects, its encoder index (which is also the strategy cell that picks x)
+    Each state is (mass, s1, s2, e, c, d): its probability, the channel state
+    it selects, its encoder index, the strategy cell c whose entry picks x,
     and its decoder-state index; the decoder view is o = y * (n_o / |Y|) + d.
     States with mass at most ZERO_TOL are skipped, and encoder views left
     without mass get zero rows.
@@ -674,11 +667,11 @@ def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, states, n_e
     tables = strategies.tables
     p_e = np.zeros(n_e)
     p_ote = np.zeros((len(strategies), n_e, n_o))
-    for mass, s1, s2, e, d in states:
+    for mass, s1, s2, e, c, d in states:
         if mass <= ZERO_TOL:
             continue
         p_e[e] += mass
-        p_ote[:, e, y_cols + d] += mass * ch.kernel.probs[tables[:, e], s1, s2, :]
+        p_ote[:, e, y_cols + d] += mass * ch.kernel.probs[tables[:, c], s1, s2, :]
     sup = p_e > ZERO_TOL
     p_ote[:, sup, :] /= p_e[sup][None, :, None]
     p_ote[:, ~sup, :] = 0.0

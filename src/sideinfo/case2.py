@@ -5,8 +5,9 @@ at the encoder is computed by an outer grid search over description kernels
 w(v2|s2) combined with an inner alternating maximization over distributions
 q(t|s1,v2) on input strategies t: S1 x V2 -> X. A kernel w is admissible for
 rate R' when its description rate R_w = I(V2;S2|S1) lies in [R' - eps, R'].
-The causal variant constrains I(V2;S2) instead, and its inner problem splits
-into one plain Blahut-Arimoto capacity per v2 over strategies S1 -> X.
+The causal variant constrains I(V2;S2) instead, and its inner problem is the
+same strategy solve over q(t|v2), t: S1 -> X, with encoder view V2 and decoder
+view (Y, S2, V2).
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ import numpy as np
 from .ba import (
     ChannelInstance,
     SolveReport,
-    SolverOptions,
     _strategy_tables,
     alternating_strategy_max,
-    ba_capacity,
     strategy_bound,
 )
 from .probability import (
@@ -32,7 +31,6 @@ from .probability import (
     JointPmf,
     ProbabilityError,
     SimplexGrid,
-    ZERO_TOL,
     chain,
     conditional_entropy,
     conditional_mutual_information,
@@ -115,7 +113,8 @@ def _inner_tables(ch: ChannelInstance, w: CondKernel, strategies: StrategySpace)
     if strategies.domain_shape != (ch.s1.size, n_v2):
         raise ProbabilityError("strategies must map (S1, V2) to X")
     s1s, s2s, v2s = np.indices(joint3.shape).reshape(3, -1)
-    states = zip(joint3.ravel(), s1s, s2s, s1s * n_v2 + v2s, s2s * n_v2 + v2s)
+    e = s1s * n_v2 + v2s
+    states = zip(joint3.ravel(), s1s, s2s, e, e, s2s * n_v2 + v2s)
     return _strategy_tables(ch, strategies, states, ch.s1.size * n_v2, joint3[0].size * ch.y.size)
 
 
@@ -341,48 +340,25 @@ def causal_inner_max(
 ) -> SolveReport:
     """max over p(u|v2) of I(U;Y,S2|V2), U ranging over strategies S1 -> X.
 
-    Decomposes into one capacity computation per v2 with output (Y, S2),
-    averaged by p(v2).
+    This is one strategy solve with encoder view E = V2 and decoder view
+    O = (Y, S2, V2): since O contains E, I(T;O) - I(T;E) = I(T;Y,S2|V2), and
+    the strategy cell that picks x is s1. ``iterations`` counts that one
+    solve; ``argopt`` is p(t|v2), uniform at a v2 without mass.
     """
     opts = opts or Case2Options()
     if strategies is None:
         strategies = enumerate_strategies((ch.s1,), ch.x)
     joint3 = _state_v2_joint(ch, w).probs  # (S1, S2, V2)
-    n_v2 = w.out_axes[0].size
-    n_t = len(strategies)
-    n_y, n_s2 = ch.y.size, ch.s2.size
-    p_v2 = joint3.sum(axis=(0, 1))
-    ba_opts = SolverOptions(delta=opts.delta, max_iters=opts.max_inner_iters)
-    total = 0.0
-    total_gap = 0.0
-    iters = 0
-    dists = np.full((n_v2, n_t), 1.0 / n_t)
-    converged = True
-    trace = []
-    for v2 in range(n_v2):
-        if p_v2[v2] <= ZERO_TOL:
-            continue
-        cond = joint3[:, :, v2] / p_v2[v2]  # p(s1, s2 | v2)
-        m = np.zeros((n_t, n_y * n_s2))
-        for s1 in range(ch.s1.size):
-            x_for_t = strategies.tables[:, s1]
-            rows = ch.kernel.probs[x_for_t, s1, :, :]  # (T, S2, Y)
-            for s2 in range(n_s2):
-                if cond[s1, s2] <= ZERO_TOL:
-                    continue
-                cols = np.arange(n_y) * n_s2 + s2
-                m[:, cols] += cond[s1, s2] * rows[:, s2, :]
-        rep = ba_capacity(m, ba_opts)
-        total += p_v2[v2] * rep.value
-        total_gap += p_v2[v2] * rep.gap
-        iters = max(iters, rep.iterations)
-        dists[v2] = rep.argopt
-        converged = converged and rep.converged
-        trace.append((rep.value, rep.value + rep.gap))
-    arg = CondKernel((w.out_axes[0],), (strategies.alphabet,), dists)
+    n_v2 = joint3.shape[2]
+    s1s, s2s, v2s = np.indices(joint3.shape).reshape(3, -1)
+    states = zip(joint3.ravel(), s1s, s2s, v2s, s1s, s2s * n_v2 + v2s)
+    p_e, p_ote = _strategy_tables(ch, strategies, states, n_v2, joint3[0].size * ch.y.size)
+    value, gap, iters, q, _, trace, ok = alternating_strategy_max(
+        p_e, p_ote, opts.delta, opts.max_inner_iters
+    )
     return SolveReport(
-        total, total_gap, iters, arg, trace,
-        status="ok" if converged else "inner-nonconverged",
+        value, gap, iters, CondKernel((w.out_axes[0],), (strategies.alphabet,), q.T), trace,
+        status="ok" if ok else "inner-nonconverged",
         extras={"strategies": strategies},
     )
 

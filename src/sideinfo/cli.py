@@ -48,7 +48,7 @@ def _fmt(x: float) -> str:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Values of 'a:b:step' or of a single value; every value must be >= 0."""
+    """Values of 'a:b:step' or of a single value; every number must be finite, every value >= 0."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise CliError(f"grid {text!r} must be 'a:b:step' or a single value", EXIT_PARSE)
@@ -56,8 +56,10 @@ def _parse_grid(text: str) -> list[float]:
         nums = [float(p) for p in parts]
     except ValueError as exc:
         raise CliError(f"grid {text!r} is not numeric", EXIT_PARSE) from exc
+    if not all(map(math.isfinite, nums)):
+        raise CliError(f"grid {text!r} has a value that is not finite", EXIT_PARSE)
     values = nums[:1]
-    if len(nums) == 3 and nums[0] != nums[1]:
+    if len(nums) == 3:
         a, b, step = nums
         if step <= 0:
             raise CliError(f"grid step must be > 0 in {text!r}", EXIT_PARSE)
@@ -299,21 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", required=True, help="JSON path or builtin:NAME")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 
-    p = sub.add_parser("capacity-case2", help="description-rate capacity sweep (noncausal)")
-    common(p)
-    p.add_argument("--rprime-grid", required=True, help="a:b:step or a single value")
-    p.add_argument("--grid-step", type=float, default=0.05)
-    p.add_argument("--v2", type=int, default=2)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", type=float, default=1e-6)
-
-    p = sub.add_parser("capacity-case2c", help="description-rate capacity sweep (causal states)")
-    common(p)
-    p.add_argument("--rprime-grid", required=True)
-    p.add_argument("--grid-step", type=float, default=0.05)
-    p.add_argument("--v2", type=int, default=2)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", type=float, default=1e-6)
+    for name, states in (("capacity-case2", "noncausal"), ("capacity-case2c", "causal states")):
+        p = sub.add_parser(name, help=f"description-rate capacity sweep ({states})")
+        common(p)
+        p.add_argument("--rprime-grid", required=True, help="a:b:step or a single value")
+        p.add_argument("--grid-step", type=float, default=0.05)
+        p.add_argument("--v2", type=int, default=2)
+        p.add_argument("--epsilon", type=float, default=None)
+        p.add_argument("--delta", type=float, default=1e-6)
 
     p = sub.add_parser("wz-rate", help="Wyner-Ziv rate by alternating minimization and/or the dual")
     common(p)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sideinfo.probability import simplex_grid
@@ -26,3 +27,28 @@ def admissible_kernels():
         return bands
 
     return find
+
+
+@pytest.fixture(scope="session")
+def blahut_arimoto():
+    """Plain Blahut-Arimoto capacity of a channel matrix p(y|x), as a certified bracket.
+
+    ``blahut_arimoto(p)`` iterates r <- r * 2^D(p(.|x) || p_r) from uniform r
+    and returns (lower, upper) in bits: I(r) <= C <= max_x D(p(.|x) || p_r),
+    stopping once the bracket is below ``tol`` or after ``max_iters`` steps.
+    """
+
+    def capacity(p, tol=1e-10, max_iters=20000):
+        r = np.full(p.shape[0], 1.0 / p.shape[0])
+        for _ in range(max_iters):
+            p_y = r @ p
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.where(p > 0, p * np.log2(p / p_y), 0.0).sum(axis=1)
+            lower, upper = float(r @ d), float(d.max())
+            if upper - lower < tol:
+                break
+            r = r * np.exp2(d - upper)
+            r /= r.sum()
+        return lower, upper
+
+    return capacity

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sideinfo.ba import (
     ChannelInstance,
@@ -47,6 +48,21 @@ class TestCapacity:
         assert all(lows[i + 1] >= lows[i] - 1e-12 for i in range(len(lows) - 1))
         assert all(up >= lo for lo, up in rep.trace)
         assert rep.gap >= 0.0
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_plain_blahut_arimoto(self, seed, blahut_arimoto):
+        rng = np.random.default_rng(seed)
+        p = rng.random((3, 4)) + 0.05
+        p /= p.sum(axis=1, keepdims=True)
+        rep = ba_capacity(p, TIGHT)
+        lower, upper = blahut_arimoto(p)
+        assert rep.converged
+        assert abs(rep.value - lower) <= rep.gap + (upper - lower) + 1e-12
+        assert rep.argopt.shape == (3,) and rep.argopt.sum() == pytest.approx(1.0, abs=1e-12)
+        lows = [lo for lo, _ in rep.trace]
+        assert all(b >= a - 1e-12 for a, b in zip(lows, lows[1:]))
+        assert all(up >= lo - 1e-12 for lo, up in rep.trace)
 
     def test_zary_symmetric(self):
         # ternary symmetric channel, closed form log2(3) - H(noise)

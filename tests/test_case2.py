@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sideinfo.case2
 from sideinfo.ba import (
@@ -289,6 +292,47 @@ class TestCausal:
         pt = capacity_case2_causal(ch, 0.3, opts)
         rep = causal_inner_max(ch, pt.winning_kernel, opts)
         assert rep.value == pytest.approx(pt.raw_value, abs=1e-12)
+
+
+class TestCausalIsOneStrategySolve:
+    """One joint solve over q(t|v2) against a plain capacity per v2, averaged by p(v2)."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_v2=st.integers(2, 3), dead=st.booleans())
+    @example(seed=5, n_v2=2, dead=True)
+    def test_matches_per_v2_capacities(self, seed, n_v2, dead, blahut_arimoto):
+        rng = np.random.default_rng(seed)
+        ch, _ = random_case2_instance(rng)
+        kern, sj = ch.kernel.probs, ch.state_joint.probs
+        w = rng.random((2, n_v2)) + 0.05
+        if dead:
+            w[:, -1] = 0.0  # the last v2 has no mass
+        w /= w.sum(axis=1, keepdims=True)
+        v2 = Alphabet(n_v2, "V2")
+        rep = causal_inner_max(
+            ch, CondKernel((ch.s2,), (v2,), w), Case2Options(delta=1e-8, max_inner_iters=100000)
+        )
+
+        # strategies u: S1 -> X in any order; row t of m holds p(y, s2 | u_t, v2)
+        tables = np.array(list(itertools.product(range(2), repeat=2)))
+        rows = kern[tables, np.arange(2)[None, :]]  # (T, S1, S2, Y)
+        joint = sj[:, :, None] * w[None, :, :]  # p(s1, s2, v2)
+        p_v2 = joint.sum(axis=(0, 1))
+        value, ref_gap = 0.0, 0.0
+        for v in np.flatnonzero(p_v2 > 0):
+            m = np.einsum("ab,tabz->tbz", joint[:, :, v] / p_v2[v], rows).reshape(len(tables), -1)
+            lower, upper = blahut_arimoto(m)
+            value += p_v2[v] * lower
+            ref_gap += p_v2[v] * (upper - lower)
+
+        assert rep.status == "ok"
+        assert abs(rep.value - value) <= rep.gap + ref_gap + 1e-12
+        assert rep.argopt.probs.shape == (n_v2, len(tables))
+        if dead:
+            assert rep.argopt.probs[-1] == pytest.approx(1.0 / len(tables), abs=1e-15)
+        lows = [lo for lo, _ in rep.trace]
+        assert all(b >= a - 1e-12 for a, b in zip(lows, lows[1:]))
+        assert all(up >= lo - 1e-12 for lo, up in rep.trace)
 
 
 class TestCurveIsOneSweep:

@@ -182,15 +182,23 @@ class TestCli:
         "args, sha256",
         [
             (
+                "capacity-case2 --problem builtin:example1 --rprime-grid 0:0.72:0.06",
+                "5840776e59f30de777b0e89f8a2686b7221d8a9d2ad7cbc7197040582604ef14",
+            ),
+            (
                 "capacity-case2c --problem builtin:example1 --rprime-grid 0:0.6:0.2",
-                "f00f8d63622657a34230edebb929c3fb76bdb712cb0bcb9155c8698755296307",
+                "b471bff96ff8b68a0ec47de8214b74833b9b7b3e45a0f91f71366efbadd488a6",
+            ),
+            (
+                "wz-rate --problem builtin:example3 --d-grid 0:0.3:0.05 --via both",
+                "7e61ea8faed538503f80029d027071b10dd143d503b38d2d8bb577e2ffbde596",
             ),
             (
                 "rd-case1 --problem builtin:example2 --d 0.1 --rprime 0.2",
                 "f911e25877144f589226a84a79d56aa1df8c0ccba308d7a38a5ffab5ffe7eb46",
             ),
         ],
-        ids=["capacity-case2c", "rd-case1"],
+        ids=["capacity-case2", "capacity-case2c", "wz-rate", "rd-case1"],
     )
     def test_readme_csv_bytes(self, args, sha256, capsys):
         # the README commands' CSV, recorded byte for byte in CHANGES.md
@@ -240,6 +248,10 @@ class TestCliInputErrors:
             ["wz-rate", "--problem", "builtin:example3", "--d-grid=-0.1:0.1:0.1"],
             ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0:x:0.1"],
             ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0.3:0.1:0.1"],
+            ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid", "0.2:0.2:0"],
+            ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid=0.2:0.2:-1"],
+            ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid", "0:1:nan"],
+            ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid", "nan"],
         ],
     )
     def test_exits_2_with_message(self, argv, capsys):
