@@ -4,16 +4,20 @@
   upper bound certificate: the strategy objective below with one encoder
   letter, whose strategies are the inputs (Blahut 1972).
 * ``wz_primal`` -- the Wyner-Ziv rate over distributions on reconstruction
-  strategies: alternating minimization at a fixed distortion multiplier,
+  strategies: at a fixed distortion multiplier beta the negated Lagrangian
+  is the strategy objective below with encoder letter x, decoder view s,
+  p(o|t,e) = p(s|x) and the linear cost beta * ln 2 * sum_s p(s|x) d(x, t, s),
   inside a bisection on the multiplier that stops on the certified gap.
 * ``ba_rate_distortion`` -- classic rate-distortion, the same problem with a
   single side letter, whose strategies are the reconstruction letters
   (Blahut 1972); both run through ``_lagrangian_sweep``.
 * ``gp_channel_capacity`` -- Gelfand-Pinsker-type capacity
   max I(T;O) - I(T;E) over distributions q(t|e) on input strategies.
-  ``alternating_strategy_max`` is the one capacity iteration: classic
-  capacity, these oracles and both state-description capacity solvers run
-  on it, with tables from ``_strategy_tables``.
+
+``alternating_strategy_max`` is the one alternating iteration, with one
+step and one certificate, the concavity bound U(q): classic capacity, these
+oracles, both state-description capacity solvers and every multiplier probe
+run on it; capacity tables come from ``_strategy_tables``.
 
 All values are in bits. Every report carries a certified optimality gap.
 """
@@ -118,8 +122,8 @@ class SolverOptions:
     max_iters: int = 10000
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be finite and > 0")
 
 
 @dataclass
@@ -171,7 +175,7 @@ def ba_capacity(kernel, opts: SolverOptions | None = None) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _assemble_sweep(probes, d_target: float, evaluate_mix, slack: float):
+def _assemble_sweep(probes, d_target: float, measure, slack: float):
     """Certified value and gap for R(D) from the Lagrangian probes.
 
     Each probe yields the lower bound rate + beta*(dist - D) - gap. Probes
@@ -182,10 +186,10 @@ def _assemble_sweep(probes, d_target: float, evaluate_mix, slack: float):
     value is the best achievable candidate, the gap its distance to the best
     Lagrangian lower bound.
 
-    ``evaluate_mix(arg_a, arg_b, mu)`` returns the exact (rate, dist, arg) of
-    the mixture (1-mu) * arg_a + mu * arg_b. A probe is feasible when its
-    distortion is at most D + ``slack``; with no feasible probe there is no
-    achievable witness and the gap is infinite.
+    ``measure(arg)`` returns the exact (rate, dist, arg) of a distribution;
+    a chord is realized as the mixture (1-mu) * arg_a + mu * arg_b. A probe
+    is feasible when its distortion is at most D + ``slack``; with no
+    feasible probe there is no achievable witness and the gap is infinite.
 
     Returns (value, gap, argopt, argopt_rate, argopt_dist); the rate and
     distortion of ``argopt`` are exact functionals of that distribution.
@@ -215,7 +219,7 @@ def _assemble_sweep(probes, d_target: float, evaluate_mix, slack: float):
                 chord_best = (val, a_f, a_i, mu)
     if chord_best is not None:
         _, a_f, a_i, mu = chord_best
-        rate_mix, dist_mix, arg_mix = evaluate_mix(a_f, a_i, mu)
+        rate_mix, dist_mix, arg_mix = measure((1.0 - mu) * a_f + mu * a_i)
         if dist_mix <= d_target + 1e-9 and rate_mix < best_rate:
             best_rate, best_dist, best_arg = rate_mix, dist_mix, arg_mix
     value = max(best_rate, lower)  # bracket can invert by solver roundoff
@@ -305,7 +309,8 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     sign of each probe's dist - D, a subgradient of the concave Lagrangian
     lower bound rate + beta * (dist - D) - gap, until ``_assemble_sweep``
     certifies a gap of at most half of ``opts.delta`` or the bracket
-    collapses. Each probe is solved to a quarter of ``opts.delta``. A final
+    collapses. Each probe is one ``alternating_strategy_max`` solve with the
+    cost beta * ln 2 * dbar, to a quarter of ``opts.delta``. A final
     gap above ``opts.delta`` gives status "nonconverged". ``extras`` counts
     the ``probes`` and the ``probes_capped`` that stopped at
     ``opts.max_iters`` short of their own gap.
@@ -335,18 +340,21 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
         status = "distortion-floor"
         target = d_floor
 
-    def evaluate_mix(q_a, q_b, mu):
-        q_mix = (1.0 - mu) * q_a + mu * q_b
-        big_q = p_x_given_s.T @ q_mix  # (S, T)
-        mask_q = q_mix > ZERO_TOL
+    def measure(q):
+        """Exact (rate, dist, q) of the test channel q(t|x)."""
+        big_q = p_x_given_s.T @ q  # (S, T)
+        mask_q = q > ZERO_TOL
         with np.errstate(divide="ignore", invalid="ignore"):
-            logq = np.where(mask_q, np.log2(np.where(mask_q, q_mix, 1.0)), 0.0)
+            logq = np.where(mask_q, np.log2(np.where(mask_q, q, 1.0)), 0.0)
             log_bq = np.where(big_q > ZERO_TOL, np.log2(np.where(big_q > ZERO_TOL, big_q, 1.0)), 0.0)
-        weights = p_x[:, None] * q_mix
+        weights = p_x[:, None] * q
         rate = float((weights * np.where(mask_q, logq - p_s_given_x @ log_bq, 0.0)).sum())
         dist = float((weights * dbar).sum())
-        return max(rate, 0.0), dist, q_mix
+        return max(rate, 0.0), dist, q
 
+    # the negated Lagrangian is the strategy objective with encoder letter x,
+    # decoder view s and the linear cost beta * ln 2 * dbar
+    p_ote = np.broadcast_to(p_s_given_x, (dbar.shape[1],) + p_s_given_x.shape)
     # the multiplier range follows the per-(x, t, s) excess, not its average
     positive = excess[excess > ZERO_TOL]
     gamma_max = 50.0 / float(positive.min()) if positive.size else 1.0
@@ -355,16 +363,25 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     probes = []  # (beta, rate, dist, gap, argopt)
 
     def probe(beta: float) -> bool:
-        """Solve at ``beta``; True when the maximizer of the bound lies above it."""
-        rate, dist, gap, q, _, _ = _wz_fixed_multiplier(p_xs, dbar, beta, inner_delta, opts.max_iters)
-        probes.append((beta, rate, dist, gap, q))
+        """Solve at ``beta``; True when the maximizer of the bound lies above it.
+
+        The probe reports the q update from the engine's posterior, half a
+        step past the engine's q; its gap L(q') + U keeps the lower bound
+        rate + beta * (dist - D) - gap equal to the engine's -U - beta * D.
+        """
+        cost = (beta * LN2) * dbar.T
+        value, gap, _, _, big_q, _, _ = alternating_strategy_max(
+            p_x, p_ote, inner_delta, opts.max_iters, cost
+        )
+        rate, dist, q = measure(_column_softmax(_strategy_scores(p_ote, big_q) - cost).T)
+        probes.append((beta, rate, dist, max(rate + beta * dist + value + gap, 0.0), q))
         return dist > target
 
     lo, hi = 0.0, gamma_max
     probe(lo)
     probe(hi)
     while True:
-        value, gap, arg, arg_rate, arg_dist = _assemble_sweep(probes, target, evaluate_mix, slack)
+        value, gap, arg, arg_rate, arg_dist = _assemble_sweep(probes, target, measure, slack)
         if gap <= opts.delta / 2.0 or hi - lo <= 1e-8 * max(1.0, gamma_max):
             break
         mid = 0.5 * (lo + hi)
@@ -390,71 +407,6 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
 # ---------------------------------------------------------------------------
 # Wyner-Ziv primal over reconstruction strategies
 # ---------------------------------------------------------------------------
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """Stable log-sum-exp that tolerates -inf entries (empty slices give -inf)."""
-    m = np.max(a, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - m_safe).sum(axis=axis, keepdims=True)) + m_safe
-    return np.squeeze(out, axis=axis)
-
-
-def _wz_fixed_multiplier(p_xs, dbar, beta, delta_bits, max_iters):
-    """min over q(t|x) of I(T;X|S) + beta E[d], alternating minimization.
-
-    ``dbar[x, t] = sum_s p(s|x) d(x, t, s)``. The certificate mirrors the
-    capacity bound: the optimum is at least the current partition value minus
-    log of the largest one-step multiplicative growth of the side-conditional
-    marginal Q(t|s). The growth ratios are tracked in log space; clamping
-    small entries would hide the slow revival of a strategy and stop early
-    with an invalid certificate.
-    """
-    n_x, n_t = dbar.shape
-    n_s = p_xs.shape[1]
-    p_x = p_xs.sum(axis=1)
-    p_s = p_xs.sum(axis=0)
-    sup_x = p_x > ZERO_TOL
-    sup_s = p_s > ZERO_TOL
-    p_s_given_x = np.where(sup_x[:, None], p_xs / np.where(sup_x, p_x, 1.0)[:, None], 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_p_x_given_s = np.where(
-            (p_xs > ZERO_TOL) & sup_s[None, :],
-            np.log(np.where(p_xs > 0, p_xs, 1.0) / np.where(sup_s, p_s, 1.0)[None, :]),
-            -np.inf,
-        )
-
-    def step(lbq):
-        """One alternating cycle from log Q(t|s); also the Lagrangian value at lbq.
-
-        The input is renormalized first: the growth certificate compares two
-        conditional distributions, and extrapolated tables arrive unnormalized.
-        The shift-then-clip keeps the renormalization exact even when an
-        extrapolation produces entries so large that their floating-point
-        spacing would otherwise swallow the correction.
-        """
-        lbq = np.maximum(lbq - lbq.max(axis=1, keepdims=True), -800.0)
-        lbq = lbq - _logsumexp(lbq, axis=1)[:, None]
-        s_term = p_s_given_x @ lbq - (beta * LN2) * dbar
-        logz = _logsumexp(s_term, axis=1)
-        logq = s_term - logz[:, None]
-        neg_phi = float(p_x @ logz)  # -min_q of the Lagrangian at this Q, in nats
-        lbq_next = _logsumexp(ln_p_x_given_s.T[:, :, None] + logq[None, :, :], axis=1)
-        lbq_next = np.where(sup_s[:, None], lbq_next, 0.0)  # dead s: zero weight
-        growth = np.where(sup_s[:, None], lbq_next - lbq, -np.inf)
-        gap = max(float(growth.max()), 0.0) / LN2
-        return lbq_next, neg_phi, gap < delta_bits, (gap, logq)
-
-    iters, log_bq, (gap, logq) = _accelerated_fixed_point(
-        step, np.full((n_s, n_t), -math.log(n_t)), max_iters, (math.inf, np.full((n_x, n_t), -math.log(n_t)))
-    )
-
-    # exact functionals at the final q
-    weights = p_x[:, None] * np.exp(logq)
-    rate = float((weights * (logq - p_s_given_x @ log_bq)).sum()) / LN2
-    dist = float((weights * dbar).sum())
-    return max(rate, 0.0), dist, gap, np.exp(logq), log_bq, iters
 
 
 def wz_primal(
@@ -494,15 +446,21 @@ def alternating_strategy_max(
     p_ote: np.ndarray,
     delta_bits: float,
     max_iters: int,
+    cost: np.ndarray | None = None,
 ):
-    """max over q(t|e) of I(T;O) - I(T;E) for the model p(e) q(t|e) p(o|t,e).
+    """max over q(t|e) of I(T;O) - I(T;E) - E[cost] for the model p(e) q(t|e) p(o|t,e).
 
-    Alternates the exponential-family update of q with the marginal update of
-    the decoder posterior Q(t|o); terminates when the per-iterate upper bound
-    U(q) is within ``delta_bits`` of the objective J(q, Q). Every third
-    iterate is a squared-extrapolation candidate in the log-weight table,
-    kept only when it does not decrease J, so the recorded trace stays
-    monotone and every certificate is measured at a valid distribution.
+    ``cost[t, e]`` is in nats; None means no cost. Alternates the
+    exponential-family update of q with the marginal update of the decoder
+    posterior Q(t|o); terminates when the per-iterate upper bound U(q) is
+    within ``delta_bits`` of the objective J(q, Q). J is jointly concave in
+    (q, Q), so the optimum is concave in q, and with the scores
+    sum_o p(o|t,e) log Q(t|o) of the posterior of q, U(q) = sum_e p(e)
+    max_t (score - cost - log q) is its Frank-Wolfe bound; a linear cost
+    keeps it valid. Every third iterate is a squared-extrapolation candidate
+    in the log-weight table, kept only when it does not decrease J, so the
+    recorded trace stays monotone and every certificate is measured at a
+    valid distribution.
 
     Returns (value_bits, gap_bits, iterations, q, big_q, trace, converged);
     ``q`` is (T, E) and ``big_q`` is (T, O).
@@ -552,6 +510,8 @@ def alternating_strategy_max(
         nxt = np.multiply(
             pm, log_big_q[:, None, :], out=buf_terms, where=pm_mask
         ).sum(axis=2)
+        if cost is not None:
+            nxt -= cost
         diff = nxt - logq
         j_val = float(np.einsum("e,te,te->", p_e, q, diff))
         u_val = float(p_e @ np.where(sup_e, diff.max(axis=0), 0.0))
@@ -604,11 +564,15 @@ def strategy_posterior(p_e, p_ote, q) -> np.ndarray:
     return np.where(p_o[None, :] > ZERO_TOL, p_to / np.where(p_o > ZERO_TOL, p_o, 1.0), 1.0 / n_t)
 
 
+def _column_softmax(scores: np.ndarray) -> np.ndarray:
+    """exp(scores) normalized down each column."""
+    q = np.exp(scores - scores.max(axis=0))
+    return q / q.sum(axis=0)
+
+
 def strategy_q_update(p_ote, big_q) -> np.ndarray:
     """The maximizing q*(t|e) for a given decoder posterior Q(t|o)."""
-    s = _strategy_scores(p_ote, big_q)
-    logq = s - _logsumexp(s, axis=0)[None, :]
-    return np.exp(logq)
+    return _column_softmax(_strategy_scores(p_ote, big_q))
 
 
 def _axis_indices(names: Sequence[str]) -> tuple[int, ...]:

@@ -60,10 +60,10 @@ class Case2Options:
     max_inner_iters: int = 5000
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and > 0")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be finite and > 0")
         if not 0 < self.grid_step <= 1:
             raise ValueError("grid_step must be in (0, 1]")
         if self.v2_size < 1:

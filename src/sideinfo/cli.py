@@ -145,6 +145,8 @@ def _cmd_wz_rate(args) -> int:
         raise CliError("wz-rate needs --d or --d-grid", EXIT_PARSE)
     ds = _parse_grid(args.d_grid if args.d_grid else repr(args.d))
     opts = _options(SolverOptions, delta=args.delta)
+    if not (math.isfinite(args.tight_tol) and args.tight_tol >= 0):
+        raise CliError("--tight-tol must be finite and >= 0", EXIT_PARSE)
     code = EXIT_OK
     lines = []
     try:

@@ -502,8 +502,8 @@ class Case1Options:
     v1_size: int = 2
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and > 0")
         if not 0 < self.grid_step <= 1:
             raise ValueError("grid_step must be in (0, 1]")
         if self.v1_size < 1:

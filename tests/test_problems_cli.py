@@ -252,6 +252,15 @@ class TestCliInputErrors:
             ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid=0.2:0.2:-1"],
             ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid", "0:1:nan"],
             ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid", "nan"],
+            ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--via", "ba", "--delta", "nan"],
+            ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--delta", "inf"],
+            ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0.1", "--delta", "nan"],
+            ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0.1", "--epsilon", "nan"],
+            ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid", "0.1", "--epsilon", "inf"],
+            ["rd-case1", "--problem", "builtin:example2", "--d", "0.1", "--rprime", "0.1", "--epsilon", "nan"],
+            ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--tight-tol", "-1"],
+            ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--tight-tol", "nan"],
+            ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--via", "ba", "--tight-tol", "inf"],
         ],
     )
     def test_exits_2_with_message(self, argv, capsys):
