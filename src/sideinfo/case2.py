@@ -202,17 +202,26 @@ def _grid_sweep(
 
     R' is clamped to ``r_max``, and a kernel is admissible when its rate lies
     in [R' - eps, R']; when none is, the grid is refined once to half the
-    step. The curve is the unit of work: each grid it uses is built, and all
-    of its rates computed, once, and each admissible kernel is solved once,
-    by the first point that needs it. The table of solved kernels lives only
+    step. The curve is the unit of work: each grid it uses is built once, and
+    each orbit of it (``SimplexGrid.orbit``) has its rate computed once and
+    is solved at most once, by the first point that needs it, always on its
+    representative, the orbit's smallest index. Every member reads the
+    representative's rate and result. The table of solved orbits lives only
     for this call.
+
+    Contract: ``rate_of_w`` and ``solve_w`` are invariant under relabeling
+    the codomain letters of w, as the description rates are, and the inner
+    solves and dual programs are up to their certified gaps. Members of an
+    orbit then carry equal values, so the winner (ties within 1e-9 go to
+    the smallest grid index) is always a representative, solved exactly as
+    if every kernel were.
 
     ``solve_w(w)`` returns (value, iterations, gap, status, extras); the
     winner's extras join the point's. ``kernels_admissible`` counts the
-    point's admissible kernels, ``kernels_solved`` those of them solved for
-    this point and not an earlier one, and ``kernels_not_ok`` those, winner
-    included, whose status is not "ok". Ties within 1e-9 go to the smallest
-    grid index. ``opts`` supplies ``grid_step`` and ``epsilon``.
+    point's admissible kernels, ``kernels_solved`` the orbits among them
+    solved for this point and not an earlier one, and ``kernels_not_ok``
+    the kernels, winner included, whose status is not "ok". ``opts``
+    supplies ``grid_step`` and ``epsilon``.
     """
     grids: dict[float, tuple[SimplexGrid, list[float], float]] = {}
     solved: dict[tuple[float, int], tuple] = {}
@@ -220,7 +229,8 @@ def _grid_sweep(
     def grid_at(step: float):
         if step not in grids:
             grid = grid_factory(step)
-            rws = [rate_of_w(w) for w in grid.points]
+            rates = {r: rate_of_w(grid.points[r]) for r in sorted(set(grid.orbit))}
+            rws = [rates[r] for r in grid.orbit]
             eps = opts.epsilon if opts.epsilon is not None else _auto_epsilon(rws)
             grids[step] = grid, rws, eps
         return grids[step]
@@ -243,10 +253,10 @@ def _grid_sweep(
             points.append(CurvePoint(r_prime, math.nan, math.nan, -1, "no-feasible-w"))
             continue
 
-        fresh = [i for i in feasible if (step, i) not in solved]
-        for i in fresh:
-            solved[step, i] = solve_w(grid.points[i])
-        results = [solved[step, i] for i in feasible]
+        fresh = sorted({(step, grid.orbit[i]) for i in feasible} - solved.keys())
+        for key in fresh:
+            solved[key] = solve_w(grid.points[key[1]])
+        results = [solved[step, grid.orbit[i]] for i in feasible]
         best_idx = None
         best_val = -math.inf
         for i, (val, _, _, _, _) in zip(feasible, results):
@@ -254,7 +264,7 @@ def _grid_sweep(
             if sval > best_val + 1e-9 or (sval > best_val - 1e-9 and best_idx is None):
                 best_val = sval
                 best_idx = i
-        value, iters, gap, status, extras = solved[step, best_idx]
+        value, iters, gap, status, extras = solved[step, grid.orbit[best_idx]]
         points.append(CurvePoint(
             r_prime=r_prime,
             value=value,

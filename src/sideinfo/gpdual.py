@@ -534,7 +534,7 @@ def rd_case1(
 
 
 def _rd_curve(src, d_target, r_primes, opts) -> list[CurvePoint]:
-    """One point per R' at distortion D, each admissible kernel's program solved once."""
+    """One point per R' at distortion D, each admissible kernel orbit's program solved once."""
     opts = opts or Case1Options()
     if any(rp < 0 for rp in r_primes):
         raise ValueError("r_prime must be >= 0")

@@ -242,11 +242,16 @@ def check_markov(
 
 @dataclass(frozen=True)
 class SimplexGrid:
-    """Uniformly spaced grid of conditional kernels, one simplex per slice."""
+    """Uniformly spaced grid of conditional kernels, one simplex per slice.
+
+    ``orbit[i]`` is the smallest index of a point equal to point i up to a
+    permutation of the codomain letters.
+    """
 
     free_dims: int
     step: float
     points: tuple[CondKernel, ...]
+    orbit: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -277,10 +282,11 @@ def simplex_grid(slices: int, codomain: Alphabet, step: float) -> SimplexGrid:
         raise ProbabilityError("slices must be >= 1")
     k = codomain.size
     given = (Alphabet(slices, "slice"),)
-    rows = [np.array(c, dtype=float) / n for c in _compositions(n, k)]
-    points = []
-    for combo in itertools.product(rows, repeat=slices):
-        points.append(CondKernel(given, (codomain,), np.stack(combo)))
+    points, orbit, first = [], [], {}
+    for combo in itertools.product(list(_compositions(n, k)), repeat=slices):
+        points.append(CondKernel(given, (codomain,), np.array(combo, dtype=float) / n))
+        # relabeling the codomain permutes the integer columns
+        orbit.append(first.setdefault(tuple(sorted(zip(*combo))), len(orbit)))
     expected = math.comb(n + k - 1, k - 1) ** slices
     assert len(points) == expected
-    return SimplexGrid(free_dims=k - 1, step=step, points=tuple(points))
+    return SimplexGrid(free_dims=k - 1, step=step, points=tuple(points), orbit=tuple(orbit))

@@ -11,20 +11,24 @@ def admissible_kernels():
     ``admissible_kernels(points, rate_of_w, n_given, out_axis)`` rebuilds the
     grid each point was solved on and applies the band [R' - eps, R'] to
     ``rate_of_w`` of every kernel, with R', eps and the step read from the
-    point's extras.
+    point's extras. It returns the bands and a map from each pair to its
+    orbit, (step, sorted kernel columns): a relabeling of the codomain
+    permutes the columns.
     """
 
     def find(points, rate_of_w, n_given, out_axis):
-        rates = {}
-        bands = []
+        rates, bands, orbit = {}, [], {}
         for pt in points:
             step = pt.extras["grid_step"]
             if step not in rates:
-                rates[step] = [rate_of_w(w) for w in simplex_grid(n_given, out_axis, step).points]
+                kernels = simplex_grid(n_given, out_axis, step).points
+                rates[step] = [rate_of_w(w) for w in kernels]
+                for i, w in enumerate(kernels):
+                    orbit[step, i] = step, tuple(sorted(map(tuple, w.probs.T)))
             hi = pt.extras["clamped_r_prime"] + 1e-12
             lo = hi - pt.extras["epsilon"] - 2e-12
             bands.append({(step, i) for i, rw in enumerate(rates[step]) if lo <= rw <= hi})
-        return bands
+        return bands, orbit
 
     return find
 

@@ -33,8 +33,10 @@ from sideinfo.probability import (
     conditional_entropy,
     conditional_mutual_information,
     chain,
+    mutual_information,
     simplex_grid,
 )
+from sideinfo.cli import main
 from sideinfo.problems import example1_channel
 from sideinfo.strategies import enumerate_strategies
 
@@ -77,6 +79,35 @@ class TestDescriptionRate:
         joint = chain(ch.state_joint, w, bind=(1,))
         direct = conditional_mutual_information(joint, (2,), (1,), (0,))
         assert r_w(ch, w) == pytest.approx(direct, abs=1e-12)
+
+
+class TestRelabelingInvariance:
+    """A kernel and its V2-relabeling share rates and, within their gaps, inner optima."""
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_v2=st.integers(2, 3), dead=st.booleans())
+    def test_permuted_columns(self, seed, n_v2, dead):
+        rng = np.random.default_rng(seed)
+        ch, _ = random_case2_instance(rng)
+        wp = rng.random((2, n_v2)) + 0.05
+        if dead:
+            wp[:, 0] = 0.0  # a v2 without mass
+        wp /= wp.sum(axis=1, keepdims=True)
+        v2 = Alphabet(n_v2, "V2")
+        w = CondKernel((ch.s2,), (v2,), wp)
+        relabeled = CondKernel((ch.s2,), (v2,), wp[:, rng.permutation(n_v2)])
+
+        for rate in (r_w, _causal_rate):
+            assert abs(rate(ch, w) - rate(ch, relabeled)) <= 1e-12
+        joint = chain(ch.state_joint, w, bind=(1,))
+        direct = mutual_information(joint, (2,), (1,)) - mutual_information(joint, (2,), (0,))
+        assert abs(direct - r_w(ch, w)) <= 1e-12
+
+        opts = Case2Options(delta=1e-6, max_inner_iters=100000)
+        for solve in (inner_max, causal_inner_max):
+            a, b = solve(ch, w, opts), solve(ch, relabeled, opts)
+            assert a.status == b.status == "ok"
+            assert abs(a.value - b.value) <= a.gap + b.gap + 1e-12
 
 
 class TestInnerMax:
@@ -226,11 +257,12 @@ class TestCapacityCurve:
         assert a.winning_w == b.winning_w and a.value == b.value
 
     def test_losing_kernels_that_did_not_converge_are_counted(self):
-        # five kernels [a, 1 - a], all admissible; the winner a = 1 is "ok"
-        # but the losers a = 0.25 and a = 0.5 are not
+        # five kernels [a, 1 - a], all admissible, valued by their larger entry
+        # m, which a relabeling keeps; the winners m = 1 are "ok" but the
+        # losers m = 0.75 (two kernels) and m = 0.5 are not
         def solve_w(w):
-            a = float(w.probs[0, 0])
-            return a, 1, 0.0, "inner-nonconverged" if a in (0.25, 0.5) else "ok", {}
+            m = float(w.probs.max())
+            return m, 1, 0.0, "inner-nonconverged" if m < 1.0 else "ok", {}
 
         (point,) = _grid_sweep(
             rate_of_w=lambda w: 0.0,
@@ -241,8 +273,8 @@ class TestCapacityCurve:
             opts=Case2Options(epsilon=0.1, grid_step=0.25),
             maximize=True,
         )
-        assert point.value == 1.0 and point.status == "ok"
-        assert point.extras["kernels_not_ok"] == 2
+        assert point.value == 1.0 and point.status == "ok" and point.winning_w == 0
+        assert point.extras["kernels_not_ok"] == 3
 
 
 class TestCausal:
@@ -362,6 +394,46 @@ class TestCurveIsOneSweep:
         assert refined == [0.125] * (0 if epsilon is None else self.REFINED[causal])
 
     @pytest.mark.parametrize("causal", [False, True])
+    def test_sweep_equals_solving_every_admissible_kernel(self, causal, admissible_kernels):
+        ch, opts = example1_channel(), Case2Options(grid_step=0.25)
+        solve, rate = (causal_inner_max, _causal_rate) if causal else (inner_max, r_w)
+        sweep = capacity_case2_sweep(ch, self.R_PRIMES[causal], opts, causal=causal)
+        bands, _ = admissible_kernels(sweep, lambda w: rate(ch, w), ch.s2.size, V2)
+        kernels = simplex_grid(ch.s2.size, V2, 0.25).points
+        reports = {}
+        for pt, band in zip(sweep, bands):
+            assert pt.extras["grid_step"] == 0.25
+            best = None
+            for _, i in sorted(band):
+                if i not in reports:
+                    reports[i] = solve(ch, kernels[i], opts)
+                if best is None or reports[i].value > reports[best].value + 1e-9:
+                    best = i
+            rep = reports[best]
+            want = (best, rep.value, rep.iterations, rep.gap, rep.status, rate(ch, kernels[best]))
+            assert (pt.winning_w, pt.raw_value, pt.iterations, pt.gap, pt.status, pt.winning_r_w) == want
+
+    def test_readme_grid_solves_each_orbit_once(self, monkeypatch, capsys):
+        # the README capacity-case2 curve: 441 kernels in 221 orbits, of which
+        # 439 kernels in 220 orbits are admissible at some R'
+        calls = {"inner_max": 0, "r_w": 0}
+
+        def counted(name):
+            fn = getattr(sideinfo.case2, name)
+
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(sideinfo.case2, name, counted(name))
+        argv = "capacity-case2 --problem builtin:example1 --rprime-grid 0:0.72:0.06"
+        assert main(argv.split()) == 0
+        assert calls == {"inner_max": 220, "r_w": 221}
+
+    @pytest.mark.parametrize("causal", [False, True])
     def test_each_admissible_kernel_solved_once(self, causal, monkeypatch, admissible_kernels):
         ch = example1_channel()
         opts = Case2Options(epsilon=0.05, grid_step=0.25)
@@ -373,8 +445,9 @@ class TestCurveIsOneSweep:
         for _ in range(2):  # the second sweep starts from nothing again
             calls.clear()
             sweep = capacity_case2_sweep(ch, self.R_PRIMES[causal], opts, causal=causal)
-            bands = admissible_kernels(sweep, lambda w: rate(ch, w), ch.s2.size, V2)
-            assert len(calls) == len(set().union(*bands)) < sum(map(len, bands))
+            bands, orbit = admissible_kernels(sweep, lambda w: rate(ch, w), ch.s2.size, V2)
+            admissible = set().union(*bands)
+            assert len(calls) == len({orbit[k] for k in admissible}) < len(admissible)
             assert sum(pt.extras["kernels_solved"] for pt in sweep) == len(calls)
             assert [pt.extras["kernels_admissible"] for pt in sweep] == [len(b) for b in bands]
             assert {step for b in bands for step, _ in b} == {0.25, 0.125}

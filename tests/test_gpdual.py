@@ -22,7 +22,7 @@ from sideinfo.gpdual import (
     wz_rate_via_gp,
 )
 from sideinfo.evaluators import example2_closed_form
-from sideinfo.probability import Alphabet, CondKernel, JointPmf
+from sideinfo.probability import Alphabet, CondKernel, JointPmf, simplex_grid
 from sideinfo.problems import example2_source, example3_source, example4_source
 
 
@@ -278,6 +278,33 @@ class TestCase1Dual:
         assert p_case1.var_labels[:3] == ["alpha[0,0,0]", "alpha[1,0,0]", "gamma"]
         assert solve_gp(p_wz).slater_ok
 
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n_v1=st.integers(2, 3), dead=st.booleans(),
+        frac=st.floats(0.05, 0.95),
+    )
+    def test_relabeled_description_shares_rate_and_program_value(self, seed, n_v1, dead, frac):
+        # a random source p(x, s1, s2) on binary letters with xhat = x free of
+        # distortion, and a kernel w(v1|s1) against its columns permuted
+        rng = np.random.default_rng(seed)
+        x, s1, s2 = Alphabet(2, "X"), Alphabet(2, "S1"), Alphabet(2, "S2")
+        p = rng.random((2, 2, 2)) + 0.02
+        d = rng.random((2, 2)) + 0.1
+        np.fill_diagonal(d, 0.0)
+        src = SourceInstance(x, x, s1, s2, JointPmf((x, s1, s2), p / p.sum()), d)
+        wp = rng.random((2, n_v1)) + 0.05
+        if dead:
+            wp[:, 0] = 0.0  # a v1 without mass
+        wp /= wp.sum(axis=1, keepdims=True)
+        v1 = Alphabet(n_v1, "V1")
+        w = CondKernel((s1,), (v1,), wp)
+        relabeled = CondKernel((s1,), (v1,), wp[:, rng.permutation(n_v1)])
+        assert abs(description_rate_case1(src, w) - description_rate_case1(src, relabeled)) <= 1e-12
+        target = frac * d.max()
+        a, b = (solve_gp(build_case1_rd_gp(src, k, target)) for k in (w, relabeled))
+        assert a.certified and b.certified
+        assert abs(a.value - b.value) <= a.gap_bound + b.gap_bound + 1e-12
+
     def test_variable_count_binary_two_descriptions(self):
         src = example4_source()
         w = CondKernel((src.s1,), (Alphabet(2, "V1"),), np.array([[0.7, 0.3], [0.2, 0.8]]))
@@ -359,6 +386,29 @@ class TestCase1CurveIsOneSweep:
         refined = [pt.extras["grid_step"] for pt in sweep if pt.extras["grid_step"] != 0.25]
         assert refined == ([] if epsilon is None else [0.125])
 
+    def test_sweep_equals_solving_every_admissible_kernel(self, admissible_kernels):
+        src, opts, v1 = example2_source(), Case1Options(grid_step=0.25), Alphabet(2, "V1")
+        sweep = rd_case1_sweep(src, 0.1, self.R_PRIMES, opts)
+
+        def rate(w):
+            return description_rate_case1(src, w)
+
+        bands, _ = admissible_kernels(sweep, rate, src.s1.size, v1)
+        kernels = simplex_grid(src.s1.size, v1, 0.25).points
+        reports = {}
+        for pt, band in zip(sweep, bands):
+            assert pt.extras["grid_step"] == 0.25
+            best = None
+            for _, i in sorted(band):
+                if i not in reports:
+                    rep = solve_gp(build_case1_rd_gp(src, kernels[i], 0.1))
+                    reports[i] = (max(rep.value / LN2, 0.0), rep.newton_steps, rep.gap_bound / LN2,
+                                  "ok" if rep.certified else "uncertified")
+                if best is None or reports[i][0] < reports[best][0] - 1e-9:
+                    best = i
+            got = (pt.winning_w, pt.raw_value, pt.iterations, pt.gap, pt.status, pt.winning_r_w)
+            assert got == (best, *reports[best], rate(kernels[best]))
+
     def test_each_admissible_kernel_solved_once(self, monkeypatch, admissible_kernels):
         src, opts = example2_source(), Case1Options(epsilon=0.05, grid_step=0.25)
         solve = sideinfo.gpdual.solve_gp
@@ -367,10 +417,11 @@ class TestCase1CurveIsOneSweep:
         for _ in range(2):  # the second sweep starts from nothing again
             calls.clear()
             sweep = rd_case1_sweep(src, 0.1, self.R_PRIMES, opts)
-            bands = admissible_kernels(
+            bands, orbit = admissible_kernels(
                 sweep, lambda w: description_rate_case1(src, w), src.s1.size, Alphabet(2, "V1")
             )
-            assert len(calls) == len(set().union(*bands)) < sum(map(len, bands))
+            admissible = set().union(*bands)
+            assert len(calls) == len({orbit[k] for k in admissible}) < len(admissible)
             assert sum(pt.extras["kernels_solved"] for pt in sweep) == len(calls)
             assert [pt.extras["kernels_admissible"] for pt in sweep] == [len(b) for b in bands]
             assert {step for b in bands for step, _ in b} == {0.25, 0.125}

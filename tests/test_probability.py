@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -214,6 +215,25 @@ class TestSimplexGrid:
     def test_non_divisor_step_rejected(self):
         with pytest.raises(ProbabilityError):
             simplex_grid(1, A2, 0.3)
+
+    @pytest.mark.parametrize("slices, codomain, step", [(2, A2, 0.05), (2, C3, 0.25), (3, C3, 0.5)])
+    def test_orbit_is_smallest_index_of_relabelings(self, slices, codomain, step):
+        g = simplex_grid(slices, codomain, step)
+        index = {k.probs.tobytes(): i for i, k in enumerate(g.points)}
+        perms = list(itertools.permutations(range(codomain.size)))
+        expected = [min(index[k.probs[:, perm].tobytes()] for perm in perms) for k in g.points]
+        assert list(g.orbit) == expected
+        reps = set(expected)
+        assert all(g.orbit[r] == r for r in reps)
+        if codomain.size == 2:
+            assert len(reps) == 221  # 441 kernels: 21 are their own swap, 420 pair up
+        else:
+            # Burnside over the 6 permutations of three letters: a row is fixed
+            # by a swap when the swapped entries agree, by a 3-cycle when all do
+            n = round(1 / step)
+            rows, swap_fixed, cycle_fixed = math.comb(n + 2, 2), n // 2 + 1, int(n % 3 == 0)
+            burnside = (rows**slices + 3 * swap_fixed**slices + 2 * cycle_fixed**slices) // 6
+            assert len(reps) == burnside
 
 
 @settings(max_examples=60, deadline=None)
