@@ -17,7 +17,8 @@
 ``alternating_strategy_max`` is the one alternating iteration, with one
 step and one certificate, the concavity bound U(q): classic capacity, these
 oracles, both state-description capacity solvers and every multiplier probe
-run on it; capacity tables come from ``_strategy_tables``.
+run on it; capacity tables come from ``_strategy_tables``. It returns its log
+tables and shares one set of strategy functionals with the helpers and the sweep.
 
 All values are in bits. Every report carries a certified optimality gap.
 """
@@ -40,8 +41,6 @@ from .probability import (
 from .strategies import StrategySpace, enumerate_strategies, lift_source
 
 LN2 = math.log(2.0)
-# floor for log-probabilities (natural log); exp(LOG_FLOOR) underflows to ~1e-304
-LOG_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -124,6 +123,8 @@ class SolverOptions:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and > 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -164,10 +165,11 @@ def ba_capacity(kernel, opts: SolverOptions | None = None) -> SolveReport:
     """
     opts = opts or SolverOptions()
     p = _as_channel_matrix(kernel)
-    value, gap, iters, q, _, trace, ok = alternating_strategy_max(
+    value, gap, iters, log_q, _, trace, ok = alternating_strategy_max(
         np.ones(1), p[:, None, :], opts.delta, opts.max_iters
     )
-    return SolveReport(value, gap, iters, q[:, 0], trace, status="ok" if ok else "nonconverged")
+    status = "ok" if ok else "nonconverged"
+    return SolveReport(value, gap, iters, np.exp(log_q[:, 0]), trace, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +318,8 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     ``opts.max_iters`` short of their own gap.
     """
     p_x = p_xs.sum(axis=1)
-    p_s = p_xs.sum(axis=0)
     sup_x = p_x > ZERO_TOL
-    sup_s = p_s > ZERO_TOL
     p_s_given_x = np.where(sup_x[:, None], p_xs / np.where(sup_x, p_x, 1.0)[:, None], 0.0)
-    p_x_given_s = np.where(sup_s[None, :], p_xs / np.where(sup_s, p_s, 1.0)[None, :], 0.0)
     least = d_xts.min(axis=1)
     offset = float((p_xs * least).sum())
     excess = d_xts - least[:, None, :]
@@ -340,21 +339,15 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
         status = "distortion-floor"
         target = d_floor
 
-    def measure(q):
-        """Exact (rate, dist, q) of the test channel q(t|x)."""
-        big_q = p_x_given_s.T @ q  # (S, T)
-        mask_q = q > ZERO_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logq = np.where(mask_q, np.log2(np.where(mask_q, q, 1.0)), 0.0)
-            log_bq = np.where(big_q > ZERO_TOL, np.log2(np.where(big_q > ZERO_TOL, big_q, 1.0)), 0.0)
-        weights = p_x[:, None] * q
-        rate = float((weights * np.where(mask_q, logq - p_s_given_x @ log_bq, 0.0)).sum())
-        dist = float((weights * dbar).sum())
-        return max(rate, 0.0), dist, q
-
     # the negated Lagrangian is the strategy objective with encoder letter x,
     # decoder view s and the linear cost beta * ln 2 * dbar
     p_ote = np.broadcast_to(p_s_given_x, (dbar.shape[1],) + p_s_given_x.shape)
+
+    def measure(q):
+        """Exact (rate, dist, q) of the test channel q(t|x); the rate is -J(q, Q*(q)), no cost."""
+        rate = -_functionals(p_x, p_ote, _log(q.T))[0] / LN2
+        return max(rate, 0.0), float((p_x[:, None] * q * dbar).sum()), q
+
     # the multiplier range follows the per-(x, t, s) excess, not its average
     positive = excess[excess > ZERO_TOL]
     gamma_max = 50.0 / float(positive.min()) if positive.size else 1.0
@@ -365,15 +358,16 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     def probe(beta: float) -> bool:
         """Solve at ``beta``; True when the maximizer of the bound lies above it.
 
-        The probe reports the q update from the engine's posterior, half a
-        step past the engine's q; its gap L(q') + U keeps the lower bound
-        rate + beta * (dist - D) - gap equal to the engine's -U - beta * D.
+        The probe reports the engine's own next table from its log
+        posterior, half a step past its q; its gap L(q') + U keeps the lower
+        bound rate + beta * (dist - D) - gap equal to the engine's -U - beta * D.
         """
         cost = (beta * LN2) * dbar.T
-        value, gap, _, _, big_q, _, _ = alternating_strategy_max(
+        value, gap, _, _, log_big_q, _, _ = alternating_strategy_max(
             p_x, p_ote, inner_delta, opts.max_iters, cost
         )
-        rate, dist, q = measure(_column_softmax(_strategy_scores(p_ote, big_q) - cost).T)
+        nxt = _StrategyModel(p_x, p_ote, cost).scores(log_big_q)
+        rate, dist, q = measure(np.exp(_log_weights(nxt)).T)
         probes.append((beta, rate, dist, max(rate + beta * dist + value + gap, 0.0), q))
         return dist > target
 
@@ -441,6 +435,78 @@ def wz_primal(
 # ---------------------------------------------------------------------------
 
 
+class _StrategyModel:
+    """The strategy functionals of p(e) q(t|e) p(o|t,e) on natural-log tables, in nats.
+
+    ``cost[t, e]`` is in nats; ``live[t, e]`` (default: all) marks the pairs
+    whose weight may be positive. Rows of other pairs and of letters with
+    p(e) <= ZERO_TOL are dropped: a zero weight adds 0 to J (0 log 0 = 0), and
+    a view reached only via zero-mass letters cannot make J nan.
+    """
+
+    def __init__(self, p_e, p_ote, cost=None, live=True):
+        n_t, n_e, n_o = p_ote.shape
+        self.p_e, self.cost, self.live = np.asarray(p_e, dtype=float), cost, live
+        self.sup_e = self.p_e > ZERO_TOL
+        self.pm_mask = (p_ote > ZERO_TOL) & self.sup_e[None, :, None] & np.asarray(live)[..., None]
+        self.pm = np.where(self.pm_mask, p_ote, 0.0)
+        self.ln_pe_pm = _log(self.p_e)[None, :, None] + _log(self.pm)  # constant part of the joint
+        # structural zeros: the (t, o) cells no e reaches, and the views no t reaches
+        self.reach_to = self.pm_mask.any(axis=1)
+        self.reach_o = self.reach_to.any(axis=0)
+        # fixed masks, so skipped cells keep these fills: log p(t, o) is -inf at unreached
+        # cells, uniform at unreached views (log p(o) 0); pm log Q and score - log q are 0
+        self.buf_to = np.tile(np.where(self.reach_o, -np.inf, -math.log(n_t)), (n_t, 1))
+        self.buf_o, self.buf_te = np.zeros(n_o), np.zeros((n_t, n_e))
+        self.buf_terms = np.zeros(p_ote.shape)
+
+    def log_posterior(self, log_q: np.ndarray) -> np.ndarray:
+        """log Q*(t|o), the decoder posterior of q; each log-sum-exp shifts by its max."""
+        joint = self.ln_pe_pm + log_q[:, :, None]
+        m_to = np.where(self.reach_to, joint.max(axis=1), 0.0)
+        log_p_to = np.log(
+            np.exp(joint - m_to[:, None, :]).sum(axis=1), out=self.buf_to, where=self.reach_to
+        ) + m_to
+        m_o = np.where(self.reach_o, log_p_to.max(axis=0), 0.0)
+        log_p_o = np.log(np.exp(log_p_to - m_o).sum(axis=0), out=self.buf_o, where=self.reach_o)
+        return log_p_to - (log_p_o + m_o)
+
+    def scores(self, log_big_q: np.ndarray) -> np.ndarray:
+        """The (T, E) table sum_o p(o|t,e) log Q(t|o) - cost[t, e]."""
+        prod = np.multiply(self.pm, log_big_q[:, None, :], out=self.buf_terms, where=self.pm_mask)
+        return prod.sum(axis=2) if self.cost is None else prod.sum(axis=2) - self.cost
+
+    def bounds(self, log_q: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
+        """(J, U): sum_e p(e) times the q-average, and the max over t, of score - log q."""
+        diff = np.subtract(scores, log_q, out=self.buf_te, where=self.live)
+        j_val = float(np.einsum("e,te,te->", self.p_e, np.exp(log_q), diff))
+        return j_val, float(self.p_e @ np.where(self.sup_e, diff.max(axis=0), 0.0))
+
+
+def _log_weights(table: np.ndarray) -> np.ndarray:
+    """log q(t|e) = s - log sum_t exp(s) from a log-weight table s[t, e].
+
+    The shift-then-clip keeps the normalization exact for extrapolated tables
+    whose entries are too large for the correction to survive rounding.
+    """
+    table = np.maximum(table - table.max(axis=0, keepdims=True), -800.0)
+    return table - np.log(np.exp(table).sum(axis=0))
+
+
+def _log(a) -> np.ndarray:
+    """The natural log of a probability table, with log 0 = -inf."""
+    return np.log(a, out=np.full(a.shape, -np.inf), where=a > 0)
+
+
+def _functionals(p_e, p_ote, log_q, log_big_q=None, cost=None) -> tuple[float, float]:
+    """(J, U) in nats at log q and log Q (default: Q*(q)); a zero weight makes U +inf (-log 0)."""
+    live = log_q > -np.inf
+    f = _StrategyModel(p_e, p_ote, cost, live)
+    log_big_q = f.log_posterior(log_q) if log_big_q is None else log_big_q
+    j_val, u_val = f.bounds(log_q, f.scores(log_big_q))
+    return j_val, u_val if live[:, f.sup_e].all() else math.inf
+
+
 def alternating_strategy_max(
     p_e: np.ndarray,
     p_ote: np.ndarray,
@@ -462,117 +528,49 @@ def alternating_strategy_max(
     recorded trace stays monotone and every certificate is measured at a
     valid distribution.
 
-    Returns (value_bits, gap_bits, iterations, q, big_q, trace, converged);
-    ``q`` is (T, E) and ``big_q`` is (T, O).
+    Each step runs the one set of strategy functionals (``_StrategyModel``).
+    Returns (value_bits, gap_bits, iterations, log_q, log_big_q, trace, converged):
+    the natural-log tables (T, E) and (T, O) of the gap, finite where weights underflow.
     """
-    n_t, n_e, n_o = p_ote.shape
-    p_e = np.asarray(p_e, dtype=float)
-    sup_e = p_e > ZERO_TOL
-    # drop the rows of zero-mass letters: a view reached only through them makes J 0 * nan
-    pm = np.where((p_ote > ZERO_TOL) & sup_e[None, :, None], p_ote, 0.0)
-    pm_mask = pm > 0
-    with np.errstate(divide="ignore"):
-        ln_pm = np.where(pm_mask, np.log(np.where(pm_mask, pm, 1.0)), -np.inf)
-        ln_pe = np.where(sup_e, np.log(np.where(sup_e, p_e, 1.0)), -np.inf)
-    ln_pe_pm = ln_pe[None, :, None] + ln_pm  # constant part of the joint
-    # structural zeros: the (t, o) cells no e reaches, and the views no t reaches
-    reach_to = pm_mask.any(axis=1)
-    reach_o = reach_to.any(axis=0)
-    # work buffers for the masked ufuncs below; the cells they skip keep these fills
-    buf_to = np.full((n_t, n_o), -np.inf)  # log p(t, o) at unreached cells
-    buf_o = np.zeros(n_o)  # a finite stand-in for log p(o) at unreached views
-    buf_terms = np.zeros(pm.shape)  # pm * log Q(t|o) off pm's support
+    f = _StrategyModel(p_e, p_ote, cost)
 
     def step(table):
-        """One alternating cycle from the log-weight table s[t, e].
-
-        The shift-then-clip keeps the normalization exact for extrapolated
-        tables whose entries would otherwise be too large for the correction
-        to survive floating-point rounding. It also makes each column's max
-        exactly 0, so the first log-sum-exp needs no shift. The other two
-        shift by their max where a cell is reached and take no log elsewhere:
-        log p(t, o) is -inf at unreached cells, and log Q(t|o) is -inf at
-        unreached views.
-        """
-        table = np.maximum(table - table.max(axis=0, keepdims=True), -800.0)
-        logq = table - np.log(np.exp(table).sum(axis=0))
-        q = np.exp(logq)
-        joint = ln_pe_pm + logq[:, :, None]
-        m_to = np.where(reach_to, joint.max(axis=1), 0.0)
-        log_p_to = np.log(
-            np.exp(joint - m_to[:, None, :]).sum(axis=1), out=buf_to, where=reach_to
-        ) + m_to
-        m_o = np.where(reach_o, log_p_to.max(axis=0), 0.0)
-        log_p_o = np.log(
-            np.exp(log_p_to - m_o).sum(axis=0), out=buf_o, where=reach_o
-        ) + m_o
-        log_big_q = log_p_to - log_p_o
-        nxt = np.multiply(
-            pm, log_big_q[:, None, :], out=buf_terms, where=pm_mask
-        ).sum(axis=2)
-        if cost is not None:
-            nxt -= cost
-        diff = nxt - logq
-        j_val = float(np.einsum("e,te,te->", p_e, q, diff))
-        u_val = float(p_e @ np.where(sup_e, diff.max(axis=0), 0.0))
-        out = (j_val, u_val, logq, log_big_q)
-        return nxt, j_val, u_val - j_val < delta_bits * LN2, out
+        """One alternating cycle from the log-weight table s[t, e]."""
+        log_q = _log_weights(table)
+        log_big_q = f.log_posterior(log_q)
+        nxt = f.scores(log_big_q)
+        j_val, u_val = f.bounds(log_q, nxt)
+        return nxt, j_val, u_val - j_val < delta_bits * LN2, (j_val, u_val, log_q, log_big_q)
 
     trace: list[tuple[float, float]] = []
     iters, _, state = _accelerated_fixed_point(
-        step, np.full((n_t, n_e), -math.log(n_t)), max_iters,
+        step, np.full(p_ote.shape[:2], -math.log(p_ote.shape[0])), max_iters,
         record=lambda out: trace.append((out[0] / LN2, out[1] / LN2)),
     )
-    j_val, u_val, logq, log_big_q = state
+    j_val, u_val, log_q, log_big_q = state
     gap = max(u_val - j_val, 0.0)
-    converged = gap < delta_bits * LN2
-    return j_val / LN2, gap / LN2, iters, np.exp(logq), np.exp(log_big_q), trace, converged
-
-
-def _floored_log(a: np.ndarray) -> np.ndarray:
-    return np.where(a > ZERO_TOL, np.log(np.where(a > ZERO_TOL, a, 1.0)), LOG_FLOOR)
-
-
-def _strategy_scores(p_ote, big_q) -> np.ndarray:
-    """The (T, E) table sum_o p(o|t,e) log Q(t|o), with log Q floored where Q vanishes."""
-    pm = np.where(p_ote > ZERO_TOL, p_ote, 0.0)
-    return np.einsum("teo,to->te", pm, _floored_log(big_q))
+    return j_val / LN2, gap / LN2, iters, log_q, log_big_q, trace, gap < delta_bits * LN2
 
 
 def strategy_bound(p_e, p_ote, q, big_q) -> float:
-    """The dominance bound U(q) in bits for given q(t|e) and Q(t|o)."""
-    diff = _strategy_scores(p_ote, big_q) - _floored_log(q)
-    sup_e = p_e > ZERO_TOL
-    return float(p_e @ np.where(sup_e, diff.max(axis=0), 0.0)) / LN2
+    """The dominance bound U(q) in bits for given q(t|e) and Q(t|o); +inf where q has a zero."""
+    return _functionals(p_e, p_ote, _log(q), _log(big_q))[1] / LN2
 
 
 def strategy_objective(p_e, p_ote, q, big_q) -> float:
-    """The objective J(q, Q) in bits for given q(t|e) and Q(t|o)."""
-    diff = _strategy_scores(p_ote, big_q) - _floored_log(q)
-    return float(np.einsum("e,te,te->", p_e, q, diff)) / LN2
+    """The objective J(q, Q) in bits for given q(t|e) and Q(t|o), with 0 log 0 = 0."""
+    return _functionals(p_e, p_ote, _log(q), _log(big_q))[0] / LN2
 
 
 def strategy_posterior(p_e, p_ote, q) -> np.ndarray:
-    """The maximizing decoder posterior Q*(t|o) for a given q(t|e).
-
-    Unreachable decoder views keep a uniform column.
-    """
-    n_t = p_ote.shape[0]
-    pm = np.where(p_ote > ZERO_TOL, p_ote, 0.0)
-    p_to = np.einsum("e,te,teo->to", p_e, q, pm)
-    p_o = p_to.sum(axis=0)
-    return np.where(p_o[None, :] > ZERO_TOL, p_to / np.where(p_o > ZERO_TOL, p_o, 1.0), 1.0 / n_t)
-
-
-def _column_softmax(scores: np.ndarray) -> np.ndarray:
-    """exp(scores) normalized down each column."""
-    q = np.exp(scores - scores.max(axis=0))
-    return q / q.sum(axis=0)
+    """The maximizing decoder posterior Q*(t|o) for a given q(t|e), uniform at unreached views."""
+    log_q = _log(q)
+    return np.exp(_StrategyModel(p_e, p_ote, live=log_q > -np.inf).log_posterior(log_q))
 
 
 def strategy_q_update(p_ote, big_q) -> np.ndarray:
     """The maximizing q*(t|e) for a given decoder posterior Q(t|o)."""
-    return _column_softmax(_strategy_scores(p_ote, big_q))
+    return np.exp(_log_weights(_StrategyModel(np.ones(p_ote.shape[1]), p_ote).scores(_log(big_q))))
 
 
 def _axis_indices(names: Sequence[str]) -> tuple[int, ...]:
@@ -655,21 +653,17 @@ def gp_channel_capacity(
     the decoder observes Y plus ``decoder_axes``.
     """
     opts = opts or SolverOptions()
+    given = tuple((ch.s1, ch.s2)[i] for i in _axis_indices(encoder_axes))
     if strategies is None:
-        enc = _axis_indices(encoder_axes)
-        axes = tuple((ch.s1, ch.s2)[i] for i in enc)
-        strategies = enumerate_strategies(axes, ch.x)
+        strategies = enumerate_strategies(given, ch.x)
     p_e, p_ote = strategy_channel_tables(ch, encoder_axes, decoder_axes, strategies)
-    value, gap, iters, q, big_q, trace, ok = alternating_strategy_max(
+    value, gap, iters, log_q, log_big_q, trace, ok = alternating_strategy_max(
         p_e, p_ote, opts.delta, opts.max_iters
     )
-    enc = _axis_indices(encoder_axes)
-    given = tuple((ch.s1, ch.s2)[i] for i in enc)
-    arg = CondKernel(given, (strategies.alphabet,), q.T.reshape(
-        tuple(a.size for a in given) + (len(strategies),)
-    ))
+    shape = tuple(a.size for a in given) + (len(strategies),)
+    arg = CondKernel(given, (strategies.alphabet,), np.exp(log_q).T.reshape(shape))
     return SolveReport(
         value, gap, iters, arg, trace,
         status="ok" if ok else "nonconverged",
-        extras={"decoder_posterior": big_q, "strategies": strategies},
+        extras={"decoder_posterior": np.exp(log_big_q), "strategies": strategies},
     )

@@ -19,11 +19,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ba import (
+    LN2,
     ChannelInstance,
     SolveReport,
+    _functionals,
     _strategy_tables,
     alternating_strategy_max,
-    strategy_bound,
 )
 from .probability import (
     Alphabet,
@@ -35,6 +36,7 @@ from .probability import (
     conditional_entropy,
     conditional_mutual_information,
     entropy,
+    grid_divisions,
     mutual_information,
     simplex_grid,
 )
@@ -48,9 +50,9 @@ class Case2Options:
     epsilon: half-width of the admissibility band on R_w; ``None`` selects
         max(0.02, coarsest gap between adjacent grid R_w values).
     delta: inner termination gap in bits.
-    grid_step: spacing of the description-kernel grid.
+    grid_step: spacing of the description-kernel grid; it must divide 1.
     v2_size: description alphabet size.
-    max_inner_iters: inner iteration cap.
+    max_inner_iters: inner iteration cap, at least 1.
     """
 
     epsilon: float | None = None
@@ -64,10 +66,11 @@ class Case2Options:
             raise ValueError("epsilon must be finite and > 0")
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and > 0")
-        if not 0 < self.grid_step <= 1:
-            raise ValueError("grid_step must be in (0, 1]")
+        grid_divisions(self.grid_step)
         if self.v2_size < 1:
             raise ValueError("v2_size must be >= 1")
+        if self.max_inner_iters < 1:
+            raise ValueError("max_inner_iters must be >= 1")
 
 
 @dataclass
@@ -129,57 +132,51 @@ def inner_max(
     Alternates q <- q* (exponential update weighted by p(s2,y|t,s1,v2)) and
     Q <- Q* (posterior of t given the decoder view), starting from uniform Q,
     and stops once the dominance bound U(q) is within delta of J(q, Q).
+    ``extras["log_q"]`` and ``extras["log_posterior"]`` hold the natural logs of ``argopt``
+    and the posterior as solved; ``u_w_bound`` re-checks the certificate from them exactly.
     """
     opts = opts or Case2Options()
     v2_axis = w.out_axes[0]
     if strategies is None:
         strategies = enumerate_strategies((ch.s1, v2_axis), ch.x)
     p_e, p_ote = _inner_tables(ch, w, strategies)
-    value, gap, iters, q, big_q, trace, ok = alternating_strategy_max(
+    value, gap, iters, log_q, log_big_q, trace, ok = alternating_strategy_max(
         p_e, p_ote, opts.delta, opts.max_inner_iters
     )
-    n_t = len(strategies)
-    empty = big_q.sum(axis=0) <= 0  # unreachable decoder views: keep uniform
-    big_q = big_q.copy()
-    big_q[:, empty] = 1.0 / n_t
-    arg = CondKernel(
-        (ch.s1, v2_axis),
-        (strategies.alphabet,),
-        q.T.reshape(ch.s1.size, v2_axis.size, n_t),
-    )
-    posterior = CondKernel(
-        (ch.y, ch.s2, v2_axis),
-        (strategies.alphabet,),
-        big_q.T.reshape(ch.y.size, ch.s2.size, v2_axis.size, n_t),
-    )
+    log_q = log_q.T.reshape(ch.s1.size, v2_axis.size, -1)
+    log_posterior = log_big_q.T.reshape(ch.y.size, ch.s2.size, v2_axis.size, -1)
+    arg = CondKernel((ch.s1, v2_axis), (strategies.alphabet,), np.exp(log_q))
+    posterior = CondKernel((ch.y, ch.s2, v2_axis), (strategies.alphabet,), np.exp(log_posterior))
     return SolveReport(
         value, gap, iters, arg, trace,
         status="ok" if ok else "inner-nonconverged",
-        extras={"posterior": posterior, "strategies": strategies},
+        extras={"posterior": posterior, "log_q": log_q, "log_posterior": log_posterior,
+                "strategies": strategies},
     )
 
 
 def u_w_bound(
     ch: ChannelInstance,
     w: CondKernel,
-    q: CondKernel,
-    posterior: CondKernel,
+    log_q: np.ndarray,
+    log_posterior: np.ndarray,
     strategies: StrategySpace | None = None,
 ) -> float:
-    """Dominance bound U(q) in bits for given q(t|s1,v2) and Q(t|y,s2,v2).
+    """Dominance bound U(q) in bits from log q(t|s1,v2) and log Q(t|y,s2,v2).
 
-    Always at least J(q, Q*) and equal to the inner optimum at its fixed point.
+    The natural-log tables are laid out as ``inner_max``'s ``extras["log_q"]``
+    and ``extras["log_posterior"]``. Always at least J(q, Q*) and equal to the
+    inner optimum at its fixed point.
     """
     v2_axis = w.out_axes[0]
-    n_t = q.out_axes[0].size
+    n_t = log_q.shape[-1]
     if strategies is None:
         strategies = enumerate_strategies((ch.s1, v2_axis), ch.x)
     if len(strategies) != n_t:
         raise ProbabilityError("strategy count does not match q's codomain")
     p_e, p_ote = _inner_tables(ch, w, strategies)
-    q_te = q.probs.reshape(-1, n_t).T
-    big_q = posterior.probs.reshape(-1, n_t).T
-    return strategy_bound(p_e, p_ote, q_te, big_q)
+    u = _functionals(p_e, p_ote, log_q.reshape(-1, n_t).T, log_posterior.reshape(-1, n_t).T)[1]
+    return u / LN2
 
 
 def _auto_epsilon(rws: Sequence[float]) -> float:
@@ -363,11 +360,12 @@ def causal_inner_max(
     s1s, s2s, v2s = np.indices(joint3.shape).reshape(3, -1)
     states = zip(joint3.ravel(), s1s, s2s, v2s, s1s, s2s * n_v2 + v2s)
     p_e, p_ote = _strategy_tables(ch, strategies, states, n_v2, joint3[0].size * ch.y.size)
-    value, gap, iters, q, _, trace, ok = alternating_strategy_max(
+    value, gap, iters, log_q, _, trace, ok = alternating_strategy_max(
         p_e, p_ote, opts.delta, opts.max_inner_iters
     )
+    arg = CondKernel((w.out_axes[0],), (strategies.alphabet,), np.exp(log_q).T)
     return SolveReport(
-        value, gap, iters, CondKernel((w.out_axes[0],), (strategies.alphabet,), q.T), trace,
+        value, gap, iters, arg, trace,
         status="ok" if ok else "inner-nonconverged",
         extras={"strategies": strategies},
     )

@@ -29,6 +29,7 @@ from .probability import (
     chain,
     conditional_entropy,
     conditional_mutual_information,
+    grid_divisions,
     marginalize,
     simplex_grid,
 )
@@ -504,8 +505,7 @@ class Case1Options:
     def __post_init__(self) -> None:
         if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and > 0")
-        if not 0 < self.grid_step <= 1:
-            raise ValueError("grid_step must be in (0, 1]")
+        grid_divisions(self.grid_step)
         if self.v1_size < 1:
             raise ValueError("v1_size must be >= 1")
 

@@ -267,17 +267,21 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def grid_divisions(step: float) -> int:
+    """The number of grid steps n = 1 / step; raises unless 0 < step <= 1 divides 1."""
+    n = round(1.0 / step) if 0 < step <= 1 else 0
+    if n < 1 or abs(n * step - 1.0) > 1e-9:
+        raise ProbabilityError(f"grid step must be in (0, 1] and divide 1, got {step}")
+    return n
+
+
 def simplex_grid(slices: int, codomain: Alphabet, step: float) -> SimplexGrid:
     """All kernels with ``slices`` conditioning rows whose entries are multiples of ``step``.
 
     Degenerate kernels (a single codomain atom per row) are corner points of
     every simplex and are therefore always included.
     """
-    if not 0 < step <= 1:
-        raise ProbabilityError(f"step must be in (0, 1], got {step}")
-    n = round(1.0 / step)
-    if abs(n * step - 1.0) > 1e-9:
-        raise ProbabilityError(f"step {step} does not divide 1")
+    n = grid_divisions(step)
     if slices < 1:
         raise ProbabilityError("slices must be >= 1")
     k = codomain.size

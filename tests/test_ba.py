@@ -11,15 +11,18 @@ from sideinfo.ba import (
     SolverOptions,
     _accelerated_fixed_point,
     _assemble_sweep,
+    _functionals,
     alternating_strategy_max,
     ba_capacity,
     ba_rate_distortion,
     gp_channel_capacity,
     pair_source,
+    strategy_bound,
     strategy_objective,
     strategy_posterior,
     wz_primal,
 )
+from sideinfo.case2 import Case2Options
 from sideinfo.probability import Alphabet, CondKernel, JointPmf, binary_entropy
 from sideinfo.problems import example3_source
 
@@ -309,6 +312,15 @@ class TestStrategyCapacity:
         state = JointPmf((s1, s2), np.full((2, 2), 0.25) if sj is None else sj)
         return ChannelInstance(x, y, s1, s2, state, CondKernel((x, s1, s2), (y,), kern))
 
+    def test_bound_is_infinite_at_a_zero_weight(self):
+        # a point mass on one input of a BSC has J = 0, and U over its support
+        # alone would certify it; -log 0 makes the bound +inf instead
+        w = np.array([[0.9, 0.1], [0.1, 0.9]])[:, None, :]
+        q = np.array([[1.0], [0.0]])
+        big_q = strategy_posterior(np.ones(1), w, q)
+        assert strategy_objective(np.ones(1), w, q, big_q) == 0.0
+        assert strategy_bound(np.ones(1), w, q, big_q) == math.inf
+
     def test_state_independent_channel_equals_plain_capacity(self):
         rng = np.random.default_rng(13)
         k = rng.random((2, 2)) + 0.1
@@ -369,8 +381,12 @@ class TestStrategyCapacity:
         p_ote[:, :, 0] += 0.05
         p_ote /= p_ote.sum(axis=2, keepdims=True)
         cost = 2.0 * rng.random((n_t, n_e))
-        _, gap, _, _, _, trace, ok = alternating_strategy_max(p_e, p_ote, 1e-9, 20000, cost)
+        _, gap, _, log_q, log_big_q, trace, ok = alternating_strategy_max(
+            p_e, p_ote, 1e-9, 20000, cost
+        )
         assert ok and gap < 1e-9
+        j_u = np.array(_functionals(p_e, p_ote, log_q, log_big_q, cost)) / LN2
+        assert np.allclose(trace[-1], j_u, rtol=0.0, atol=1e-12)
         assert all(u >= j - 1e-12 for j, u in trace)
         lows = [j for j, _ in trace]
         assert all(b >= a - 1e-12 for a, b in zip(lows, lows[1:]))
@@ -418,6 +434,20 @@ class TestAcceleratedDriver:
         assert _accelerated_fixed_point(step, 1.0, 0, out="init") == (0, 1.0, "init")
         assert evaluated == []
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SolverOptions(max_iters=0),
+            lambda: SolverOptions(max_iters=-3),
+            lambda: Case2Options(max_inner_iters=0),
+        ],
+        ids=["zero", "negative", "inner-zero"],
+    )
+    def test_iteration_cap_below_one_is_rejected(self, make):
+        # a cap below 1 runs no step, which leaves no iterate to report
+        with pytest.raises(ValueError, match="iters must be >= 1"):
+            make()
+
     @staticmethod
     def lagrangian_probe(p_xs, dbar, beta):
         """One multiplier probe as the engine call with a cost: (rate, dist, gap, iterations).
@@ -428,10 +458,10 @@ class TestAcceleratedDriver:
         """
         p_x = p_xs.sum(axis=1)
         p_ote = np.broadcast_to(p_xs / p_x[:, None], (dbar.shape[1],) + p_xs.shape)
-        value, gap, iters, q, _, _, _ = alternating_strategy_max(
+        value, gap, iters, log_q, _, _, _ = alternating_strategy_max(
             p_x, p_ote, 1e-10, 10000, beta * LN2 * dbar.T
         )
-        dist = float(np.einsum("x,tx,xt->", p_x, q, dbar))
+        dist = float(np.einsum("x,tx,xt->", p_x, np.exp(log_q), dbar))
         return -value - beta * dist, dist, gap, iters
 
     @staticmethod

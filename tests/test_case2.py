@@ -158,9 +158,30 @@ class TestDominanceBound:
     def test_fixed_point_gap_closes(self):
         ch = example1_channel()
         rep = inner_max(ch, copy_w(ch), Case2Options(delta=1e-10, max_inner_iters=100000))
-        u = u_w_bound(ch, copy_w(ch), rep.argopt, rep.extras["posterior"])
+        u = u_w_bound(ch, copy_w(ch), rep.extras["log_q"], rep.extras["log_posterior"])
         assert u - rep.value >= -1e-12
         assert u - rep.value < 1e-9
+
+    @pytest.mark.parametrize("index", [2, 27, 44])
+    def test_certificate_rechecks_where_weights_underflow(self, index):
+        # instances of the benchmark's inner-tail stream 1 whose returned q
+        # holds weights below the double range
+        base = np.random.default_rng(1)
+        x, y, s1, s2, v2 = (Alphabet(2, n) for n in ("X", "Y", "S1", "S2", "V2"))
+        for _ in range(index + 1):
+            sj = base.random((2, 2)) + 0.05
+            kern = base.random((2, 2, 2, 2)) + 0.05
+            wp = base.random((2, 2)) + 0.05
+        ch = ChannelInstance(
+            x, y, s1, s2, JointPmf((s1, s2), sj / sj.sum()),
+            CondKernel((x, s1, s2), (y,), kern / kern.sum(axis=3, keepdims=True)),
+        )
+        w = CondKernel((s2,), (v2,), wp / wp.sum(axis=1, keepdims=True))
+        rep = inner_max(ch, w, Case2Options(delta=5e-9, max_inner_iters=10**6))
+        assert rep.status == "ok"
+        assert (rep.argopt.probs == 0.0).any()
+        u = u_w_bound(ch, w, rep.extras["log_q"], rep.extras["log_posterior"])
+        assert -1e-12 <= u - rep.value <= rep.gap + 1e-12
 
     def test_uniform_q_bound_is_strict(self):
         ch = example1_channel()

@@ -241,6 +241,9 @@ class TestCliInputErrors:
             ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--delta", "0"],
             ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0.1", "--grid-step", "0"],
             ["rd-case1", "--problem", "builtin:example2", "--d", "0.1", "--rprime", "0.1", "--grid-step", "0"],
+            ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0.1", "--grid-step", "0.3"],
+            ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid", "0.1", "--grid-step", "0.3"],
+            ["rd-case1", "--problem", "builtin:example2", "--d", "0.1", "--rprime", "0.1", "--grid-step", "0.3"],
             ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid=-0.2:0.2:0.2"],
             ["rd-case1", "--problem", "builtin:example2", "--d", "0.1", "--rprime=-0.1"],
             ["rd-case1", "--problem", "builtin:example2", "--d=-0.1", "--rprime", "0.1"],
