@@ -133,7 +133,7 @@ class SolveReport:
     gap: float
     iterations: int
     argopt: object
-    trace: list[tuple[float, float]]
+    trace: np.ndarray  # (n, 2): (lower, upper) in bits, one row per iteration or stage
     status: str = "ok"
     extras: dict = field(default_factory=dict)
 
@@ -169,7 +169,7 @@ def ba_capacity(kernel, opts: SolverOptions | None = None) -> SolveReport:
         np.ones(1), p[:, None, :], opts.delta, opts.max_iters
     )
     status = "ok" if ok else "nonconverged"
-    return SolveReport(value, gap, iters, np.exp(log_q[:, 0]), trace, status=status)
+    return SolveReport(value, gap, iters, _probs(log_q[:, 0]), trace, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def _norm(a) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _accelerated_fixed_point(step, x, max_iters: int, out=None, record=None):
+def _accelerated_fixed_point(step, x, max_iters: int, out=None, record=None, dist=None):
     """Iterate ``x <- step(x)`` with one squared-extrapolation candidate per two steps.
 
     The candidate is SQUAREM's (Varadhan & Roland 2008) with the step length
@@ -246,9 +246,16 @@ def _accelerated_fixed_point(step, x, max_iters: int, out=None, record=None):
     counted step. Stops once a counted step reports ``done`` or after
     ``max_iters`` counted steps.
 
+    The candidate is formed on the points, but its step length is measured on
+    ``dist(x)``, the distribution a point stands for (default: the point),
+    called on each point of a cycle before it is stepped from: a coordinate
+    such as the log weight of a vanishing strategy drifts at a constant rate,
+    which on the points holds the length at the clamp and overshoots the rest.
+
     Returns (iterations, x, out) after the last counted step; ``out`` is the
     given default when no step ran.
     """
+    dist = dist or (lambda point: point)
     iters, obj = 0, -math.inf
 
     def count(result) -> bool:
@@ -260,18 +267,17 @@ def _accelerated_fixed_point(step, x, max_iters: int, out=None, record=None):
         return done or iters >= max_iters
 
     while iters < max_iters:
-        x0 = x
+        x0, q0 = x, dist(x)
         if count(step(x0)):
             break
-        x1 = x
+        x1, q1 = x, dist(x)
         if count(step(x1)):
             break
-        r = x1 - x0
-        v = x - 2.0 * x1 + x0
-        vn = _norm(v)
+        r = q1 - q0  # SQUAREM's r and v, measured on what the points stand for
+        vn = _norm(dist(x) - q1 - r)
         if vn > 1e-300:
             alpha = -max(1.0, min(_norm(r) / vn, 1e4))
-            cand = step(x0 - 2.0 * alpha * r + alpha * alpha * v)
+            cand = step(x0 - 2.0 * alpha * (x1 - x0) + alpha * alpha * (x - 2.0 * x1 + x0))
             if cand[1] >= obj and count(cand):
                 break
     return iters, x, out
@@ -331,7 +337,7 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
         arg = np.zeros_like(dbar)
         arg[:, int((p_x @ dbar).argmin())] = 1.0
         extras = {"distortion": d_zero_rate + offset, "probes": 0, "probes_capped": 0}
-        return SolveReport(0.0, 0.0, 0, arg, [(0.0, 0.0)], extras=extras)
+        return SolveReport(0.0, 0.0, 0, arg, np.zeros((1, 2)), extras=extras)
 
     status = "ok"
     d_floor = float(p_x @ dbar.min(axis=1))
@@ -386,7 +392,7 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     if gap > opts.delta:
         status = "nonconverged"
     return SolveReport(
-        value, gap, len(probes), arg, [(value, value + gap)], status=status,
+        value, gap, len(probes), arg, np.array([[value, value + gap]]), status=status,
         extras={
             "distortion_floor": d_floor + offset,
             "zero_rate_distortion": d_zero_rate + offset,
@@ -476,10 +482,10 @@ class _StrategyModel:
         prod = np.multiply(self.pm, log_big_q[:, None, :], out=self.buf_terms, where=self.pm_mask)
         return prod.sum(axis=2) if self.cost is None else prod.sum(axis=2) - self.cost
 
-    def bounds(self, log_q: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
+    def bounds(self, q: np.ndarray, log_q: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
         """(J, U): sum_e p(e) times the q-average, and the max over t, of score - log q."""
         diff = np.subtract(scores, log_q, out=self.buf_te, where=self.live)
-        j_val = float(np.einsum("e,te,te->", self.p_e, np.exp(log_q), diff))
+        j_val = float(np.einsum("e,te,te->", self.p_e, q, diff))
         return j_val, float(self.p_e @ np.where(self.sup_e, diff.max(axis=0), 0.0))
 
 
@@ -493,6 +499,17 @@ def _log_weights(table: np.ndarray) -> np.ndarray:
     return table - np.log(np.exp(table).sum(axis=0))
 
 
+def _probs(log_table: np.ndarray) -> np.ndarray:
+    """exp of a natural-log table, with weights below the smallest normal double set to 0.
+
+    A subnormal weight keeps too few bits for a certificate to be re-checked
+    from it, as an underflowed one does; the log table keeps the exact value.
+    """
+    q = np.exp(log_table)
+    q[q < np.finfo(float).tiny] = 0.0
+    return q
+
+
 def _log(a) -> np.ndarray:
     """The natural log of a probability table, with log 0 = -inf."""
     return np.log(a, out=np.full(a.shape, -np.inf), where=a > 0)
@@ -503,7 +520,7 @@ def _functionals(p_e, p_ote, log_q, log_big_q=None, cost=None) -> tuple[float, f
     live = log_q > -np.inf
     f = _StrategyModel(p_e, p_ote, cost, live)
     log_big_q = f.log_posterior(log_q) if log_big_q is None else log_big_q
-    j_val, u_val = f.bounds(log_q, f.scores(log_big_q))
+    j_val, u_val = f.bounds(np.exp(log_q), log_q, f.scores(log_big_q))
     return j_val, u_val if live[:, f.sup_e].all() else math.inf
 
 
@@ -526,30 +543,46 @@ def alternating_strategy_max(
     keeps it valid. Every third iterate is a squared-extrapolation candidate
     in the log-weight table, kept only when it does not decrease J, so the
     recorded trace stays monotone and every certificate is measured at a
-    valid distribution.
+    valid distribution. Its step length is measured on the q(t|e) the tables
+    stand for: in the tables the log weight of a vanishing strategy drifts
+    toward -inf at a near-constant rate, which would hold the length at the
+    clamp and overshoot the strategies that still converge.
 
     Each step runs the one set of strategy functionals (``_StrategyModel``).
     Returns (value_bits, gap_bits, iterations, log_q, log_big_q, trace, converged):
-    the natural-log tables (T, E) and (T, O) of the gap, finite where weights underflow.
+    the natural-log tables (T, E) and (T, O) of the gap, finite where weights underflow,
+    and the (J, U) bits of each iteration as an (iterations, 2) array.
     """
     f = _StrategyModel(p_e, p_ote, cost)
+    last = [None, None, None]  # the table dist normalized last, its log q and its q
+
+    def normalized(table):
+        log_q = _log_weights(table)
+        return table, log_q, np.exp(log_q)
+
+    def dist(table):
+        """q(t|e) of a log-weight table, whose normalization the next step reuses."""
+        if table is not last[0]:
+            last[:] = normalized(table)
+        return last[2]
 
     def step(table):
         """One alternating cycle from the log-weight table s[t, e]."""
-        log_q = _log_weights(table)
+        _, log_q, q = last if table is last[0] else normalized(table)
         log_big_q = f.log_posterior(log_q)
         nxt = f.scores(log_big_q)
-        j_val, u_val = f.bounds(log_q, nxt)
+        j_val, u_val = f.bounds(q, log_q, nxt)
         return nxt, j_val, u_val - j_val < delta_bits * LN2, (j_val, u_val, log_q, log_big_q)
 
     trace: list[tuple[float, float]] = []
     iters, _, state = _accelerated_fixed_point(
         step, np.full(p_ote.shape[:2], -math.log(p_ote.shape[0])), max_iters,
-        record=lambda out: trace.append((out[0] / LN2, out[1] / LN2)),
+        record=lambda out: trace.append(out[:2]), dist=dist,
     )
     j_val, u_val, log_q, log_big_q = state
     gap = max(u_val - j_val, 0.0)
-    return j_val / LN2, gap / LN2, iters, log_q, log_big_q, trace, gap < delta_bits * LN2
+    trace_bits = np.array(trace, dtype=float).reshape(-1, 2) / LN2
+    return j_val / LN2, gap / LN2, iters, log_q, log_big_q, trace_bits, gap < delta_bits * LN2
 
 
 def strategy_bound(p_e, p_ote, q, big_q) -> float:
@@ -661,7 +694,7 @@ def gp_channel_capacity(
         p_e, p_ote, opts.delta, opts.max_iters
     )
     shape = tuple(a.size for a in given) + (len(strategies),)
-    arg = CondKernel(given, (strategies.alphabet,), np.exp(log_q).T.reshape(shape))
+    arg = CondKernel(given, (strategies.alphabet,), _probs(log_q).T.reshape(shape))
     return SolveReport(
         value, gap, iters, arg, trace,
         status="ok" if ok else "nonconverged",

@@ -23,6 +23,7 @@ from .ba import (
     ChannelInstance,
     SolveReport,
     _functionals,
+    _probs,
     _strategy_tables,
     alternating_strategy_max,
 )
@@ -134,6 +135,7 @@ def inner_max(
     and stops once the dominance bound U(q) is within delta of J(q, Q).
     ``extras["log_q"]`` and ``extras["log_posterior"]`` hold the natural logs of ``argopt``
     and the posterior as solved; ``u_w_bound`` re-checks the certificate from them exactly.
+    ``argopt`` holds 0 where a weight is below the smallest normal double.
     """
     opts = opts or Case2Options()
     v2_axis = w.out_axes[0]
@@ -145,7 +147,7 @@ def inner_max(
     )
     log_q = log_q.T.reshape(ch.s1.size, v2_axis.size, -1)
     log_posterior = log_big_q.T.reshape(ch.y.size, ch.s2.size, v2_axis.size, -1)
-    arg = CondKernel((ch.s1, v2_axis), (strategies.alphabet,), np.exp(log_q))
+    arg = CondKernel((ch.s1, v2_axis), (strategies.alphabet,), _probs(log_q))
     posterior = CondKernel((ch.y, ch.s2, v2_axis), (strategies.alphabet,), np.exp(log_posterior))
     return SolveReport(
         value, gap, iters, arg, trace,
@@ -363,7 +365,7 @@ def causal_inner_max(
     value, gap, iters, log_q, _, trace, ok = alternating_strategy_max(
         p_e, p_ote, opts.delta, opts.max_inner_iters
     )
-    arg = CondKernel((w.out_axes[0],), (strategies.alphabet,), np.exp(log_q).T)
+    arg = CondKernel((w.out_axes[0],), (strategies.alphabet,), _probs(log_q).T)
     return SolveReport(
         value, gap, iters, arg, trace,
         status="ok" if ok else "inner-nonconverged",

@@ -340,7 +340,7 @@ def wz_rate_via_gp(
         gap=report.gap_bound / LN2,
         iterations=report.newton_steps,
         argopt=None,
-        trace=[(v / LN2, v / LN2) for v in report.stage_values],
+        trace=np.repeat(np.array(report.stage_values, dtype=float)[:, None] / LN2, 2, axis=1),
         status=status,
         extras=extras,
     )

@@ -183,11 +183,11 @@ class TestCli:
         [
             (
                 "capacity-case2 --problem builtin:example1 --rprime-grid 0:0.72:0.06",
-                "5840776e59f30de777b0e89f8a2686b7221d8a9d2ad7cbc7197040582604ef14",
+                "5b63338e4cffaead9ed05b7ab46f6946e72cf567a8625661b298d57011efc2de",
             ),
             (
                 "capacity-case2c --problem builtin:example1 --rprime-grid 0:0.6:0.2",
-                "b471bff96ff8b68a0ec47de8214b74833b9b7b3e45a0f91f71366efbadd488a6",
+                "f318a022d71dd423ed6052c8ca5982490023484d5f9c5a505206c037a8b2fcc1",
             ),
             (
                 "wz-rate --problem builtin:example3 --d-grid 0:0.3:0.05 --via both",
