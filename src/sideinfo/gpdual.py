@@ -40,12 +40,17 @@ class GpInfeasibleError(RuntimeError):
     """No strictly feasible point could be constructed."""
 
 
+def _as_trace(rows) -> np.ndarray:
+    """(barrier t, objective) pairs as an (n, 2) float array."""
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
 class GpNumericalError(RuntimeError):
     """Newton iteration failed to make progress."""
 
-    def __init__(self, message: str, trace=None):
+    def __init__(self, message: str, trace=()):
         super().__init__(message)
-        self.trace = trace or []
+        self.trace = _as_trace(trace)
 
 
 @dataclass
@@ -84,8 +89,17 @@ class GpProblem:
                 raise ValueError("log-sum-exp index out of range")
             if np.unique(g).size != len(g):
                 raise ValueError("log-sum-exp group repeats an index")
+        if not (isinstance(self.nonneg, np.ndarray) and self.nonneg.dtype.kind in "iu"):
+            raise ValueError("nonneg must be an integer array")
         if self.nonneg.size and (self.nonneg.min() < 0 or self.nonneg.max() >= n):
             raise ValueError("nonneg index out of range")
+        for i, ub in self.bounds:
+            if not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+                raise ValueError(f"bound index {i!r} is not an integer in [0, {n})")
+            if not math.isfinite(ub):
+                raise ValueError(f"bound {ub!r} on variable {i} is not finite")
+        if self.start is not None and np.shape(self.start) != (n,):
+            raise ValueError(f"start has shape {np.shape(self.start)}, expected ({n},)")
 
 
 _T0 = 1.0
@@ -105,26 +119,16 @@ class GpReport:
     certified: bool
     slater_ok: bool
     gap_bound: float           # m / t at exit, same units
-    trace: list[tuple[float, float]]        # (barrier t, objective) per Newton iterate
-    stage_values: list[float]  # objective at the end of each barrier stage
+    trace: np.ndarray          # (n, 2): (barrier t, objective) per Newton iterate
+    stage_values: np.ndarray   # objective at the end of each barrier stage
 
 
 def _canonical_rows(p: GpProblem):
     """All affine rows including sign constraints and upper bounds."""
-    n = p.num_vars
-    rows = [p.a_mat]
-    consts = [p.b_vec]
-    for i in p.nonneg:
-        r = np.zeros(n)
-        r[i] = -1.0
-        rows.append(r[None, :])
-        consts.append(np.zeros(1))
-    for i, ub in p.bounds:
-        r = np.zeros(n)
-        r[i] = 1.0
-        rows.append(r[None, :])
-        consts.append(np.array([-ub]))
-    return np.vstack(rows), np.concatenate(consts)
+    eye = np.eye(p.num_vars)  # "0.0 -" below keeps the zeros of the sign rows positive
+    bounds = np.array(p.bounds, dtype=float).reshape(-1, 2)
+    rows = np.vstack([p.a_mat, 0.0 - eye[p.nonneg], eye[bounds[:, 0].astype(np.intp)]])
+    return rows, np.concatenate([p.b_vec, np.zeros(p.nonneg.size), -bounds[:, 1]])
 
 
 class _Barrier:
@@ -277,8 +281,8 @@ def solve_gp(p: GpProblem) -> GpReport:
         certified=bool(slater_ok and gap < _GAP_TOL),
         slater_ok=slater_ok,
         gap_bound=gap,
-        trace=trace,
-        stage_values=stage_values,
+        trace=_as_trace(trace),
+        stage_values=np.array(stage_values, dtype=float),
     )
 
 
@@ -300,9 +304,9 @@ def build_wz_gp(
     """Dual of the Wyner-Ziv problem at distortion D, as a convex program.
 
     Variables are ordered (alpha_x | gamma | y_{x,s,t}); one affine row per
-    (x, t) and one log-sum-exp group per (s, t). Source symbols with zero
-    probability are dropped. The program is posed in nats. It is the
-    case-1 program with a one-letter description (see ``build_case1_rd_gp``).
+    (x, t) and one log-sum-exp group per (s, t). Cells of mass <= ZERO_TOL
+    are absent. The program is posed in nats. It is the case-1 program with a
+    one-letter description (see ``build_case1_rd_gp``).
     """
     if src.s1.size != 1:
         raise ProbabilityError("build_wz_gp uses S2 as the side axis; merge S1 first")
@@ -340,7 +344,7 @@ def wz_rate_via_gp(
         gap=report.gap_bound / LN2,
         iterations=report.newton_steps,
         argopt=None,
-        trace=np.repeat(np.array(report.stage_values, dtype=float)[:, None] / LN2, 2, axis=1),
+        trace=np.repeat(report.stage_values[:, None] / LN2, 2, axis=1),
         status=status,
         extras=extras,
     )
@@ -362,9 +366,14 @@ def build_case1_rd_gp(
     Variables (alpha_{x,s1,v1} | gamma | y_{x,s1,s2,v1,t}); one affine row per
     (x, s1, v1, t) and one log-sum-exp group per (s2, v1, t). Reconstruction
     strategies are maps S2 -> Xhat, applied per v1 (the joint map S2 x V1 ->
-    Xhat decomposes across v1, giving an equivalent, smaller program). Cells
-    of zero probability are dropped. With |V1| = 1 this reduces exactly to
-    the plain Wyner-Ziv dual on the (X, S1) pair source.
+    Xhat decomposes across v1, giving an equivalent, smaller program).
+
+    A cell (x, s1, s2, v1) is in the program exactly when its mass is
+    > ZERO_TOL, and everything else follows from that: the alpha cells are
+    the (x, s1, v1) with a kept cell, the y variables and each row's s2 terms
+    are the kept cells, and each (s2, v1, t) group holds the y variables of
+    its kept cells. With |V1| = 1 this reduces exactly to the plain
+    Wyner-Ziv dual on the (X, S1) pair source.
     """
     if w.given_shape != (src.s1.size,):
         raise ProbabilityError("description kernel must condition on S1")
@@ -390,97 +399,53 @@ def _build_dual(
     if strategies.domain_shape != (src.s2.size,):
         raise ProbabilityError("strategies must map S2 to Xhat")
 
-    n_x, n_s1, n_s2, n_v1 = p4.shape
     n_t = len(strategies)
-    tbl = strategies.tables  # (T, S2)
+    live = p4 > ZERO_TOL  # the cells the program holds
+    kept = live.any(axis=2)  # the alpha cells (x, s1, v1)
+    n_a = int(kept.sum())
+    gamma_idx = n_a
+    n = gamma_idx + 1 + int(live.sum()) * n_t
+    # the variable of y[x, s1, s2, v1, t] and the row of (x, s1, v1, t); -1 where absent
+    y_idx = np.full(live.shape + (n_t,), -1, dtype=np.intp)
+    y_idx[live] = np.arange(gamma_idx + 1, n).reshape(-1, n_t)
+    row_idx = np.full(kept.shape + (n_t,), -1, dtype=np.intp)
+    row_idx[kept] = np.arange(n_a * n_t).reshape(n_a, n_t)
 
-    p_xs1 = p4.sum(axis=(2, 3))
-    p_xs1v1 = p4.sum(axis=2)
-    p_s2v1 = p4.sum(axis=(0, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_s2_given_xs1 = np.where(
-            p_xs1[:, :, None] > ZERO_TOL, p4.sum(axis=3) / p_xs1[:, :, None], 0.0
-        )
-        p_xs1_given_s2v1 = np.where(
-            p_s2v1[None, None, :, :] > ZERO_TOL, p4 / p_s2v1[None, None, :, :], 0.0
-        )
+        # p(s2|x,s1) and log p(x,s1|s2,v1) on the live cells, 0 elsewhere
+        weight = np.where(live, (p4.sum(axis=3) / p4.sum(axis=(2, 3))[:, :, None])[..., None], 0.0)
+        log_post = np.where(live, np.log(p4 / p4.sum(axis=(0, 1))), 0.0)
+    dist = src.distortion[:, strategies.tables.T]  # d(x, t(s2)) as (X, S2, T)
+    gamma_coef = 0.0 - (weight[..., None] * dist[:, None, :, None, :]).sum(axis=2)
 
-    alpha_cells = [
-        (x, s1, v1)
-        for x in range(n_x)
-        for s1 in range(n_s1)
-        for v1 in range(n_v1)
-        if p_xs1v1[x, s1, v1] > ZERO_TOL
-    ]
-    alpha_idx = {cell: i for i, cell in enumerate(alpha_cells)}
-    gamma_idx = len(alpha_cells)
-    labels = [f"alpha[{x}]" if wz_labels else f"alpha[{x},{s1},{v1}]" for x, s1, v1 in alpha_cells]
-    labels.append("gamma")
-    y_idx: dict[tuple[int, int, int, int, int], int] = {}
-    for x in range(n_x):
-        for s1 in range(n_s1):
-            for s2 in range(n_s2):
-                for v1 in range(n_v1):
-                    if p4[x, s1, s2, v1] <= ZERO_TOL:
-                        continue
-                    for t in range(n_t):
-                        y_idx[(x, s1, s2, v1, t)] = len(labels)
-                        cell = (x, s2, t) if wz_labels else (x, s1, s2, v1, t)
-                        labels.append(f"y[{','.join(map(str, cell))}]")
-    n = len(labels)
+    rows = np.arange(n_a * n_t)
+    a_mat = np.zeros((n_a * n_t, n))
+    a_mat[rows, rows // n_t] = 1.0
+    a_mat[rows, gamma_idx] = gamma_coef[kept].ravel()
+    y_rows = np.broadcast_to(row_idx[:, :, None], y_idx.shape)[live]
+    a_mat[y_rows, y_idx[live]] = -weight[live][:, None]
+    b_vec = np.repeat((weight * log_post).sum(axis=2)[kept], n_t)
 
-    rows = []
-    consts = []
-    for (x, s1, v1) in alpha_cells:
-        for t in range(n_t):
-            row = np.zeros(n)
-            row[alpha_idx[(x, s1, v1)]] = 1.0
-            const = 0.0
-            for s2 in range(n_s2):
-                weight = p_s2_given_xs1[x, s1, s2]
-                if weight <= ZERO_TOL:
-                    continue
-                const += weight * math.log(p_xs1_given_s2v1[x, s1, s2, v1])
-                row[gamma_idx] -= weight * float(src.distortion[x, tbl[t, s2]])
-                row[y_idx[(x, s1, s2, v1, t)]] = -weight
-            rows.append(row)
-            consts.append(const)
-
-    groups = []
-    for s2 in range(n_s2):
-        for v1 in range(n_v1):
-            if p_s2v1[s2, v1] <= ZERO_TOL:
-                continue
-            for t in range(n_t):
-                g = [
-                    y_idx[(x, s1, s2, v1, t)]
-                    for x in range(n_x)
-                    for s1 in range(n_s1)
-                    if (x, s1, s2, v1, t) in y_idx
-                ]
-                if g:
-                    groups.append(np.array(g, dtype=np.intp))
+    by_group = y_idx.transpose(2, 3, 4, 0, 1).reshape(-1, p4.shape[0] * p4.shape[1])
+    groups = [g[g >= 0] for g in by_group if g.max() >= 0]
 
     c = np.zeros(n)
-    for cell in alpha_cells:
-        c[alpha_idx[cell]] = p_xs1v1[cell]
+    c[:n_a] = p4.sum(axis=2)[kept]
     c[gamma_idx] = -d_target
 
-    a_mat = np.vstack(rows)
-    b_vec = np.asarray(consts)
     start = np.zeros(n)
     # y below log(1 / #kept (x, s1) cells) keeps every group's log-sum-exp < 0
-    y0 = math.log(1.0 / np.count_nonzero(p_xs1 > ZERO_TOL)) - 0.1
-    for idx in y_idx.values():
-        start[idx] = y0
+    start[gamma_idx + 1 :] = math.log(1.0 / np.count_nonzero(live.any(axis=(2, 3)))) - 0.1
     start[gamma_idx] = 0.1
     # alpha = -max_t(row residual) - 0.1, residual evaluated at (gamma0, y0)
-    per_row = a_mat @ start + b_vec  # alpha coefficients hit zeros in start
-    k = 0
-    for cell in alpha_cells:
-        worst = max(per_row[k : k + n_t])
-        start[alpha_idx[cell]] = -worst - 0.1
-        k += n_t
+    start[:n_a] = -(a_mat @ start + b_vec).reshape(n_a, n_t).max(axis=1) - 0.1
+
+    alpha_cells, y_cells = np.argwhere(kept), np.argwhere(y_idx >= 0)
+    if wz_labels:
+        alpha_cells, y_cells = alpha_cells[:, :1], y_cells[:, [0, 2, 4]]
+    labels = [f"alpha[{','.join(map(str, cell))}]" for cell in alpha_cells.tolist()]
+    labels.append("gamma")
+    labels += [f"y[{','.join(map(str, cell))}]" for cell in y_cells.tolist()]
 
     return GpProblem(
         c=c,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from sideinfo.probability import simplex_grid
+from sideinfo.ba import SourceInstance
+from sideinfo.probability import Alphabet, JointPmf, simplex_grid
+from sideinfo.problems import example2_source
 
 
 @pytest.fixture
@@ -56,3 +58,29 @@ def blahut_arimoto():
         return lower, upper
 
     return capacity
+
+
+@pytest.fixture(scope="session")
+def cell_source():
+    """Sources with one cell of a chosen mass m, for the dual program's cell rule.
+
+    ``cell_source("rd", m)`` is example2 (X = S1 xor S2) with mass m moved
+    from p(x=1, s1=0, s2=1) to the empty cell p(x=0, s1=0, s2=1).
+    ``cell_source("wz", m)`` has p(x, s2) = [[0.05 - m, m], [0.5, 0.45]], a
+    trivial S1 and Hamming distortion. With m = 0 each is the neighbour of
+    its near-zero case.
+    """
+
+    def make(kind, m):
+        if kind == "rd":
+            src = example2_source()
+            p = src.joint.probs.copy()
+            p[0, 0, 1] += m
+            p[1, 0, 1] -= m
+            return SourceInstance(src.x, src.xhat, src.s1, src.s2, JointPmf(src.joint.axes, p),
+                                  src.distortion)
+        x, s1, s2 = Alphabet(2, "X"), Alphabet(1, "S1"), Alphabet(2, "S2")
+        p = np.array([[0.05 - m, m], [0.5, 0.45]]).reshape(2, 1, 2)
+        return SourceInstance(x, x, s1, s2, JointPmf((x, s1, s2), p), 1.0 - np.eye(2))
+
+    return make

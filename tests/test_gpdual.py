@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sideinfo.gpdual
-from sideinfo.ba import LN2, SolverOptions, SourceInstance, wz_primal
+from sideinfo.ba import LN2, SolverOptions, SourceInstance, pair_source, wz_primal
 from sideinfo.gpdual import (
     Case1Options,
     GpInfeasibleError,
+    GpNumericalError,
     GpProblem,
     _Barrier,
     build_case1_rd_gp,
@@ -22,8 +23,9 @@ from sideinfo.gpdual import (
     wz_rate_via_gp,
 )
 from sideinfo.evaluators import example2_closed_form
-from sideinfo.probability import Alphabet, CondKernel, JointPmf, simplex_grid
+from sideinfo.probability import ZERO_TOL, Alphabet, CondKernel, JointPmf, simplex_grid
 from sideinfo.problems import example2_source, example3_source, example4_source
+from sideinfo.strategies import enumerate_strategies
 
 
 class TestBarrierSolver:
@@ -76,6 +78,44 @@ class TestBarrierSolver:
         rep = solve_gp(build_wz_gp(src, 0.1))
         sv = rep.stage_values
         assert all(sv[i + 1] >= sv[i] - 1e-12 for i in range(len(sv) - 1))
+
+    def test_trace_is_one_array_type(self):
+        rep = solve_gp(build_wz_gp(example3_source(), 0.1))
+        assert rep.trace.dtype == float and rep.trace.shape == (rep.newton_steps, 2)
+        assert rep.stage_values.dtype == float and rep.stage_values.shape == (rep.barrier_iters,)
+        assert GpNumericalError("failed").trace.shape == (0, 2)
+        assert np.array_equal(GpNumericalError("failed", [(1.0, 2.0)]).trace, [[1.0, 2.0]])
+
+
+class TestValidate:
+    """A malformed program is rejected with ValueError before any solving."""
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("bounds", [(2, 1.0)], "bound index"),
+            ("bounds", [(-1, 1.0)], "bound index"),
+            ("bounds", [(0.0, 1.0)], "bound index"),
+            ("bounds", [(0, math.nan)], "not finite"),
+            ("bounds", [(0, math.inf)], "not finite"),
+            ("nonneg", np.array([0.0]), "integer array"),
+            ("nonneg", [0], "integer array"),
+            ("start", np.zeros(3), "start has shape"),
+            ("start", np.zeros((2, 1)), "start has shape"),
+        ],
+        ids=[
+            "bound-index-out-of-range", "bound-index-negative", "bound-index-not-integer",
+            "bound-nan", "bound-inf", "nonneg-float", "nonneg-list", "start-long",
+            "start-column",
+        ],
+    )
+    def test_rejected_before_solving(self, field, value, match):
+        p = GpProblem(
+            c=np.array([1.0, 0.0]), a_mat=np.array([[1.0, 1.0]]), b_vec=np.array([-1.0]),
+            lse_groups=[], **{field: value},
+        )
+        with pytest.raises(ValueError, match=match):
+            solve_gp(p)
 
 
 
@@ -323,6 +363,115 @@ class TestCase1Dual:
         w = CondKernel((src.s1,), (Alphabet(1, "V1"),), np.ones((2, 1)))
         rep = solve_gp(build_case1_rd_gp(src, w, 0.1))
         assert rep.value / LN2 == pytest.approx(example2_closed_form(0.1, 0.0), abs=2e-2)
+
+
+def parse_label(label):
+    """(name, cell) of a variable label such as ``y[0,1,1,0,3]``."""
+    name, _, cell = label.partition("[")
+    return name, tuple(int(v) for v in cell.rstrip("]").split(",")) if cell else ()
+
+
+class TestDualRows:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_v1=st.integers(1, 3))
+    def test_rows_and_groups_follow_their_definition(self, seed, n_v1):
+        # a random source and description kernel, each with zero cells
+        rng = np.random.default_rng(seed)
+        n_x, n_s1, n_s2, n_xhat = rng.integers(2, 4), rng.integers(1, 3), rng.integers(2, 4), 2
+        p = rng.random((n_x, n_s1, n_s2)) * (rng.random((n_x, n_s1, n_s2)) > 0.3)
+        p[0, 0, 0] += 0.1
+        wp = rng.random((n_s1, n_v1)) * (rng.random((n_s1, n_v1)) > 0.3)
+        wp[:, 0] += 0.05
+        wp /= wp.sum(axis=1, keepdims=True)
+        d = rng.random((n_x, n_xhat)) * (rng.random((n_x, n_xhat)) > 0.3)
+        x, xhat = Alphabet(n_x, "X"), Alphabet(n_xhat, "Xhat")
+        s1, s2 = Alphabet(n_s1, "S1"), Alphabet(n_s2, "S2")
+        src = SourceInstance(x, xhat, s1, s2, JointPmf((x, s1, s2), p / p.sum()), d)
+        prog = build_case1_rd_gp(src, CondKernel((s1,), (Alphabet(n_v1, "V1"),), wp), 0.2)
+
+        p4 = src.joint.probs[..., None] * wp[None, :, None, :]
+        live = p4 > ZERO_TOL
+        cond = p4.sum(axis=3) / np.maximum(p4.sum(axis=(2, 3)), ZERO_TOL)[:, :, None]  # p(s2|x,s1)
+        p_s2v1 = p4.sum(axis=(0, 1))
+        tables = enumerate_strategies((s2,), xhat).tables
+        labels = [parse_label(lab) for lab in prog.var_labels]
+        gamma = prog.var_labels.index("gamma")
+        ys = {cell: i for i, (name, cell) in enumerate(labels) if name == "y"}
+        alphas = {cell for name, cell in labels if name == "alpha"}
+        assert set(ys) == {(*c, t) for c in np.argwhere(live).tolist() for t in range(len(tables))}
+        assert alphas == {tuple(c) for c in np.argwhere(live.any(axis=2)).tolist()}
+        rows = set()
+        for row, b in zip(prog.a_mat, prog.b_vec):
+            [a] = [i for i in np.flatnonzero(row) if labels[i][0] == "alpha"]
+            assert row[a] == 1.0
+            xx, ss1, vv1 = labels[a][1]
+            in_row = sorted(labels[i][1] for i in np.flatnonzero(row) if labels[i][0] == "y")
+            t = in_row[0][4]
+            rows.add((xx, ss1, vv1, t))
+            kept = [ss2 for ss2 in range(n_s2) if live[xx, ss1, ss2, vv1]]
+            assert in_row == [(xx, ss1, ss2, vv1, t) for ss2 in kept]
+            w = {ss2: cond[xx, ss1, ss2] for ss2 in kept}
+            for ss2 in kept:
+                assert abs(row[ys[xx, ss1, ss2, vv1, t]] + w[ss2]) <= 1e-12
+            assert abs(row[gamma] + sum(w[ss2] * d[xx, tables[t, ss2]] for ss2 in kept)) <= 1e-12
+            log_post = {ss2: math.log(p4[xx, ss1, ss2, vv1] / p_s2v1[ss2, vv1]) for ss2 in kept}
+            assert abs(b - sum(w[ss2] * log_post[ss2] for ss2 in kept)) <= 1e-12
+        assert len(rows) == prog.a_mat.shape[0] == len(alphas) * len(tables)
+        # each group is exactly the y variables of one (s2, v1, t), and each such set is a group
+        groups = [sorted(g.tolist()) for g in prog.lse_groups]
+        by_key = {}
+        for cell, i in ys.items():
+            by_key.setdefault(cell[2:], []).append(i)
+        assert sorted(groups) == sorted(sorted(g) for g in by_key.values())
+
+
+class TestNearZeroCells:
+    """A cell of mass <= ZERO_TOL is absent from the program, and so are its row terms."""
+
+    def test_case1_program_with_a_1e14_cell(self, cell_source):
+        # w(0|0) = 0.05 puts 5e-16 on the cell, while p(s2=1|x=0,s1=0) = 4e-14
+        w = CondKernel((Alphabet(2, "S1"),), (Alphabet(2, "V1"),), np.array([[0.05, 0.95], [0.5, 0.5]]))
+        tiny, zero = (solve_gp(build_case1_rd_gp(cell_source("rd", m), w, 0.1))
+                      for m in (1e-14, 0.0))
+        assert tiny.certified and zero.certified
+        assert abs(tiny.value - zero.value) <= tiny.gap_bound + zero.gap_bound + 1e-9
+
+    def test_rd_case1_with_a_1e14_cell(self, cell_source):
+        opts = Case1Options(grid_step=0.05)
+        tiny, zero = (rd_case1(cell_source("rd", m), 0.1, 0.2, opts) for m in (1e-14, 0.0))
+        assert tiny.status == zero.status == "ok"
+        assert abs(tiny.value - zero.value) <= tiny.gap + zero.gap + 1e-9
+
+    def test_wz_program_with_a_1e16_cell(self, cell_source):
+        # p(s2=1|x=0) = 2e-15 > ZERO_TOL, but the cell's mass is 1e-16
+        tiny, zero = (solve_gp(build_wz_gp(cell_source("wz", m), 0.005)) for m in (1e-16, 0.0))
+        assert tiny.certified and zero.certified
+        assert abs(tiny.value - zero.value) <= tiny.gap_bound + zero.gap_bound + 1e-9
+
+
+class TestWeakDualityOnRandomCase1Programs:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_barrier_iterate_is_below_the_primal(self, seed):
+        # a random source p(x, s1, s2) on binary letters with xhat = x free of
+        # distortion, a one-letter description, and a target between the
+        # distortion floor and the zero-rate distortion
+        rng = np.random.default_rng(seed)
+        x, s1, s2 = Alphabet(2, "X"), Alphabet(2, "S1"), Alphabet(2, "S2")
+        p = rng.random((2, 2, 2)) + 0.02
+        d = rng.random((2, 2)) + 0.1
+        np.fill_diagonal(d, 0.0)
+        src = SourceInstance(x, x, s1, s2, JointPmf((x, s1, s2), p / p.sum()), d)
+        pair = pair_source(src)
+        p_xs = pair.joint.probs[:, 0, :]
+        floor = p_xs.sum(axis=1) @ pair.distortion.min(axis=1)
+        zero_rate = (p_xs.T @ pair.distortion).min(axis=1).sum()
+        target = floor + rng.uniform(0.05, 0.95) * (zero_rate - floor)
+        primal = wz_primal(pair, target)
+        assert primal.status == "ok"
+        w = CondKernel((s1,), (Alphabet(1, "V1"),), np.ones((2, 1)))
+        rep = solve_gp(build_case1_rd_gp(src, w, target))
+        assert rep.certified
+        assert rep.trace[:, 1].max() / LN2 <= primal.value + 1e-9
 
 
 class TestCase1Curve:

@@ -124,6 +124,17 @@ class TestCli:
         for row in lines[1:]:
             assert float(row.split(",")[3]) <= 1e-3
 
+    def test_wz_rate_both_with_a_1e16_cell(self, tmp_path, cell_source, capsys):
+        # the cell's p(s2|x) = 2e-15 is above ZERO_TOL while its mass is not:
+        # the dual program leaves it out, as it does the neighbour's empty cell
+        out = []
+        for m in (1e-16, 0.0):
+            path = tmp_path / f"wz{m}.json"
+            path.write_text(json.dumps(serialize_problem(cell_source("wz", m))))
+            assert main(["wz-rate", "--problem", str(path), "--d", "0.005", "--via", "both"]) == 0
+            out.append(capsys.readouterr().out)
+        assert out[0] == out[1] == "D,primal,gp,gap\n0.005000,0.200636,0.200636,0.000000\n"
+
     def test_wz_rate_single_via_ba(self, capsys):
         code = main(["wz-rate", "--problem", "builtin:example3", "--d", "0", "--via", "ba"])
         assert code == 0
