@@ -17,7 +17,8 @@
 ``alternating_strategy_max`` is the one alternating iteration, with one
 step and one certificate, the concavity bound U(q): classic capacity, these
 oracles, both state-description capacity solvers and every multiplier probe
-run on it; capacity tables come from ``_strategy_tables``. It returns its log
+run on it; every capacity solve's tables come from ``_strategy_tables``, given
+a state joint and its encoder, cell and decoder views. It returns its log
 tables and shares one set of strategy functionals with the helpers and the sweep.
 
 All values are in bits. Every report carries a certified optimality gap.
@@ -614,59 +615,41 @@ def _axis_indices(names: Sequence[str]) -> tuple[int, ...]:
         raise ProbabilityError(f"unknown state axis {exc.args[0]!r}; use 's1'/'s2'") from exc
 
 
-def strategy_channel_tables(
-    ch: ChannelInstance,
-    encoder_axes: Sequence[str],
-    decoder_axes: Sequence[str],
-    strategies: StrategySpace,
-):
-    """Assemble (p_e, p(o|t,e)) for strategies over the encoder-visible state axes.
+def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, p_state, enc, cell, dec):
+    """(p_e, p(o|t,e)) of the strategy solve on ``p_state`` with views ``enc``, ``cell``, ``dec``.
 
-    The decoder observes Y together with ``decoder_axes``. Conditioning slices
-    with zero state probability are skipped.
+    ``p_state`` is the state joint with axes (S1, S2, ...); each view is a tuple
+    of its axes: the encoder view e, the strategy cell whose entry picks x, and
+    the decoder's state view d, with decoder view o = y * |d| + d. A view's index
+    is row-major over its axes, 0 for an empty tuple. States with mass at most
+    ZERO_TOL are skipped, the others summed in row-major state order; encoder
+    views left without mass get zero rows.
     """
-    enc = _axis_indices(encoder_axes)
-    dec = _axis_indices(decoder_axes)
-    sizes = (ch.s1.size, ch.s2.size)
-    enc_shape = tuple(sizes[i] for i in enc)
-    if strategies.domain_shape != enc_shape:
+    def dims(axes):
+        return tuple(p_state.shape[i] for i in axes)
+
+    if strategies.domain_shape != dims(cell) or strategies.codomain.size != ch.x.size:
         raise ProbabilityError(
-            f"strategy domain {strategies.domain_shape} does not match encoder axes {enc_shape}"
+            f"strategies map {strategies.domain_shape} to {strategies.codomain.size} letters; "
+            f"this solve needs the cell axes {dims(cell)} mapped to X of size {ch.x.size}"
         )
-    dec_shape = tuple(sizes[i] for i in dec)
-    idx = np.indices(sizes).reshape(2, -1)  # (s1, s2) of every state, row-major
+    mass = p_state.ravel()
+    live = np.flatnonzero(mass > ZERO_TOL)
+    idx = np.unravel_index(live, p_state.shape)
 
-    def flat(axes):
-        out = np.zeros(idx.shape[1], dtype=np.intp)
-        for i in axes:
-            out = out * sizes[i] + idx[i]
-        return out
+    def view(axes):
+        return np.broadcast_to(np.ravel_multi_index([idx[i] for i in axes], dims(axes)), live.shape)
 
-    e = flat(enc)
-    states = zip(ch.state_joint.probs.ravel(), idx[0], idx[1], e, e, flat(dec))
-    n_e = int(np.prod(enc_shape))
-    return _strategy_tables(ch, strategies, states, n_e, ch.y.size * int(np.prod(dec_shape)))
-
-
-def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, states, n_e: int, n_o: int):
-    """(p_e, p(o|t,e)) accumulated over flattened states.
-
-    Each state is (mass, s1, s2, e, c, d): its probability, the channel state
-    it selects, its encoder index, the strategy cell c whose entry picks x,
-    and its decoder-state index; the decoder view is o = y * (n_o / |Y|) + d.
-    States with mass at most ZERO_TOL are skipped, and encoder views left
-    without mass get zero rows.
-    """
-    n_y = ch.y.size
-    y_cols = np.arange(n_y) * (n_o // n_y)
-    tables = strategies.tables
-    p_e = np.zeros(n_e)
-    p_ote = np.zeros((len(strategies), n_e, n_o))
-    for mass, s1, s2, e, c, d in states:
-        if mass <= ZERO_TOL:
-            continue
-        p_e[e] += mass
-        p_ote[:, e, y_cols + d] += mass * ch.kernel.probs[tables[:, c], s1, s2, :]
+    e, c, d = view(enc), view(cell), view(dec)
+    n_t, n_y, n_d = len(strategies), ch.y.size, math.prod(dims(dec))
+    p_e = np.zeros(math.prod(dims(enc)))
+    np.add.at(p_e, e, mass[live])
+    # one (T, Y) block per live state, added into p(o|t,e) in state order
+    x = strategies.tables[:, c].T
+    rows = mass[live, None, None] * ch.kernel.probs[x, idx[0][:, None], idx[1][:, None]]
+    p_ote = np.zeros((n_t, p_e.size, n_y * n_d))
+    o = np.arange(n_y) * n_d + d[:, None, None]
+    np.add.at(p_ote, (np.arange(n_t)[:, None], e[:, None, None], o), rows)
     sup = p_e > ZERO_TOL
     p_ote[:, sup, :] /= p_e[sup][None, :, None]
     p_ote[:, ~sup, :] = 0.0
@@ -686,10 +669,11 @@ def gp_channel_capacity(
     the decoder observes Y plus ``decoder_axes``.
     """
     opts = opts or SolverOptions()
-    given = tuple((ch.s1, ch.s2)[i] for i in _axis_indices(encoder_axes))
+    enc, dec = _axis_indices(encoder_axes), _axis_indices(decoder_axes)
+    given = tuple((ch.s1, ch.s2)[i] for i in enc)
     if strategies is None:
         strategies = enumerate_strategies(given, ch.x)
-    p_e, p_ote = strategy_channel_tables(ch, encoder_axes, decoder_axes, strategies)
+    p_e, p_ote = _strategy_tables(ch, strategies, ch.state_joint.probs, enc, enc, dec)
     value, gap, iters, log_q, log_big_q, trace, ok = alternating_strategy_max(
         p_e, p_ote, opts.delta, opts.max_iters
     )

@@ -112,14 +112,7 @@ def r_w(ch: ChannelInstance, w: CondKernel) -> float:
 
 def _inner_tables(ch: ChannelInstance, w: CondKernel, strategies: StrategySpace):
     """p(e) over (s1, v2) and p(o|t, e) over (y, s2, v2) for the inner solve."""
-    joint3 = _state_v2_joint(ch, w).probs  # (S1, S2, V2)
-    n_v2 = joint3.shape[2]
-    if strategies.domain_shape != (ch.s1.size, n_v2):
-        raise ProbabilityError("strategies must map (S1, V2) to X")
-    s1s, s2s, v2s = np.indices(joint3.shape).reshape(3, -1)
-    e = s1s * n_v2 + v2s
-    states = zip(joint3.ravel(), s1s, s2s, e, e, s2s * n_v2 + v2s)
-    return _strategy_tables(ch, strategies, states, ch.s1.size * n_v2, joint3[0].size * ch.y.size)
+    return _strategy_tables(ch, strategies, _state_v2_joint(ch, w).probs, (0, 2), (0, 2), (1, 2))
 
 
 def inner_max(
@@ -357,11 +350,7 @@ def causal_inner_max(
     opts = opts or Case2Options()
     if strategies is None:
         strategies = enumerate_strategies((ch.s1,), ch.x)
-    joint3 = _state_v2_joint(ch, w).probs  # (S1, S2, V2)
-    n_v2 = joint3.shape[2]
-    s1s, s2s, v2s = np.indices(joint3.shape).reshape(3, -1)
-    states = zip(joint3.ravel(), s1s, s2s, v2s, s1s, s2s * n_v2 + v2s)
-    p_e, p_ote = _strategy_tables(ch, strategies, states, n_v2, joint3[0].size * ch.y.size)
+    p_e, p_ote = _strategy_tables(ch, strategies, _state_v2_joint(ch, w).probs, (2,), (0,), (1, 2))
     value, gap, iters, log_q, _, trace, ok = alternating_strategy_max(
         p_e, p_ote, opts.delta, opts.max_inner_iters
     )

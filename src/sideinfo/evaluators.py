@@ -97,12 +97,9 @@ def _kernel_mismatch(joint: JointPmf, channel: ChannelInstance) -> float:
     p = joint.probs.sum(axis=(_CC_V, _CC_U))  # (S1, S2, X, Y)
     p = np.moveaxis(p, 2, 0)  # (X, S1, S2, Y)
     mass = p.sum(axis=3)
-    worst = 0.0
-    for idx in np.argwhere(mass > 1e-12):
-        x, s1, s2 = idx
-        cond = p[x, s1, s2] / mass[x, s1, s2]
-        worst = max(worst, float(np.abs(cond - channel.kernel.probs[x, s1, s2]).max()))
-    return worst
+    live = mass > 1e-12
+    cond = p[live] / mass[live][:, None]
+    return float(np.abs(cond - channel.kernel.probs[live]).max(initial=0.0))
 
 
 def eval_sc(case: str, joint: JointPmf, distortion: np.ndarray) -> EvalResult:

@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sideinfo.case2
 from sideinfo.ba import (
     ChannelInstance,
     SolverOptions,
+    _strategy_tables,
     ba_capacity,
     gp_channel_capacity,
     strategy_bound,
@@ -25,11 +26,14 @@ from sideinfo.case2 import (
     r_w,
     u_w_bound,
     _inner_tables,
+    _state_v2_joint,
 )
 from sideinfo.probability import (
     Alphabet,
     CondKernel,
     JointPmf,
+    ProbabilityError,
+    ZERO_TOL,
     conditional_entropy,
     conditional_mutual_information,
     chain,
@@ -129,6 +133,99 @@ def inner_tail_instance(index, flips=(0, 0, 0, 0, 0)):
         CondKernel((x, s1, s2), (y,), kern / kern.sum(axis=3, keepdims=True)),
     )
     return ch, CondKernel((s2,), (v2,), wp / wp.sum(axis=1, keepdims=True))
+
+
+def per_state_tables(ch, strategies, p_state, enc, cell, dec):
+    """(p_e, p(o|t,e)) by a loop over the states of ``p_state`` in row-major order."""
+
+    def flat(state, axes):
+        index = 0
+        for i in axes:
+            index = index * p_state.shape[i] + state[i]
+        return index
+
+    n_e = int(np.prod([p_state.shape[i] for i in enc]))
+    n_d = int(np.prod([p_state.shape[i] for i in dec]))
+    p_e = np.zeros(n_e)
+    p_ote = np.zeros((len(strategies), n_e, ch.y.size * n_d))
+    for state in np.ndindex(p_state.shape):
+        mass = p_state[state]
+        if mass <= ZERO_TOL:
+            continue
+        e, c, d = flat(state, enc), flat(state, cell), flat(state, dec)
+        p_e[e] += mass
+        x = strategies.tables[:, c]
+        p_ote[:, e, np.arange(ch.y.size) * n_d + d] += mass * ch.kernel.probs[x, state[0], state[1]]
+    for e in range(n_e):
+        p_ote[:, e, :] = p_ote[:, e, :] / p_e[e] if p_e[e] > ZERO_TOL else 0.0
+    return p_e, p_ote
+
+
+class TestStrategyTables:
+    """One builder for every capacity solve: a state joint and three views of it."""
+
+    VIEWS = [(), (0,), (1,), (0, 1), (1, 0)]
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(*[st.integers(1, 3)] * 5),
+        layout=st.sampled_from(["gp", "inner", "causal"]),
+        enc=st.sampled_from(VIEWS),
+        dec=st.sampled_from(VIEWS),
+    )
+    @example(seed=0, sizes=(2, 2, 2, 2, 2), layout="gp", enc=(), dec=())
+    def test_tables_match_a_per_state_loop(self, seed, sizes, layout, enc, dec):
+        rng = np.random.default_rng(seed)
+        n_x, n_y, n_s1, n_s2, n_v2 = sizes
+        x, y, s1, s2, v2 = (Alphabet(n, a) for n, a in zip(sizes, ("X", "Y", "S1", "S2", "V2")))
+        sj = rng.random((n_s1, n_s2))
+        sj[rng.random(sj.shape) < 0.3] = 0.0  # zero-mass states
+        sj[rng.random(sj.shape) < 0.1] = 1e-16
+        sj.flat[0] += 0.1
+        kern = rng.random((n_x, n_s1, n_s2, n_y)) + 0.05
+        kern[rng.random(kern.shape) < 0.3] = 0.0
+        kern[..., 0] += 0.05
+        wp = rng.random((n_s2, n_v2))
+        if n_v2 > 1:
+            wp[:, -1] = 0.0  # a v2 that no state reaches
+        wp[:, 0] += 0.05
+        ch = ChannelInstance(
+            x, y, s1, s2, JointPmf((s1, s2), sj / sj.sum()),
+            CondKernel((x, s1, s2), (y,), kern / kern.sum(axis=3, keepdims=True)),
+        )
+        w = CondKernel((s2,), (v2,), wp / wp.sum(axis=1, keepdims=True))
+        if layout == "gp":
+            p_state, views = ch.state_joint.probs, (enc, enc, dec)
+        else:
+            p_state = _state_v2_joint(ch, w).probs
+            views = ((0, 2), (0, 2), (1, 2)) if layout == "inner" else ((2,), (0,), (1, 2))
+        assume(n_x ** int(np.prod([p_state.shape[i] for i in views[1]])) <= 4096)
+        strategies = enumerate_strategies([(s1, s2, v2)[i] for i in views[1]], x)
+        got = _strategy_tables(ch, strategies, p_state, *views)
+        want = per_state_tables(ch, strategies, p_state, *views)
+        assert all(np.array_equal(g, r) for g, r in zip(got, want))
+        if layout == "inner":
+            assert all(np.array_equal(g, r) for g, r in zip(_inner_tables(ch, w, strategies), want))
+
+    def test_causal_rejects_strategies_over_s1_v2(self):
+        # the causal strategy cell is s1 alone; a space over (S1, V2) is a caller's mistake
+        ch = example1_channel()
+        with pytest.raises(ProbabilityError, match="cell axes"):
+            causal_inner_max(ch, copy_w(ch), strategies=enumerate_strategies((ch.s1, V2), ch.x))
+
+    @pytest.mark.parametrize("solve", ["gp", "inner", "causal"])
+    def test_codomain_larger_than_x_raises(self, solve):
+        ch, x3 = example1_channel(), Alphabet(3, "X3")
+        domain = (ch.s1, V2) if solve == "inner" else (ch.s1,)
+        strategies = enumerate_strategies(domain, x3)
+        with pytest.raises(ProbabilityError, match="X of size 2"):
+            if solve == "gp":
+                gp_channel_capacity(ch, ("s1",), ("s2",), strategies=strategies)
+            else:
+                (inner_max if solve == "inner" else causal_inner_max)(
+                    ch, copy_w(ch), strategies=strategies
+                )
 
 
 class TestInnerMax:

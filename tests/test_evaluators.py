@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sideinfo.ba import SolverOptions, wz_primal
+from sideinfo.ba import ChannelInstance, SolverOptions, wz_primal
 from sideinfo.case2 import Case2Options, capacity_case2, capacity_case2_causal, causal_inner_max, inner_max
 from sideinfo.evaluators import (
     build_case2_joint,
@@ -84,6 +84,25 @@ class TestChannelEvaluator:
         # second, p(u|s1,v), holds as well
         for name, violation in res.markov_violations:
             assert violation < 1e-10, name
+
+    def test_kernel_mismatch_reports_a_known_perturbation(self):
+        rng = np.random.default_rng(45)
+        base = channel_joint_from_factors(rng)
+        probs = base.probs.copy()
+        probs[1, :, :, :, 0, :] = 0.0  # no mass at (x, s1) = (0, 1)
+        joint = JointPmf(base.axes, probs / probs.sum())
+        p = np.moveaxis(joint.probs.sum(axis=(2, 3)), 2, 0)  # (X, S1, S2, Y)
+        mass = p.sum(axis=3, keepdims=True)
+        kern = np.where(mass > 0, p / np.where(mass > 0, mass, 1.0), 0.5)
+        kern[1, 0, 1] += [0.03, -0.03]  # a cell with mass
+        kern[0, 1, 0] += [0.3, -0.3]  # a cell without mass is not compared
+        x, y, s1, s2 = (Alphabet(2, n) for n in ("X", "Y", "S1", "S2"))
+        ch = ChannelInstance(
+            x, y, s1, s2, JointPmf((s1, s2), joint.probs.sum(axis=(2, 3, 4, 5))),
+            CondKernel((x, s1, s2), (y,), kern),
+        )
+        res = eval_cc("2lb", joint, channel=ch)
+        assert res.extras["kernel_max_abs_diff"] == pytest.approx(0.03, abs=1e-12)
 
     def test_case_axis_count_enforced(self):
         with pytest.raises(ProbabilityError):
