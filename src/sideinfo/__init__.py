@@ -33,7 +33,6 @@ from .ba import (
     ba_capacity,
     ba_rate_distortion,
     gp_channel_capacity,
-    pair_source,
     wz_primal,
 )
 from .case2 import (

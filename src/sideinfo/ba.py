@@ -5,9 +5,10 @@
   letter, whose strategies are the inputs (Blahut 1972).
 * ``wz_primal`` -- the Wyner-Ziv rate over distributions on reconstruction
   strategies: at a fixed distortion multiplier beta the negated Lagrangian
-  is the strategy objective below with encoder letter x, decoder view s,
-  p(o|t,e) = p(s|x) and the linear cost beta * ln 2 * sum_s p(s|x) d(x, t, s),
-  inside a bisection on the multiplier that stops on the certified gap.
+  is the strategy objective below with encoder letter e = (x, s1), decoder
+  view s2, p(o|t,e) = p(s2|e) and the linear cost
+  beta * ln 2 * sum_s2 p(s2|e) d(x, t(s2)), inside a bisection on the
+  multiplier that stops on the certified gap.
 * ``ba_rate_distortion`` -- classic rate-distortion, the same problem with a
   single side letter, whose strategies are the reconstruction letters
   (Blahut 1972); both run through ``_lagrangian_sweep``.
@@ -89,25 +90,6 @@ class SourceInstance:
         object.__setattr__(self, "distortion", d)
 
 
-def pair_source(src: SourceInstance) -> SourceInstance:
-    """Merge (X, S1) into a single source axis; side information becomes S2 alone.
-
-    The distortion of a merged symbol depends only on its X part.
-    """
-    nx, ns1 = src.x.size, src.s1.size
-    merged = Alphabet(nx * ns1, f"{src.x.label}{src.s1.label}")
-    joint = src.joint.probs.reshape(nx * ns1, 1, src.s2.size)
-    d = np.repeat(src.distortion, ns1, axis=0)
-    return SourceInstance(
-        x=merged,
-        xhat=src.xhat,
-        s1=Alphabet(1, "S1"),
-        s2=src.s2,
-        joint=JointPmf((merged, Alphabet(1, "S1"), src.s2), joint),
-        distortion=d,
-    )
-
-
 @dataclass
 class SolverOptions:
     """Termination controls shared by the iterative solvers.
@@ -178,7 +160,7 @@ def ba_capacity(kernel, opts: SolverOptions | None = None) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _assemble_sweep(probes, d_target: float, measure, slack: float):
+def _assemble_sweep(probes, d_target: float, measure, slack: float, floor_arg):
     """Certified value and gap for R(D) from the Lagrangian probes.
 
     Each probe yields the lower bound rate + beta*(dist - D) - gap. Probes
@@ -191,8 +173,10 @@ def _assemble_sweep(probes, d_target: float, measure, slack: float):
 
     ``measure(arg)`` returns the exact (rate, dist, arg) of a distribution;
     a chord is realized as the mixture (1-mu) * arg_a + mu * arg_b. A probe
-    is feasible when its distortion is at most D + ``slack``; with no
-    feasible probe there is no achievable witness and the gap is infinite.
+    is feasible when its distortion is at most D + ``slack``. With no
+    feasible probe the witness is ``floor_arg``, the deterministic map from
+    each letter to its least-distortion answer, measured exactly; only if it
+    too misses D + ``slack`` is the gap infinite.
 
     Returns (value, gap, argopt, argopt_rate, argopt_dist); the rate and
     distortion of ``argopt`` are exact functionals of that distribution.
@@ -205,8 +189,10 @@ def _assemble_sweep(probes, d_target: float, measure, slack: float):
     feasible = [p for p in probes if p[2] <= d_target + slack]
     infeasible = [p for p in probes if p[2] > d_target + slack]
     if not feasible:
-        _, rate, dist, _, arg = min(probes, key=lambda p: p[2])
-        return lower, math.inf, arg, rate, dist
+        rate, dist, arg = measure(floor_arg)
+        if dist > d_target + slack:
+            return lower, math.inf, arg, rate, dist
+        return max(rate, lower), max(rate - lower, 0.0), arg, rate, dist
 
     best_rate, best_dist, best_arg = math.inf, math.nan, None
     for _, rate, dist, _, arg in feasible:
@@ -318,7 +304,8 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     sign of each probe's dist - D, a subgradient of the concave Lagrangian
     lower bound rate + beta * (dist - D) - gap, until ``_assemble_sweep``
     certifies a gap of at most half of ``opts.delta`` or the bracket
-    collapses. Each probe is one ``alternating_strategy_max`` solve with the
+    collapses; while no probe meets the target, the map from each letter to
+    its least-dbar answer is the witness. Each probe is one ``alternating_strategy_max`` solve with the
     cost beta * ln 2 * dbar, to a quarter of ``opts.delta``. A final
     gap above ``opts.delta`` gives status "nonconverged". ``extras`` counts
     the ``probes`` and the ``probes_capped`` that stopped at
@@ -337,7 +324,8 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     if target >= d_zero_rate - 1e-12:
         arg = np.zeros_like(dbar)
         arg[:, int((p_x @ dbar).argmin())] = 1.0
-        extras = {"distortion": d_zero_rate + offset, "probes": 0, "probes_capped": 0}
+        extras = {"argopt_rate": 0.0, "argopt_distortion": d_zero_rate + offset,
+                  "probes": 0, "probes_capped": 0}
         return SolveReport(0.0, 0.0, 0, arg, np.zeros((1, 2)), extras=extras)
 
     status = "ok"
@@ -361,6 +349,8 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     inner_delta = opts.delta / 4.0
     slack = 1e-12 * max(1.0, float(dbar.max()))
     probes = []  # (beta, rate, dist, gap, argopt)
+    floor_arg = np.zeros_like(dbar)  # each letter's least-dbar answer, at the floor
+    floor_arg[np.arange(dbar.shape[0]), dbar.argmin(axis=1)] = 1.0
 
     def probe(beta: float) -> bool:
         """Solve at ``beta``; True when the maximizer of the bound lies above it.
@@ -382,7 +372,9 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     probe(lo)
     probe(hi)
     while True:
-        value, gap, arg, arg_rate, arg_dist = _assemble_sweep(probes, target, measure, slack)
+        value, gap, arg, arg_rate, arg_dist = _assemble_sweep(
+            probes, target, measure, slack, floor_arg
+        )
         if gap <= opts.delta / 2.0 or hi - lo <= 1e-8 * max(1.0, gamma_max):
             break
         mid = 0.5 * (lo + hi)
@@ -416,24 +408,23 @@ def wz_primal(
     opts: SolverOptions | None = None,
     strategies: StrategySpace | None = None,
 ) -> SolveReport:
-    """Wyner-Ziv rate R(D) = min_{q(t|x)} I(T;X|S) s.t. E[d(x, t(s))] <= D.
+    """Wyner-Ziv rate R(D) = min_{q(t|x,s1)} I(T;X,S1|S2) s.t. E[d(x, t(s2))] <= D.
 
-    The side information axis is S2; an encoder-side axis must be merged into
-    the source first (see ``pair_source``). Strategies map S2 to Xhat.
+    Any source is accepted: the encoder sees (X, S1) and the decoder S2, so
+    this is source case 1 with no description, and a source with |S1| = 1 is
+    the classic problem. The encoder letter is the pair (x, s1) in row-major
+    order; strategies map S2 to Xhat. ``argopt`` is q(t|x,s1).
     """
     opts = opts or SolverOptions()
-    if src.s1.size != 1:
-        raise ProbabilityError(
-            "wz_primal uses S2 as the only side axis; merge S1 via pair_source first"
-        )
     if strategies is None:
         strategies = enumerate_strategies((src.s2,), src.xhat)
     if strategies.domain_shape != (src.s2.size,):
         raise ProbabilityError("strategies must map the side alphabet S2 to Xhat")
 
-    p_xs = src.joint.probs.reshape(src.x.size, src.s2.size)
-    rep = _lagrangian_sweep(p_xs, lift_source(src, strategies), d_target, opts)
-    rep.argopt = CondKernel((src.x,), (strategies.alphabet,), rep.argopt)
+    p_es = src.joint.probs.reshape(src.x.size * src.s1.size, src.s2.size)
+    rep = _lagrangian_sweep(p_es, lift_source(src, strategies), d_target, opts)
+    shape = (src.x.size, src.s1.size, len(strategies))
+    rep.argopt = CondKernel((src.x, src.s1), (strategies.alphabet,), rep.argopt.reshape(shape))
     return rep
 
 
@@ -610,9 +601,12 @@ def strategy_q_update(p_ote, big_q) -> np.ndarray:
 def _axis_indices(names: Sequence[str]) -> tuple[int, ...]:
     lookup = {"s1": 0, "s2": 1}
     try:
-        return tuple(lookup[n] for n in names)
+        axes = tuple(lookup[n] for n in names)
     except KeyError as exc:
         raise ProbabilityError(f"unknown state axis {exc.args[0]!r}; use 's1'/'s2'") from exc
+    if len(set(axes)) != len(axes):
+        raise ProbabilityError(f"state axes {tuple(names)!r} name an axis more than once")
+    return axes
 
 
 def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, p_state, enc, cell, dec):

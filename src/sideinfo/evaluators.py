@@ -335,17 +335,14 @@ def build_wz_joint(
     q: CondKernel,
     strategies: StrategySpace,
 ) -> JointPmf:
-    """Joint (X, S1, S2, V, U, Xhat) realized by q(t|x) on a single-side source.
+    """Joint (X, S1, S2, V, U, Xhat) realized by the Wyner-Ziv q(t|x,s1) on any source.
 
-    V is a point mass (no description), U is the strategy variable, and
-    Xhat = t(s2).
+    The encoder sees (X, S1) and the decoder S2: V is a point mass (no
+    description), U is the strategy variable, and Xhat = t(s2).
     """
-    if src.s1.size != 1:
-        raise ProbabilityError("expected a single-side source (|S1| = 1)")
-    n_x, n_s2 = src.x.size, src.s2.size
-    point = Alphabet(1, "V")
-    x, s2, t = np.ix_(range(n_x), range(n_s2), range(len(strategies)))
-    out = np.zeros((n_x, 1, n_s2, 1, len(strategies), src.xhat.size))
-    out[x, 0, s2, 0, t, strategies.tables[t, s2]] = src.joint.probs[x, 0, s2] * q.probs[x, t]
-    axes = (src.x, src.s1, src.s2, point, strategies.alphabet, src.xhat)
+    n_t = len(strategies)
+    x, s1, s2, t = np.ix_(range(src.x.size), range(src.s1.size), range(src.s2.size), range(n_t))
+    out = np.zeros(src.joint.probs.shape + (1, n_t, src.xhat.size))
+    out[x, s1, s2, 0, t, strategies.tables[t, s2]] = src.joint.probs[x, s1, s2] * q.probs[x, s1, t]
+    axes = (src.x, src.s1, src.s2, Alphabet(1, "V"), strategies.alphabet, src.xhat)
     return JointPmf(axes, out)

@@ -74,10 +74,6 @@ class GpProblem:
     def num_vars(self) -> int:
         return self.c.shape[0]
 
-    @property
-    def num_constraints(self) -> int:
-        return self.a_mat.shape[0] + len(self.lse_groups) + self.nonneg.size + len(self.bounds)
-
     def validate(self) -> None:
         n = self.num_vars
         if self.a_mat.shape[1] != n or self.b_vec.shape[0] != self.a_mat.shape[0]:
@@ -303,14 +299,14 @@ def build_wz_gp(
 ) -> GpProblem:
     """Dual of the Wyner-Ziv problem at distortion D, as a convex program.
 
-    Variables are ordered (alpha_x | gamma | y_{x,s,t}); one affine row per
-    (x, t) and one log-sum-exp group per (s, t). Cells of mass <= ZERO_TOL
-    are absent. The program is posed in nats. It is the case-1 program with a
-    one-letter description (see ``build_case1_rd_gp``).
+    Any source is accepted: the encoder sees (X, S1) and the decoder S2, so
+    this is exactly the case-1 program of ``build_case1_rd_gp`` with a
+    one-letter description, variables and labels included: (alpha_{x,s1,0} |
+    gamma | y_{x,s1,s2,0,t}), one affine row per (x, s1, t) and one
+    log-sum-exp group per (s2, t). Cells of mass <= ZERO_TOL are absent. The
+    program is posed in nats.
     """
-    if src.s1.size != 1:
-        raise ProbabilityError("build_wz_gp uses S2 as the side axis; merge S1 first")
-    return _build_dual(src, src.joint.probs[..., None], d_target, strategies, wz_labels=True)
+    return _build_dual(src, src.joint.probs[..., None], d_target, strategies)
 
 
 def wz_rate_via_gp(
@@ -372,8 +368,7 @@ def build_case1_rd_gp(
     > ZERO_TOL, and everything else follows from that: the alpha cells are
     the (x, s1, v1) with a kept cell, the y variables and each row's s2 terms
     are the kept cells, and each (s2, v1, t) group holds the y variables of
-    its kept cells. With |V1| = 1 this reduces exactly to the plain
-    Wyner-Ziv dual on the (X, S1) pair source.
+    its kept cells. With |V1| = 1 this is exactly ``build_wz_gp``.
     """
     if w.given_shape != (src.s1.size,):
         raise ProbabilityError("description kernel must condition on S1")
@@ -385,13 +380,8 @@ def _build_dual(
     p4: np.ndarray,
     d_target: float,
     strategies: StrategySpace | None,
-    wz_labels: bool = False,
 ) -> GpProblem:
-    """The dual program of ``build_case1_rd_gp`` for the joint p4 over (X, S1, S2, V1).
-
-    ``wz_labels`` names variables by (x) and (x, s2, t) only, as the
-    Wyner-Ziv dual does.
-    """
+    """The dual program of ``build_case1_rd_gp`` for the joint p4 over (X, S1, S2, V1)."""
     if d_target < 0:
         raise ValueError("distortion target must be >= 0")
     if strategies is None:
@@ -440,12 +430,9 @@ def _build_dual(
     # alpha = -max_t(row residual) - 0.1, residual evaluated at (gamma0, y0)
     start[:n_a] = -(a_mat @ start + b_vec).reshape(n_a, n_t).max(axis=1) - 0.1
 
-    alpha_cells, y_cells = np.argwhere(kept), np.argwhere(y_idx >= 0)
-    if wz_labels:
-        alpha_cells, y_cells = alpha_cells[:, :1], y_cells[:, [0, 2, 4]]
-    labels = [f"alpha[{','.join(map(str, cell))}]" for cell in alpha_cells.tolist()]
+    labels = [f"alpha[{','.join(map(str, cell))}]" for cell in np.argwhere(kept).tolist()]
     labels.append("gamma")
-    labels += [f"y[{','.join(map(str, cell))}]" for cell in y_cells.tolist()]
+    labels += [f"y[{','.join(map(str, cell))}]" for cell in np.argwhere(y_idx >= 0).tolist()]
 
     return GpProblem(
         c=c,

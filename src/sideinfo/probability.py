@@ -111,10 +111,6 @@ class CondKernel:
     def given_shape(self) -> tuple[int, ...]:
         return tuple(a.size for a in self.given_axes)
 
-    @property
-    def out_shape(self) -> tuple[int, ...]:
-        return tuple(a.size for a in self.out_axes)
-
     @classmethod
     def uniform(cls, given_axes: Sequence[Alphabet], out_axes: Sequence[Alphabet]) -> "CondKernel":
         g = tuple(a.size for a in given_axes)

@@ -106,14 +106,17 @@ def lift_channel(ch, strategies: StrategySpace) -> CondKernel:
 
 
 def lift_source(src, strategies: StrategySpace) -> np.ndarray:
-    """Distortion table d(x, t, s) = d_base(x, t(s)) for strategies s -> xhat."""
+    """Distortion table d(e, t, s) = d_base(x, t(s)) for strategies s -> xhat.
+
+    The row e is the encoder letter (x, s1), row-major; it is x when |S1| = 1.
+    """
     if strategies.codomain.size != src.xhat.size:
         raise ProbabilityError(
             f"strategy codomain size {strategies.codomain.size} "
             f"does not match reconstruction size {src.xhat.size}"
         )
-    # distortion[x, xhat] indexed by the strategy tables (T, S) -> (X, T, S)
-    return src.distortion[:, strategies.tables]
+    # distortion[x, xhat] repeated over s1, indexed by the strategy tables (T, S) -> (E, T, S)
+    return np.repeat(src.distortion, src.s1.size, axis=0)[:, strategies.tables]
 
 
 _CARDINALITY_CASES = {

@@ -15,7 +15,6 @@ from sideinfo.ba import (
     ba_capacity,
     ba_rate_distortion,
     gp_channel_capacity,
-    pair_source,
     strategy_bound,
     strategy_objective,
     strategy_posterior,
@@ -162,12 +161,11 @@ def test_modulo_sum_closed_form_grid():
 
 def test_switched_noise_source_consistency():
     src = example4_source()
-    pair = pair_source(src)
     opts = Case1Options(grid_step=0.05, v1_size=2)
     worst = 0.0
     for d in (0.1, 0.3):
         pt = rd_case1(src, d, 0.0, opts)
-        wz = wz_primal(pair, d)
+        wz = wz_primal(src, d)
         worst = max(worst, abs(pt.value - wz.value))
     values = {}
     for d in (0.1, 0.3):

@@ -9,6 +9,7 @@ from sideinfo.ba import (
     LN2,
     ChannelInstance,
     SolverOptions,
+    SourceInstance,
     _accelerated_fixed_point,
     _assemble_sweep,
     _functionals,
@@ -16,15 +17,17 @@ from sideinfo.ba import (
     ba_capacity,
     ba_rate_distortion,
     gp_channel_capacity,
-    pair_source,
     strategy_bound,
     strategy_objective,
     strategy_posterior,
     wz_primal,
 )
 from sideinfo.case2 import Case2Options
-from sideinfo.probability import Alphabet, CondKernel, JointPmf, binary_entropy
-from sideinfo.problems import example3_source
+from sideinfo.evaluators import build_wz_joint, eval_sc
+from sideinfo.gpdual import build_case1_rd_gp, build_wz_gp
+from sideinfo.probability import Alphabet, CondKernel, JointPmf, ProbabilityError, binary_entropy
+from sideinfo.problems import example1_channel, example3_source, example4_source
+from sideinfo.strategies import enumerate_strategies
 
 HAMMING = 1.0 - np.eye(2)
 TIGHT = SolverOptions(delta=1e-9)
@@ -166,18 +169,64 @@ class TestWynerZiv:
             vals[i - 1] + vals[i + 1] - 2 * vals[i] >= -1e-6 for i in range(1, len(vals) - 1)
         )
 
-    def test_rejects_two_sided_source(self):
-        from sideinfo.ba import SourceInstance
-        from sideinfo.probability import ProbabilityError
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(*[st.integers(2, 3)] * 4),
+        frac=st.floats(0.05, 0.95),
+    )
+    def test_two_sided_source_is_the_merged_one_sided_source(self, seed, sizes, frac):
+        # the encoder sees (X, S1): the primal equals the primal on the source
+        # whose letter is the pair (x, s1), the dual is the case-1 program with
+        # a one-letter description, and the evaluator reproduces the argopt
+        n_x, n_s1, n_s2, n_xhat = sizes
+        rng = np.random.default_rng(seed)
+        p = rng.random((n_x, n_s1, n_s2)) + 0.02
+        p.flat[rng.choice(p.size, size=rng.integers(1, 3), replace=False)] = 0.0
+        d = rng.random((n_x, n_xhat))
+        d[np.arange(n_x), np.arange(n_x) % n_xhat] = 0.0  # some answer is free for each x
+        x, s1, s2, xhat = (Alphabet(n, a) for n, a in zip(sizes, ("X", "S1", "S2", "Xhat")))
+        src = SourceInstance(x, xhat, s1, s2, JointPmf((x, s1, s2), p / p.sum()), d)
+        pair, one = Alphabet(n_x * n_s1, "XS1"), Alphabet(1, "S1")
+        merged = SourceInstance(
+            pair, xhat, one, s2,
+            JointPmf((pair, one, s2), src.joint.probs.reshape(n_x * n_s1, 1, n_s2)),
+            np.repeat(d, n_s1, axis=0),
+        )
+        floor = src.joint.probs.sum(axis=(1, 2)) @ d.min(axis=1)
+        zero_rate = (src.joint.probs.sum(axis=1).T @ d).min(axis=1).sum()
+        target = floor + frac * (zero_rate - floor)
 
-        x = Alphabet(2, "X")
-        s = Alphabet(2, "S")
-        src = SourceInstance(x, x, s, s, JointPmf((x, s, s), np.full((2, 2, 2), 0.125)), HAMMING)
-        with pytest.raises(ProbabilityError):
-            wz_primal(src, 0.1)
-        merged = pair_source(src)
-        assert merged.x.size == 4 and merged.s1.size == 1
-        wz_primal(merged, 0.1)  # merged source is accepted
+        rep, ref = wz_primal(src, target), wz_primal(merged, target)
+        assert (rep.value, rep.gap, rep.iterations, rep.status) == (
+            ref.value, ref.gap, ref.iterations, ref.status
+        )
+        assert rep.argopt.given_shape == (n_x, n_s1)
+        assert np.array_equal(rep.argopt.probs.reshape(ref.argopt.probs.shape), ref.argopt.probs)
+
+        w = CondKernel((s1,), (Alphabet(1, "V1"),), np.ones((n_s1, 1)))
+        prog, case1 = build_wz_gp(src, target), build_case1_rd_gp(src, w, target)
+        for name in ("c", "a_mat", "b_vec", "nonneg", "start"):
+            assert np.array_equal(getattr(prog, name), getattr(case1, name)), name
+        assert len(prog.lse_groups) == len(case1.lse_groups)
+        assert all(np.array_equal(g, h) for g, h in zip(prog.lse_groups, case1.lse_groups))
+        assert (prog.bounds, prog.var_labels) == (case1.bounds, case1.var_labels)
+
+        strategies = enumerate_strategies((s2,), xhat)
+        res = eval_sc("1", build_wz_joint(src, rep.argopt, strategies), d)
+        assert res.objective == pytest.approx(rep.extras["argopt_rate"], abs=1e-9)
+        assert res.distortion == pytest.approx(rep.extras["argopt_distortion"], abs=1e-9)
+        assert res.r_prime_required == pytest.approx(0.0, abs=1e-12)
+
+
+def random_binary_wyner_ziv_source(seed):
+    """p(x, s2) = uniform + 0.02, normalized, and a distortion with a zero diagonal."""
+    rng = np.random.default_rng(seed)
+    p = rng.random((2, 2)) + 0.02
+    d = rng.random((2, 2)) + 0.1
+    np.fill_diagonal(d, 0.0)
+    x, s1, s2 = Alphabet(2, "X"), Alphabet(1, "S1"), Alphabet(2, "S2")
+    return SourceInstance(x, x, s1, s2, JointPmf((x, s1, s2), (p / p.sum()).reshape(2, 1, 2)), d)
 
 
 def dsbs_wyner_ziv(p, d):
@@ -252,11 +301,39 @@ class TestLagrangianSweep:
         assert rep.value == pytest.approx(1.0, abs=1e-6)
 
     def test_no_feasible_probe_gives_an_infinite_gap(self):
+        # neither a probe nor the floor map (measured at 0.15) meets D = 0.1
         arg = np.eye(2)
         probes = [(0.0, 0.0, 0.5, 0.0, arg), (10.0, 0.9, 0.2, 1e-9, arg)]
-        value, gap, _, _, dist = _assemble_sweep(probes, 0.1, None, 1e-12)
-        assert gap == math.inf and dist == 0.2
+        value, gap, _, _, dist = _assemble_sweep(probes, 0.1, lambda q: (3.0, 0.15, q), 1e-12, arg)
+        assert gap == math.inf and dist == 0.15
         assert value == pytest.approx(0.9 + 10.0 * (0.2 - 0.1) - 1e-9)
+
+    def test_no_feasible_probe_falls_back_to_the_floor_map(self):
+        arg = np.eye(2)
+        probes = [(0.0, 0.0, 0.5, 0.0, arg), (10.0, 0.9, 0.2, 1e-9, arg)]
+        value, gap, witness, rate, dist = _assemble_sweep(
+            probes, 0.1, lambda q: (3.0, 0.05, q), 1e-12, arg
+        )
+        assert (value, rate, dist) == (3.0, 3.0, 0.05) and witness is arg
+        assert gap == pytest.approx(3.0 - (0.9 + 10.0 * (0.2 - 0.1) - 1e-9))
+
+    @pytest.mark.parametrize(
+        "make_src",
+        [
+            lambda: random_binary_wyner_ziv_source(11),
+            example4_source,
+        ],
+        ids=["seed-11", "example4"],
+    )
+    def test_floor_map_is_a_witness_at_the_distortion_floor(self, make_src):
+        # at D = 0 no multiplier probe reaches a distortion within the slack;
+        # the map from each letter to its least-distortion answer does, exactly
+        opts = SolverOptions()
+        rep = wz_primal(make_src(), 0.0, opts)
+        assert rep.status == "ok" and rep.gap <= opts.delta
+        assert rep.extras["argopt_distortion"] == 0.0
+        q = rep.argopt.probs
+        assert np.array_equal(q, (q == 1.0).astype(float))
 
     @pytest.mark.parametrize("scale, offset", [(1.0, 100.0), (0.01, 1.0)])
     def test_shifted_distortion_rate_distortion(self, scale, offset):
@@ -311,6 +388,10 @@ class TestStrategyCapacity:
         s1, s2 = Alphabet(2, "S1"), Alphabet(2, "S2")
         state = JointPmf((s1, s2), np.full((2, 2), 0.25) if sj is None else sj)
         return ChannelInstance(x, y, s1, s2, state, CondKernel((x, s1, s2), (y,), kern))
+
+    def test_repeated_state_axis_rejected(self):
+        with pytest.raises(ProbabilityError, match="more than once"):
+            gp_channel_capacity(example1_channel(), ("s1", "s1"), ("s2",))
 
     def test_bound_is_infinite_at_a_zero_weight(self):
         # a point mass on one input of a BSC has J = 0, and U over its support

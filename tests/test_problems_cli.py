@@ -135,6 +135,14 @@ class TestCli:
             out.append(capsys.readouterr().out)
         assert out[0] == out[1] == "D,primal,gp,gap\n0.005000,0.200636,0.200636,0.000000\n"
 
+    @pytest.mark.parametrize("via", ["ba", "gp", "both"])
+    @pytest.mark.parametrize("name", ["example2", "example4"])
+    def test_wz_rate_on_a_two_sided_source(self, name, via, capsys):
+        # the encoder sees (X, S1): both built-in two-sided sources are solved as given
+        argv = ["wz-rate", "--problem", f"builtin:{name}", "--d-grid", "0:0.3:0.05", "--via", via]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 8
+
     def test_wz_rate_single_via_ba(self, capsys):
         code = main(["wz-rate", "--problem", "builtin:example3", "--d", "0", "--via", "ba"])
         assert code == 0
@@ -208,8 +216,12 @@ class TestCli:
                 "rd-case1 --problem builtin:example2 --d 0.1 --rprime 0.2",
                 "f911e25877144f589226a84a79d56aa1df8c0ccba308d7a38a5ffab5ffe7eb46",
             ),
+            (
+                "wz-rate --problem builtin:example4 --d-grid 0:0.3:0.05 --via both",
+                "3728845576c792cab6e95bf9a10cf39f3b7528d214deef42a43929049ed90f9c",
+            ),
         ],
-        ids=["capacity-case2", "capacity-case2c", "wz-rate", "rd-case1"],
+        ids=["capacity-case2", "capacity-case2c", "wz-rate", "rd-case1", "wz-rate-two-sided"],
     )
     def test_readme_csv_bytes(self, args, sha256, capsys):
         # the README commands' CSV, recorded byte for byte in CHANGES.md
