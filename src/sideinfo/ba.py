@@ -181,10 +181,7 @@ def _assemble_sweep(probes, d_target: float, measure, slack: float, floor_arg):
     Returns (value, gap, argopt, argopt_rate, argopt_dist); the rate and
     distortion of ``argopt`` are exact functionals of that distribution.
     """
-    lower = -math.inf
-    for beta, rate, dist, gap, _ in probes:
-        lower = max(lower, rate + beta * (dist - d_target) - gap)
-    lower = max(lower, 0.0)
+    lower = max([_probe_bound(p, d_target) for p in probes] + [0.0])
 
     feasible = [p for p in probes if p[2] <= d_target + slack]
     infeasible = [p for p in probes if p[2] > d_target + slack]
@@ -213,6 +210,12 @@ def _assemble_sweep(probes, d_target: float, measure, slack: float, floor_arg):
             best_rate, best_dist, best_arg = rate_mix, dist_mix, arg_mix
     value = max(best_rate, lower)  # bracket can invert by solver roundoff
     return value, max(best_rate - lower, 0.0), best_arg, best_rate, best_dist
+
+
+def _probe_bound(probe, d_target: float) -> float:
+    """The Lagrangian lower bound rate + beta * (dist - D) - gap of one probe."""
+    beta, rate, dist, gap, _ = probe
+    return rate + beta * (dist - d_target) - gap
 
 
 def _norm(a) -> float:
@@ -302,14 +305,22 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     exactly; targets below the distortion floor are raised to it with status
     "distortion-floor". The multiplier is bisected on [0, gamma_max] by the
     sign of each probe's dist - D, a subgradient of the concave Lagrangian
-    lower bound rate + beta * (dist - D) - gap, until ``_assemble_sweep``
-    certifies a gap of at most half of ``opts.delta`` or the bracket
-    collapses; while no probe meets the target, the map from each letter to
-    its least-dbar answer is the witness. Each probe is one ``alternating_strategy_max`` solve with the
-    cost beta * ln 2 * dbar, to a quarter of ``opts.delta``. A final
-    gap above ``opts.delta`` gives status "nonconverged". ``extras`` counts
-    the ``probes`` and the ``probes_capped`` that stopped at
-    ``opts.max_iters`` short of their own gap.
+    lower bound g(beta) = min_q rate + beta * (dist - D), until
+    ``_assemble_sweep`` certifies a gap of at most half of ``opts.delta`` or
+    the bracket collapses; while no probe meets the target, the map from
+    each letter to its least-dbar answer is the witness. Each probe is one
+    ``alternating_strategy_max`` solve with the cost beta * ln 2 * dbar, to a
+    quarter of ``opts.delta``. It stops early once its q has
+    rate + beta * (dist - D) at most L, the best probe bound
+    rate + beta * (dist - D) - gap so far: then g(beta) <= L <= g(beta_L)
+    for the multiplier beta_L of that bound, so by concavity a maximizer
+    lies on beta_L's side, and the bisection moves toward it. A stopped
+    probe's witness and weak bound are kept, so no reported bound depends
+    on the stop. A final gap above ``opts.delta`` gives status
+    "nonconverged". ``extras`` counts the ``probes``, the ``probes_stopped``
+    early, the ``probes_capped`` that reached ``opts.max_iters`` short of
+    their own gap, and ``probe_iterations``, the engine's iterations summed
+    over the probes.
     """
     p_x = p_xs.sum(axis=1)
     sup_x = p_x > ZERO_TOL
@@ -320,12 +331,13 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     dbar = np.einsum("xs,xts->xt", p_s_given_x, excess)
     target = d_target - offset
 
+    counts = {"probes_capped": 0, "probes_stopped": 0, "probe_iterations": 0}
     d_zero_rate = float((p_x @ dbar).min())  # best constant answer
     if target >= d_zero_rate - 1e-12:
         arg = np.zeros_like(dbar)
         arg[:, int((p_x @ dbar).argmin())] = 1.0
         extras = {"argopt_rate": 0.0, "argopt_distortion": d_zero_rate + offset,
-                  "probes": 0, "probes_capped": 0}
+                  "probes": 0, **counts}
         return SolveReport(0.0, 0.0, 0, arg, np.zeros((1, 2)), extras=extras)
 
     status = "ok"
@@ -353,20 +365,29 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     floor_arg[np.arange(dbar.shape[0]), dbar.argmin(axis=1)] = 1.0
 
     def probe(beta: float) -> bool:
-        """Solve at ``beta``; True when the maximizer of the bound lies above it.
+        """Solve at ``beta``; True when a maximizer of the bound lies above it.
 
         The probe reports the engine's own next table from its log
         posterior, half a step past its q; its gap L(q') + U keeps the lower
         bound rate + beta * (dist - D) - gap equal to the engine's -U - beta * D.
+        The engine's J is -ln 2 * (rate + beta * dist) at its q, so it stops
+        once that is at most the best bound so far.
         """
         cost = (beta * LN2) * dbar.T
-        value, gap, _, _, log_big_q, _, _ = alternating_strategy_max(
-            p_x, p_ote, inner_delta, opts.max_iters, cost
+        best = max(probes, key=lambda p: _probe_bound(p, target), default=None)
+        j_stop = math.inf if best is None else -LN2 * (_probe_bound(best, target) + beta * target)
+        value, gap, iters, _, log_big_q, _, ok = alternating_strategy_max(
+            p_x, p_ote, inner_delta, opts.max_iters, cost, j_stop
         )
         nxt = _StrategyModel(p_x, p_ote, cost).scores(log_big_q)
         rate, dist, q = measure(np.exp(_log_weights(nxt)).T)
         probes.append((beta, rate, dist, max(rate + beta * dist + value + gap, 0.0), q))
-        return dist > target
+        # short of its gap, the engine ends before the cap only on reaching j_stop
+        stopped = not ok and iters < opts.max_iters
+        counts["probes_stopped"] += stopped
+        counts["probes_capped"] += not ok and not stopped
+        counts["probe_iterations"] += iters
+        return best[0] > beta if stopped else dist > target
 
     lo, hi = 0.0, gamma_max
     probe(lo)
@@ -392,7 +413,7 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
             "argopt_rate": arg_rate,
             "argopt_distortion": arg_dist + offset,
             "probes": len(probes),
-            "probes_capped": sum(p[3] >= inner_delta for p in probes),
+            **counts,
         },
     )
 
@@ -522,6 +543,7 @@ def alternating_strategy_max(
     delta_bits: float,
     max_iters: int,
     cost: np.ndarray | None = None,
+    j_stop: float = math.inf,
 ):
     """max over q(t|e) of I(T;O) - I(T;E) - E[cost] for the model p(e) q(t|e) p(o|t,e).
 
@@ -538,7 +560,10 @@ def alternating_strategy_max(
     valid distribution. Its step length is measured on the q(t|e) the tables
     stand for: in the tables the log weight of a vanishing strategy drifts
     toward -inf at a near-constant rate, which would hold the length at the
-    clamp and overshoot the strategies that still converge.
+    clamp and overshoot the strategies that still converge. A counted step
+    whose J reaches ``j_stop`` (nats) also ends the solve, for a caller that
+    only needs to know the optimum is at least that; ``converged`` still
+    means the gap is below ``delta_bits``.
 
     Each step runs the one set of strategy functionals (``_StrategyModel``).
     Returns (value_bits, gap_bits, iterations, log_q, log_big_q, trace, converged):
@@ -564,7 +589,8 @@ def alternating_strategy_max(
         log_big_q = f.log_posterior(log_q)
         nxt = f.scores(log_big_q)
         j_val, u_val = f.bounds(q, log_q, nxt)
-        return nxt, j_val, u_val - j_val < delta_bits * LN2, (j_val, u_val, log_q, log_big_q)
+        done = u_val - j_val < delta_bits * LN2 or j_val >= j_stop
+        return nxt, j_val, done, (j_val, u_val, log_q, log_big_q)
 
     trace: list[tuple[float, float]] = []
     iters, _, state = _accelerated_fixed_point(

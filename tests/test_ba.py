@@ -24,7 +24,7 @@ from sideinfo.ba import (
 )
 from sideinfo.case2 import Case2Options
 from sideinfo.evaluators import build_wz_joint, eval_sc
-from sideinfo.gpdual import build_case1_rd_gp, build_wz_gp
+from sideinfo.gpdual import build_case1_rd_gp, build_wz_gp, wz_rate_via_gp
 from sideinfo.probability import Alphabet, CondKernel, JointPmf, ProbabilityError, binary_entropy
 from sideinfo.problems import example1_channel, example3_source, example4_source
 from sideinfo.strategies import enumerate_strategies
@@ -267,8 +267,16 @@ class TestLagrangianSweep:
         assert rep.status == "ok"
         assert rep.gap <= opts.delta
         assert rep.extras["probes_capped"] == 0
+        assert rep.extras["probes_stopped"] > 0
         assert rep.extras["probes"] == rep.iterations
         assert rep.value == pytest.approx(dsbs_wyner_ziv(0.3, d), abs=1e-6)
+
+    def test_stopped_probes_skip_the_crawl_near_the_kink(self):
+        # without the stop, four probes below the kink multiplier take 8,863
+        # of the 10,170 iterations at D = 0.2 without raising the bound
+        rep = wz_primal(example3_source(), 0.2)
+        assert rep.status == "ok" and rep.extras["probes"] == 23
+        assert rep.extras["probe_iterations"] <= 2500
 
     @pytest.mark.parametrize(
         "solve",
@@ -283,7 +291,30 @@ class TestLagrangianSweep:
         assert rep.status == "nonconverged"
         assert rep.gap > 1e-6
         assert 0 < rep.extras["probes_capped"] <= rep.extras["probes"]
+        assert rep.extras["probe_iterations"] <= 2 * rep.extras["probes"]
         assert solve(SolverOptions()).status == "ok"
+
+    # the (seed, k) points of the recipe below that take 0.1 s or more
+    SLOW_RANDOM_POINTS = {
+        (1, 5), (2, 2), (2, 3), (4, 3), (4, 4), (6, 6), (9, 5), (9, 6),
+        (11, 2), (12, 5), (12, 6), (13, 6), (14, 5), (15, 3), (15, 4), (17, 5),
+    }
+
+    @pytest.mark.parametrize("seed", range(18))
+    def test_stopped_probes_keep_the_bracket_on_random_sources(self, seed):
+        # targets k/7 of the way from the distortion floor to the zero-rate
+        # distortion; a probe that stops early steers the bisection by the
+        # best bound so far, and the primal must still meet the dual
+        src = random_binary_wyner_ziv_source(seed)
+        p, d = src.joint.probs.reshape(2, 2), src.distortion
+        floor, zero_rate = p.sum(axis=1) @ d.min(axis=1), (p.T @ d).min(axis=1).sum()
+        for k in range(1, 7):
+            if (seed, k) in self.SLOW_RANDOM_POINTS:
+                continue
+            target = floor + k / 7 * (zero_rate - floor)
+            primal, dual = wz_primal(src, target), wz_rate_via_gp(src, target, cross_check=False)
+            assert primal.status == "ok" and dual.status == "ok"
+            assert abs(primal.value - dual.value) <= primal.gap + dual.gap + 1e-12
 
     def test_capped_probes_at_the_distortion_floor_are_not_ok(self):
         d = np.array([[1.0, 2.0, 1.5], [2.0, 1.0, 1.5], [1.5, 1.5, 1.0]])
@@ -659,3 +690,20 @@ class TestAcceleratedDriver:
         dbar = np.einsum("xs,xts->xt", p_xs / p_xs.sum(axis=1, keepdims=True), d)
         got = self.lagrangian_probe(p_xs, dbar, beta)
         self.check_pinned(got, beta, pinned, references, parts)
+
+    def test_objective_stop_ends_at_the_first_step_reaching_it(self):
+        # the beta=2.5 probe above: J gains 8.8e-5 at step 21, its gap is 6.9e-4
+        p_xs = np.array([[0.35, 0.15], [0.15, 0.35]])
+        tables = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+        d = (np.arange(2)[:, None, None] != tables[None, :, :]).astype(float)
+        p_x = p_xs.sum(axis=1)
+        p_ote = np.broadcast_to(p_xs / p_x[:, None], (4, 2, 2))
+        cost = 2.5 * LN2 * np.einsum("xs,xts->tx", p_xs / p_x[:, None], d)
+        full = alternating_strategy_max(p_x, p_ote, 1e-10, 10000, cost)
+        lows = full[5][:, 0]
+        j_stop = LN2 * 0.5 * (lows[19] + lows[20])
+        value, gap, iters, _, _, trace, ok = alternating_strategy_max(
+            p_x, p_ote, 1e-10, 10000, cost, j_stop
+        )
+        assert (iters, ok, value) == (21, False, lows[20])
+        assert gap > 1e-10 and np.array_equal(trace, full[5][:21])
