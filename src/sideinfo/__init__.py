@@ -22,7 +22,6 @@ from .strategies import (
     StrategySpace,
     cardinality_bounds,
     enumerate_strategies,
-    lift_channel,
     lift_source,
 )
 from .ba import (

@@ -18,9 +18,10 @@
 ``alternating_strategy_max`` is the one alternating iteration, with one
 step and one certificate, the concavity bound U(q): classic capacity, these
 oracles, both state-description capacity solvers and every multiplier probe
-run on it; every capacity solve's tables come from ``_strategy_tables``, given
-a state joint and its encoder, cell and decoder views. It returns its log
-tables and shares one set of strategy functionals with the helpers and the sweep.
+run on it; every capacity solve is one ``_strategy_solve``, whose tables come
+from ``_strategy_tables``, given a state joint and its encoder, cell and
+decoder views. The engine returns its log tables and shares one set of strategy
+functionals with the helpers and the sweep.
 
 All values are in bits. Every report carries a certified optimality gap.
 """
@@ -635,6 +636,12 @@ def _axis_indices(names: Sequence[str]) -> tuple[int, ...]:
     return axes
 
 
+def _view_index(shape, idx, axes) -> np.ndarray:
+    """Row-major index over the axes ``axes`` of ``shape`` of each state in ``idx``; 0 if empty."""
+    flat = np.ravel_multi_index([idx[i] for i in axes], [shape[i] for i in axes])
+    return np.broadcast_to(flat, idx[0].shape)
+
+
 def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, p_state, enc, cell, dec):
     """(p_e, p(o|t,e)) of the strategy solve on ``p_state`` with views ``enc``, ``cell``, ``dec``.
 
@@ -656,11 +663,7 @@ def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, p_state, en
     mass = p_state.ravel()
     live = np.flatnonzero(mass > ZERO_TOL)
     idx = np.unravel_index(live, p_state.shape)
-
-    def view(axes):
-        return np.broadcast_to(np.ravel_multi_index([idx[i] for i in axes], dims(axes)), live.shape)
-
-    e, c, d = view(enc), view(cell), view(dec)
+    e, c, d = (_view_index(p_state.shape, idx, axes) for axes in (enc, cell, dec))
     n_t, n_y, n_d = len(strategies), ch.y.size, math.prod(dims(dec))
     p_e = np.zeros(math.prod(dims(enc)))
     np.add.at(p_e, e, mass[live])
@@ -676,6 +679,54 @@ def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, p_state, en
     return p_e, p_ote
 
 
+def _strategy_solve(ch, p_state, axes, views, delta, max_iters, strategies=None) -> SolveReport:
+    """The strategy solve on ``p_state``, whose axes have the alphabets ``axes``.
+
+    ``views`` is (enc, cell, dec) as in ``_strategy_tables``; the default
+    strategies map the cell's alphabets to X. ``argopt`` is q(t|e) over the
+    encoder view's alphabets, 0 where a weight is below the smallest normal
+    double. ``extras`` holds the natural-log tables of the certificate,
+    ``log_q`` laid out (enc..., T) and ``log_posterior`` laid out
+    (Y, dec..., T), the ``posterior`` Q(t|y, dec) and the ``strategies``.
+    """
+    enc, cell, dec = views
+    if strategies is None:
+        strategies = enumerate_strategies([axes[i] for i in cell], ch.x)
+    p_e, p_ote = _strategy_tables(ch, strategies, p_state, enc, cell, dec)
+    value, gap, iters, log_q, log_big_q, trace, ok = alternating_strategy_max(
+        p_e, p_ote, delta, max_iters
+    )
+    given, seen = [axes[i] for i in enc], [ch.y] + [axes[i] for i in dec]
+    log_q = log_q.T.reshape([a.size for a in given] + [-1])
+    log_posterior = log_big_q.T.reshape([a.size for a in seen] + [-1])
+    t_axis = (strategies.alphabet,)
+    return SolveReport(
+        value, gap, iters, CondKernel(given, t_axis, _probs(log_q)), trace,
+        status="ok" if ok else "nonconverged",
+        extras={"log_q": log_q, "log_posterior": log_posterior, "strategies": strategies,
+                "posterior": CondKernel(seen, t_axis, np.exp(log_posterior))},
+    )
+
+
+def _strategy_joint(ch, p_state, axes, q, strategies: StrategySpace, enc, cell) -> JointPmf:
+    """The joint p(state) q(t|e) 1{x = t(c)} p(y|x,s1,s2) over (state..., T, X, Y).
+
+    ``q`` is laid out (enc..., T); the views index every state as in
+    ``_strategy_tables``, zero-mass states included.
+    """
+    idx = np.unravel_index(np.arange(p_state.size), p_state.shape)
+    e, c = (_view_index(p_state.shape, idx, v) for v in (enc, cell))
+    x = strategies.tables[:, c].T  # (states, T)
+    n_t = len(strategies)
+    out = np.zeros((p_state.size, n_t, ch.x.size, ch.y.size))
+    out[np.arange(p_state.size)[:, None], np.arange(n_t), x] = (
+        p_state.ravel()[:, None] * np.reshape(q, (-1, n_t))[e]
+    )[..., None] * ch.kernel.probs[x, idx[0][:, None], idx[1][:, None]]
+    return JointPmf(
+        tuple(axes) + (strategies.alphabet, ch.x, ch.y), out.reshape(p_state.shape + out.shape[1:])
+    )
+
+
 def gp_channel_capacity(
     ch: ChannelInstance,
     encoder_axes: Sequence[str],
@@ -686,21 +737,12 @@ def gp_channel_capacity(
     """max I(T;O) - I(T;E) over q(t|e), T the strategies encoder-state -> X.
 
     ``encoder_axes`` lists the state axes visible at the encoder;
-    the decoder observes Y plus ``decoder_axes``.
+    the decoder observes Y plus ``decoder_axes``. The report is
+    ``_strategy_solve``'s, whose strategy cell is the encoder view.
     """
     opts = opts or SolverOptions()
     enc, dec = _axis_indices(encoder_axes), _axis_indices(decoder_axes)
-    given = tuple((ch.s1, ch.s2)[i] for i in enc)
-    if strategies is None:
-        strategies = enumerate_strategies(given, ch.x)
-    p_e, p_ote = _strategy_tables(ch, strategies, ch.state_joint.probs, enc, enc, dec)
-    value, gap, iters, log_q, log_big_q, trace, ok = alternating_strategy_max(
-        p_e, p_ote, opts.delta, opts.max_iters
-    )
-    shape = tuple(a.size for a in given) + (len(strategies),)
-    arg = CondKernel(given, (strategies.alphabet,), _probs(log_q).T.reshape(shape))
-    return SolveReport(
-        value, gap, iters, arg, trace,
-        status="ok" if ok else "nonconverged",
-        extras={"decoder_posterior": np.exp(log_big_q), "strategies": strategies},
+    return _strategy_solve(
+        ch, ch.state_joint.probs, (ch.s1, ch.s2), (enc, enc, dec), opts.delta, opts.max_iters,
+        strategies,
     )

@@ -23,9 +23,8 @@ from .ba import (
     ChannelInstance,
     SolveReport,
     _functionals,
-    _probs,
+    _strategy_solve,
     _strategy_tables,
-    alternating_strategy_max,
 )
 from .probability import (
     Alphabet,
@@ -88,6 +87,11 @@ class CurvePoint:
     extras: dict = field(default_factory=dict)
 
 
+# the (enc, cell, dec) views of the two inner solves on the state joint (S1, S2, V2)
+_NONCAUSAL = ((0, 2), (0, 2), (1, 2))
+_CAUSAL = ((2,), (0,), (1, 2))
+
+
 def _state_v2_joint(ch: ChannelInstance, w: CondKernel) -> JointPmf:
     if w.given_shape != (ch.s2.size,):
         raise ProbabilityError("description kernel must condition on S2")
@@ -112,7 +116,7 @@ def r_w(ch: ChannelInstance, w: CondKernel) -> float:
 
 def _inner_tables(ch: ChannelInstance, w: CondKernel, strategies: StrategySpace):
     """p(e) over (s1, v2) and p(o|t, e) over (y, s2, v2) for the inner solve."""
-    return _strategy_tables(ch, strategies, _state_v2_joint(ch, w).probs, (0, 2), (0, 2), (1, 2))
+    return _strategy_tables(ch, strategies, _state_v2_joint(ch, w).probs, *_NONCAUSAL)
 
 
 def inner_max(
@@ -128,25 +132,13 @@ def inner_max(
     and stops once the dominance bound U(q) is within delta of J(q, Q).
     ``extras["log_q"]`` and ``extras["log_posterior"]`` hold the natural logs of ``argopt``
     and the posterior as solved; ``u_w_bound`` re-checks the certificate from them exactly.
-    ``argopt`` holds 0 where a weight is below the smallest normal double.
+    ``argopt`` holds 0 where a weight is below the smallest normal double. The
+    report is ``_strategy_solve``'s; its status is "ok" or "nonconverged".
     """
     opts = opts or Case2Options()
-    v2_axis = w.out_axes[0]
-    if strategies is None:
-        strategies = enumerate_strategies((ch.s1, v2_axis), ch.x)
-    p_e, p_ote = _inner_tables(ch, w, strategies)
-    value, gap, iters, log_q, log_big_q, trace, ok = alternating_strategy_max(
-        p_e, p_ote, opts.delta, opts.max_inner_iters
-    )
-    log_q = log_q.T.reshape(ch.s1.size, v2_axis.size, -1)
-    log_posterior = log_big_q.T.reshape(ch.y.size, ch.s2.size, v2_axis.size, -1)
-    arg = CondKernel((ch.s1, v2_axis), (strategies.alphabet,), _probs(log_q))
-    posterior = CondKernel((ch.y, ch.s2, v2_axis), (strategies.alphabet,), np.exp(log_posterior))
-    return SolveReport(
-        value, gap, iters, arg, trace,
-        status="ok" if ok else "inner-nonconverged",
-        extras={"posterior": posterior, "log_q": log_q, "log_posterior": log_posterior,
-                "strategies": strategies},
+    return _strategy_solve(
+        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), _NONCAUSAL,
+        opts.delta, opts.max_inner_iters, strategies,
     )
 
 
@@ -214,6 +206,13 @@ def _grid_sweep(
     solved for this point and not an earlier one, and ``kernels_not_ok``
     the kernels, winner included, whose status is not "ok". ``opts``
     supplies ``grid_step`` and ``epsilon``.
+
+    The point takes the winner's status. On a maximizing curve a loser that
+    is not "ok" may still beat the winner, so the point is "ok" only when
+    each such loser's value + gap is at most the winner's; else it takes
+    the first such loser's status. On a minimizing curve each value is a
+    dual value, a lower bound on its kernel's rate, so no loser can beat
+    the winner and the winner's status stands.
     """
     grids: dict[float, tuple[SimplexGrid, list[float], float]] = {}
     solved: dict[tuple[float, int], tuple] = {}
@@ -257,6 +256,10 @@ def _grid_sweep(
                 best_val = sval
                 best_idx = i
         value, iters, gap, status, extras = solved[step, grid.orbit[best_idx]]
+        if maximize and status == "ok":
+            status = next(
+                (r[3] for r in results if r[3] != "ok" and r[0] + r[2] > value + gap), "ok"
+            )
         points.append(CurvePoint(
             r_prime=r_prime,
             value=value,
@@ -304,12 +307,11 @@ def _capacity_curve(ch, r_primes, opts, causal: bool) -> list[CurvePoint]:
     v2 = Alphabet(opts.v2_size, "V2")
     if causal:
         r_max = entropy(JointPmf((ch.s2,), ch.state_joint.probs.sum(axis=0)))
-        strategies = enumerate_strategies((ch.s1,), ch.x)
-        rate, inner = _causal_rate, causal_inner_max
+        rate, inner, views = _causal_rate, causal_inner_max, _CAUSAL
     else:
         r_max = conditional_entropy(ch.state_joint, (1,), (0,))
-        strategies = enumerate_strategies((ch.s1, v2), ch.x)
-        rate, inner = r_w, inner_max
+        rate, inner, views = r_w, inner_max, _NONCAUSAL
+    strategies = enumerate_strategies([(ch.s1, ch.s2, v2)[i] for i in views[1]], ch.x)
 
     def solve_w(w: CondKernel):
         rep = inner(ch, w, opts, strategies)
@@ -345,20 +347,13 @@ def causal_inner_max(
     This is one strategy solve with encoder view E = V2 and decoder view
     O = (Y, S2, V2): since O contains E, I(T;O) - I(T;E) = I(T;Y,S2|V2), and
     the strategy cell that picks x is s1. ``iterations`` counts that one
-    solve; ``argopt`` is p(t|v2), uniform at a v2 without mass.
+    solve; ``argopt`` is p(t|v2), uniform at a v2 without mass. The report
+    has the shape of ``inner_max``'s, with ``log_q`` laid out (V2, T).
     """
     opts = opts or Case2Options()
-    if strategies is None:
-        strategies = enumerate_strategies((ch.s1,), ch.x)
-    p_e, p_ote = _strategy_tables(ch, strategies, _state_v2_joint(ch, w).probs, (2,), (0,), (1, 2))
-    value, gap, iters, log_q, _, trace, ok = alternating_strategy_max(
-        p_e, p_ote, opts.delta, opts.max_inner_iters
-    )
-    arg = CondKernel((w.out_axes[0],), (strategies.alphabet,), _probs(log_q).T)
-    return SolveReport(
-        value, gap, iters, arg, trace,
-        status="ok" if ok else "inner-nonconverged",
-        extras={"strategies": strategies},
+    return _strategy_solve(
+        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), _CAUSAL,
+        opts.delta, opts.max_inner_iters, strategies,
     )
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ba import ChannelInstance, SourceInstance
+from .ba import ChannelInstance, SourceInstance, _strategy_joint
+from .case2 import _CAUSAL, _NONCAUSAL, _state_v2_joint
 from .probability import (
     Alphabet,
     CondKernel,
@@ -291,12 +292,6 @@ def example2_closed_form(d: float, r_prime: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _state_strategy_grid(ch: ChannelInstance, w: CondKernel, strategies: StrategySpace):
-    """Open index grids over (S1, S2, V, U) and a zero joint over (S1, S2, V, U, X, Y)."""
-    sizes = (ch.s1.size, ch.s2.size, w.out_axes[0].size, len(strategies))
-    return np.ix_(*map(range, sizes)), np.zeros(sizes + (ch.x.size, ch.y.size))
-
-
 def build_case2_joint(
     ch: ChannelInstance,
     w: CondKernel,
@@ -307,12 +302,10 @@ def build_case2_joint(
 
     U is the strategy variable; X = t(s1, v2) deterministically.
     """
-    (s1, s2, v2, t), out = _state_strategy_grid(ch, w, strategies)
-    x = strategies.tables.reshape(len(strategies), ch.s1.size, -1)[t, s1, v2]
-    base = ch.state_joint.probs[s1, s2] * w.probs[s2, v2]
-    out[s1, s2, v2, t, x] = (base * q.probs[s1, v2, t])[..., None] * ch.kernel.probs[x, s1, s2]
-    axes = (ch.s1, ch.s2, w.out_axes[0], strategies.alphabet, ch.x, ch.y)
-    return JointPmf(axes, out)
+    return _strategy_joint(
+        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), q.probs, strategies,
+        *_NONCAUSAL[:2],
+    )
 
 
 def build_case2c_joint(
@@ -322,12 +315,10 @@ def build_case2c_joint(
     strategies: StrategySpace,
 ) -> JointPmf:
     """Joint (S1, S2, V, U, X, Y) for the causal variant: U ~ p(t|v2), X = t(s1)."""
-    (s1, s2, v2, t), out = _state_strategy_grid(ch, w, strategies)
-    x = strategies.tables[t, s1]
-    base = ch.state_joint.probs[s1, s2] * w.probs[s2, v2]
-    out[s1, s2, v2, t, x] = (base * u_dist.probs[v2, t])[..., None] * ch.kernel.probs[x, s1, s2]
-    axes = (ch.s1, ch.s2, w.out_axes[0], strategies.alphabet, ch.x, ch.y)
-    return JointPmf(axes, out)
+    return _strategy_joint(
+        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), u_dist.probs, strategies,
+        *_CAUSAL[:2],
+    )
 
 
 def build_wz_joint(

@@ -244,7 +244,6 @@ class SimplexGrid:
     permutation of the codomain letters.
     """
 
-    free_dims: int
     step: float
     points: tuple[CondKernel, ...]
     orbit: tuple[int, ...]
@@ -289,4 +288,4 @@ def simplex_grid(slices: int, codomain: Alphabet, step: float) -> SimplexGrid:
         orbit.append(first.setdefault(tuple(sorted(zip(*combo))), len(orbit)))
     expected = math.comb(n + k - 1, k - 1) ** slices
     assert len(points) == expected
-    return SimplexGrid(free_dims=k - 1, step=step, points=tuple(points), orbit=tuple(orbit))
+    return SimplexGrid(step=step, points=tuple(points), orbit=tuple(orbit))

@@ -1,4 +1,4 @@
-"""Shannon-strategy enumeration and lifting of state-dependent channels/sources.
+"""Shannon-strategy enumeration and the lifting of source distortions onto strategies.
 
 A strategy is a deterministic map from a product of state alphabets to an
 input (or reconstruction) alphabet. Randomizing over the enumerated strategy
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .probability import Alphabet, CondKernel, ProbabilityError
+from .probability import Alphabet, ProbabilityError
 
 DEFAULT_STRATEGY_CAP = 4096
 
@@ -48,10 +48,6 @@ class StrategySpace:
     def alphabet(self) -> Alphabet:
         return Alphabet(len(self), "T")
 
-    def apply(self, t: int, *domain_index: int) -> int:
-        cell = int(np.ravel_multi_index(domain_index, self.domain_shape))
-        return int(self.tables[t, cell])
-
 
 def enumerate_strategies(
     domain_axes: Sequence[Alphabet],
@@ -71,38 +67,6 @@ def enumerate_strategies(
     ).reshape(n_strategies, n_cells)
     tables.setflags(write=False)
     return StrategySpace(domain_axes, codomain, tables)
-
-
-def lift_channel(ch, strategies: StrategySpace) -> CondKernel:
-    """Lift p(y|x,s1,s2) onto strategies t: S1 x V2 -> X.
-
-    Returns p(y | t, s1, s2, v2) = p(y | x=t(s1,v2), s1, s2). Each lifted row
-    is a verbatim copy of the base row p(.|x=t(s1,v2), s1, s2), so its sum is
-    bit-identical to that row's sum; it is 1.0 only where the base row's is.
-    """
-    if len(strategies.domain_axes) != 2:
-        raise ProbabilityError("channel lifting expects a strategy domain (S1, V2)")
-    s1_axis, v2_axis = strategies.domain_axes
-    if s1_axis.size != ch.s1.size:
-        raise ProbabilityError(
-            f"strategy S1 size {s1_axis.size} does not match channel S1 size {ch.s1.size}"
-        )
-    if strategies.codomain.size != ch.x.size:
-        raise ProbabilityError(
-            f"strategy codomain size {strategies.codomain.size} "
-            f"does not match channel input size {ch.x.size}"
-        )
-    n_t = len(strategies)
-    n_s1, n_v2 = s1_axis.size, v2_axis.size
-    n_s2 = ch.s2.size
-    tbl = strategies.tables.reshape(n_t, n_s1, n_v2)
-    x_idx = tbl[:, :, None, :]  # (T, S1, 1, V2)
-    s1_idx = np.arange(n_s1)[None, :, None, None]
-    s2_idx = np.arange(n_s2)[None, None, :, None]
-    lifted = ch.kernel.probs[x_idx, s1_idx, s2_idx, :]  # (T, S1, S2, V2, Y)
-    return CondKernel(
-        (strategies.alphabet, ch.s1, ch.s2, v2_axis), (ch.y,), lifted
-    )
 
 
 def lift_source(src, strategies: StrategySpace) -> np.ndarray:

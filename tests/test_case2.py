@@ -6,8 +6,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import sideinfo.case2
 from sideinfo.ba import (
+    LN2,
     ChannelInstance,
     SolverOptions,
+    _functionals,
     _strategy_tables,
     ba_capacity,
     gp_channel_capacity,
@@ -226,6 +228,69 @@ class TestStrategyTables:
                 (inner_max if solve == "inner" else causal_inner_max)(
                     ch, copy_w(ch), strategies=strategies
                 )
+
+
+class TestSolveReports:
+    """gp_channel_capacity, inner_max and causal_inner_max return one report shape."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(st.integers(2, 3), st.integers(2, 3), *[st.integers(1, 2)] * 3),
+        solve=st.sampled_from(["gp", "inner", "causal"]),
+        enc=st.sampled_from(TestStrategyTables.VIEWS),
+        dec=st.sampled_from(TestStrategyTables.VIEWS),
+    )
+    def test_certificate_rechecks_from_the_report(self, seed, sizes, solve, enc, dec):
+        rng = np.random.default_rng(seed)
+        n_x, n_y, n_s1, n_s2, n_v2 = sizes
+        x, y, s1, s2, v2 = (Alphabet(n, a) for n, a in zip(sizes, ("X", "Y", "S1", "S2", "V2")))
+        sj = rng.random((n_s1, n_s2))
+        sj[rng.random(sj.shape) < 0.3] = 0.0  # zero-mass states
+        sj.flat[0] += 0.1
+        kern = rng.random((n_x, n_s1, n_s2, n_y)) + 0.05
+        wp = rng.random((n_s2, n_v2)) + 0.05
+        ch = ChannelInstance(
+            x, y, s1, s2, JointPmf((s1, s2), sj / sj.sum()),
+            CondKernel((x, s1, s2), (y,), kern / kern.sum(axis=3, keepdims=True)),
+        )
+        w = CondKernel((s2,), (v2,), wp / wp.sum(axis=1, keepdims=True))
+        names = ("s1", "s2")
+        if solve == "gp":
+            p_state, axes, views = ch.state_joint.probs, (s1, s2), (enc, enc, dec)
+        else:
+            p_state, axes = _state_v2_joint(ch, w).probs, (s1, s2, v2)
+            views = ((0, 2), (0, 2), (1, 2)) if solve == "inner" else ((2,), (0,), (1, 2))
+
+        def run(max_iters):
+            if solve == "gp":
+                opts = SolverOptions(delta=1e-9, max_iters=max_iters)
+                return gp_channel_capacity(ch, [names[i] for i in enc], [names[i] for i in dec], opts)
+            opts = Case2Options(delta=1e-9, max_inner_iters=max_iters)
+            return (inner_max if solve == "inner" else causal_inner_max)(ch, w, opts)
+
+        for max_iters in (1, 200):
+            rep = run(max_iters)
+            strategies = rep.extras["strategies"]
+            n_t = len(strategies)
+            e_axes = tuple(axes[i] for i in views[0])
+            o_axes = (y,) + tuple(axes[i] for i in views[2])
+            assert rep.argopt.given_axes == e_axes and rep.argopt.out_axes == (strategies.alphabet,)
+            assert rep.extras["log_q"].shape == rep.argopt.probs.shape
+            assert rep.extras["posterior"].given_axes == o_axes
+            np.testing.assert_allclose(
+                rep.extras["posterior"].probs, np.exp(rep.extras["log_posterior"]), rtol=1e-12
+            )
+            p_e, p_ote = _strategy_tables(ch, strategies, p_state, *views)
+            j_val, u_val = _functionals(
+                p_e, p_ote,
+                rep.extras["log_q"].reshape(-1, n_t).T,
+                rep.extras["log_posterior"].reshape(-1, n_t).T,
+            )
+            assert abs(j_val / LN2 - rep.value) <= 1e-12
+            assert u_val / LN2 - rep.value <= rep.gap + 1e-12
+            if max_iters == 1:
+                assert rep.status == "nonconverged" and rep.iterations == 1
 
 
 class TestInnerMax:
@@ -455,8 +520,29 @@ class TestCapacityCurve:
         # losers m = 0.75 (two kernels) and m = 0.5 are not
         def solve_w(w):
             m = float(w.probs.max())
-            return m, 1, 0.0, "inner-nonconverged" if m < 1.0 else "ok", {}
+            return m, 1, 0.0, "nonconverged" if m < 1.0 else "ok", {}
 
+        point = self.one_point(solve_w)
+        assert point.value == 1.0 and point.status == "ok" and point.winning_w == 0
+        assert point.extras["kernels_not_ok"] == 3
+
+    def test_losing_kernel_whose_bound_crosses_the_winner_is_not_ok(self):
+        # as above, but the m = 0.75 losers stopped with gap 0.5: their optimum
+        # may be as large as 1.25, above the winner's certified 1.0
+        def solve_w(w):
+            m = float(w.probs.max())
+            if m == 1.0:
+                return m, 1, 0.0, "ok", {}
+            return m, 1, 0.5 if m == 0.75 else 0.0, "nonconverged", {}
+
+        point = self.one_point(solve_w)
+        assert point.value == 1.0 and point.winning_w == 0
+        assert point.status == "nonconverged"
+        assert point.extras["kernels_not_ok"] == 3
+
+    @staticmethod
+    def one_point(solve_w):
+        """The one point of five kernels [a, 1 - a], all admissible, valued by ``solve_w``."""
         (point,) = _grid_sweep(
             rate_of_w=lambda w: 0.0,
             solve_w=solve_w,
@@ -466,8 +552,7 @@ class TestCapacityCurve:
             opts=Case2Options(epsilon=0.1, grid_step=0.25),
             maximize=True,
         )
-        assert point.value == 1.0 and point.status == "ok" and point.winning_w == 0
-        assert point.extras["kernels_not_ok"] == 3
+        return point
 
 
 class TestCausal:

@@ -3,26 +3,19 @@ import itertools
 import numpy as np
 import pytest
 
-from sideinfo.ba import ChannelInstance, SourceInstance
-from sideinfo.probability import Alphabet, CondKernel, JointPmf, ProbabilityError
+from sideinfo.ba import SourceInstance
+from sideinfo.probability import Alphabet, JointPmf
 from sideinfo.strategies import (
     StrategyCapacityError,
     cardinality_bounds,
     enumerate_strategies,
-    lift_channel,
     lift_source,
 )
 
 X2 = Alphabet(2, "X")
-Y2 = Alphabet(2, "Y")
 S1 = Alphabet(2, "S1")
 S2 = Alphabet(2, "S2")
 V2 = Alphabet(2, "V2")
-
-
-def make_channel(kern):
-    state = JointPmf((S1, S2), np.full((2, 2), 0.25))
-    return ChannelInstance(X2, Y2, S1, S2, state, CondKernel((X2, S1, S2), (Y2,), kern))
 
 
 def test_enumeration_counts():
@@ -47,73 +40,6 @@ def test_cap_exceeded_names_required_size():
     with pytest.raises(StrategyCapacityError) as err:
         enumerate_strategies((Alphabet(4, "A"), Alphabet(4, "B")), Alphabet(3, "C"), cap=4096)
     assert str(3**16) in str(err.value)
-
-
-class TestLiftChannel:
-    def test_noiseless_channel_lifts_to_strategy_output(self):
-        kern = np.zeros((2, 2, 2, 2))
-        for x in range(2):
-            kern[x, :, :, x] = 1.0  # y = x regardless of states
-        ch = make_channel(kern)
-        space = enumerate_strategies((S1, V2), X2)
-        lifted = lift_channel(ch, space)
-        tbl = space.tables.reshape(len(space), 2, 2)
-        for t in range(len(space)):
-            for s1 in range(2):
-                for s2 in range(2):
-                    for v2 in range(2):
-                        y = tbl[t, s1, v2]
-                        assert lifted.probs[t, s1, s2, v2, y] == 1.0
-
-    def test_constant_strategy_reuses_column(self):
-        rng = np.random.default_rng(5)
-        kern = rng.random((2, 2, 2, 2)) + 0.1
-        kern /= kern.sum(axis=3, keepdims=True)
-        ch = make_channel(kern)
-        space = enumerate_strategies((S1, V2), X2)
-        lifted = lift_channel(ch, space)
-        t0 = 0  # the all-zeros strategy
-        for s1 in range(2):
-            for s2 in range(2):
-                for v2 in range(2):
-                    np.testing.assert_allclose(lifted.probs[t0, s1, s2, v2], kern[0, s1, s2])
-
-    def test_matches_substitution_loop(self):
-        rng = np.random.default_rng(6)
-        kern = rng.random((2, 2, 2, 2)) + 0.05
-        kern /= kern.sum(axis=3, keepdims=True)
-        ch = make_channel(kern)
-        space = enumerate_strategies((S1, V2), X2)
-        lifted = lift_channel(ch, space)
-        tbl = space.tables.reshape(len(space), 2, 2)
-        for t in range(len(space)):
-            for s1, s2, v2, y in itertools.product(range(2), repeat=4):
-                assert lifted.probs[t, s1, s2, v2, y] == kern[tbl[t, s1, v2], s1, s2, y]
-
-    def test_normalization_exact(self):
-        rng = np.random.default_rng(7)
-        kern = rng.random((2, 2, 2, 2)) + 0.05
-        kern /= kern.sum(axis=3, keepdims=True)
-        ch = make_channel(kern)
-        space = enumerate_strategies((S1, V2), X2)
-        lifted = lift_channel(ch, space)
-        sums = lifted.probs.sum(axis=4)
-        # Rows are copied verbatim, so each lifted row sums bit for bit to the
-        # base row p(.|x=t(s1,v2),s1,s2) it copies. Division leaves the seed-7
-        # row (x=0, s1=1, s2=0) one ulp below 1, and that row must come through
-        # the CondKernel re-wrap unchanged; no row is promised to sum to 1.0.
-        base = ch.kernel.probs.sum(axis=3)
-        tbl = space.tables.reshape(len(space), 2, 2)
-        s1_idx = np.arange(2)[None, :, None, None]
-        s2_idx = np.arange(2)[None, None, :, None]
-        expected = base[tbl[:, :, None, :], s1_idx, s2_idx]
-        assert np.array_equal(sums, expected)
-
-    def test_alphabet_mismatch_rejected(self):
-        ch = make_channel(np.full((2, 2, 2, 2), 0.5))
-        bad = enumerate_strategies((Alphabet(3, "S1"), V2), X2)
-        with pytest.raises(ProbabilityError):
-            lift_channel(ch, bad)
 
 
 class TestLiftSource:
