@@ -127,14 +127,15 @@ class SolveReport:
 
 
 def _as_channel_matrix(kernel) -> np.ndarray:
-    if isinstance(kernel, CondKernel):
-        if len(kernel.given_axes) != 1 or len(kernel.out_axes) != 1:
-            raise ProbabilityError("ba_capacity expects a single-input single-output kernel")
-        return kernel.probs
-    arr = np.asarray(kernel, dtype=float)
-    if arr.ndim != 2:
-        raise ProbabilityError("channel matrix must be 2-D (inputs x outputs)")
-    return arr
+    """p(y|x) of a one-input one-output ``CondKernel``, or of a 2-D array validated as one."""
+    if not isinstance(kernel, CondKernel):
+        arr = np.asarray(kernel, dtype=float)
+        if arr.ndim != 2:
+            raise ProbabilityError("channel matrix must be 2-D (inputs x outputs)")
+        kernel = CondKernel((Alphabet(arr.shape[0], "X"),), (Alphabet(arr.shape[1], "Y"),), arr)
+    if len(kernel.given_axes) != 1 or len(kernel.out_axes) != 1:
+        raise ProbabilityError("ba_capacity expects a single-input single-output kernel")
+    return kernel.probs
 
 
 def ba_capacity(kernel, opts: SolverOptions | None = None) -> SolveReport:
@@ -145,7 +146,8 @@ def ba_capacity(kernel, opts: SolverOptions | None = None) -> SolveReport:
     bracket max_x D(p(y|x) || p_q(y)) and J the mutual information I(q), so
     each trace entry is (lower, upper) in bits and iteration stops once the
     bracket is narrower than ``opts.delta``. ``argopt`` is the input
-    distribution.
+    distribution. An array is checked as a ``CondKernel`` is: finite entries
+    >= 0, each row summing to 1 within ``SUM_TOL``.
     """
     opts = opts or SolverOptions()
     p = _as_channel_matrix(kernel)
@@ -279,15 +281,26 @@ def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = Non
 
     This is the Wyner-Ziv problem with one side letter, whose strategies are
     the reconstruction letters, so it runs through ``_lagrangian_sweep``;
-    ``argopt`` is the test channel w(xhat|x).
+    ``argopt`` is the test channel w(xhat|x). ``p_x`` must be finite and
+    >= 0 with a positive sum, which is divided out, and ``d`` finite and >= 0.
     """
     opts = opts or SolverOptions()
     p_x = np.asarray(p_x, dtype=float)
     d = np.asarray(d, dtype=float)
     if p_x.ndim != 1 or d.ndim != 2 or d.shape[0] != p_x.shape[0]:
         raise ProbabilityError("p_x and distortion shapes are inconsistent")
+    if not (np.all(np.isfinite(p_x)) and p_x.min(initial=0.0) >= 0 and p_x.sum() > 0):
+        raise ProbabilityError("p_x must be finite and >= 0 with a positive sum")
+    if not np.all(np.isfinite(d)) or d.min(initial=0.0) < 0:
+        raise ProbabilityError("distortion entries must be finite and >= 0")
     p_x = p_x / p_x.sum()
     return _lagrangian_sweep(p_x[:, None], d[:, :, None], d_target, opts)
+
+
+def _check_distortion_target(d_target: float) -> None:
+    """The one rule for a distortion target D: finite and >= 0, else ``ValueError``."""
+    if not (math.isfinite(d_target) and d_target >= 0):
+        raise ValueError(f"distortion target must be finite and >= 0, got {d_target!r}")
 
 
 def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
@@ -302,7 +315,8 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     shortcut, the distortion floor, the feasibility slack and the mixtures
     all see the excess; the reported distortions have the offset added back.
 
-    Targets at or above the best constant answer's distortion have rate 0
+    The target must be finite and >= 0 (``ValueError`` otherwise). Targets
+    at or above the best constant answer's distortion have rate 0
     exactly; targets below the distortion floor are raised to it with status
     "distortion-floor". The multiplier is bisected on [0, gamma_max] by the
     sign of each probe's dist - D, a subgradient of the concave Lagrangian
@@ -323,6 +337,7 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     their own gap, and ``probe_iterations``, the engine's iterations summed
     over the probes.
     """
+    _check_distortion_target(d_target)
     p_x = p_xs.sum(axis=1)
     sup_x = p_x > ZERO_TOL
     p_s_given_x = np.where(sup_x[:, None], p_xs / np.where(sup_x, p_x, 1.0)[:, None], 0.0)
@@ -424,24 +439,23 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
+def _source_strategies(src: SourceInstance) -> StrategySpace:
+    """All maps S2 -> Xhat: the reconstruction strategies of every source solve."""
+    return enumerate_strategies((src.s2,), src.xhat)
+
+
 def wz_primal(
-    src: SourceInstance,
-    d_target: float,
-    opts: SolverOptions | None = None,
-    strategies: StrategySpace | None = None,
+    src: SourceInstance, d_target: float, opts: SolverOptions | None = None
 ) -> SolveReport:
     """Wyner-Ziv rate R(D) = min_{q(t|x,s1)} I(T;X,S1|S2) s.t. E[d(x, t(s2))] <= D.
 
     Any source is accepted: the encoder sees (X, S1) and the decoder S2, so
     this is source case 1 with no description, and a source with |S1| = 1 is
     the classic problem. The encoder letter is the pair (x, s1) in row-major
-    order; strategies map S2 to Xhat. ``argopt`` is q(t|x,s1).
+    order; the strategies are all maps S2 -> Xhat. ``argopt`` is q(t|x,s1).
     """
     opts = opts or SolverOptions()
-    if strategies is None:
-        strategies = enumerate_strategies((src.s2,), src.xhat)
-    if strategies.domain_shape != (src.s2.size,):
-        raise ProbabilityError("strategies must map the side alphabet S2 to Xhat")
+    strategies = _source_strategies(src)
 
     p_es = src.joint.probs.reshape(src.x.size * src.s1.size, src.s2.size)
     rep = _lagrangian_sweep(p_es, lift_source(src, strategies), d_target, opts)
@@ -642,24 +656,25 @@ def _view_index(shape, idx, axes) -> np.ndarray:
     return np.broadcast_to(flat, idx[0].shape)
 
 
+def _cell_strategies(ch: ChannelInstance, axes, cell) -> StrategySpace:
+    """All maps from the alphabets of the strategy cell ``cell`` of ``axes`` to X."""
+    return enumerate_strategies([axes[i] for i in cell], ch.x)
+
+
 def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, p_state, enc, cell, dec):
     """(p_e, p(o|t,e)) of the strategy solve on ``p_state`` with views ``enc``, ``cell``, ``dec``.
 
     ``p_state`` is the state joint with axes (S1, S2, ...); each view is a tuple
     of its axes: the encoder view e, the strategy cell whose entry picks x, and
     the decoder's state view d, with decoder view o = y * |d| + d. A view's index
-    is row-major over its axes, 0 for an empty tuple. States with mass at most
-    ZERO_TOL are skipped, the others summed in row-major state order; encoder
-    views left without mass get zero rows.
+    is row-major over its axes, 0 for an empty tuple. ``strategies`` are the
+    cell's (``_cell_strategies``). States with mass at most ZERO_TOL are
+    skipped, the others summed in row-major state order; encoder views left
+    without mass get zero rows.
     """
     def dims(axes):
         return tuple(p_state.shape[i] for i in axes)
 
-    if strategies.domain_shape != dims(cell) or strategies.codomain.size != ch.x.size:
-        raise ProbabilityError(
-            f"strategies map {strategies.domain_shape} to {strategies.codomain.size} letters; "
-            f"this solve needs the cell axes {dims(cell)} mapped to X of size {ch.x.size}"
-        )
     mass = p_state.ravel()
     live = np.flatnonzero(mass > ZERO_TOL)
     idx = np.unravel_index(live, p_state.shape)
@@ -679,19 +694,18 @@ def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, p_state, en
     return p_e, p_ote
 
 
-def _strategy_solve(ch, p_state, axes, views, delta, max_iters, strategies=None) -> SolveReport:
+def _strategy_solve(ch, p_state, axes, views, delta, max_iters) -> SolveReport:
     """The strategy solve on ``p_state``, whose axes have the alphabets ``axes``.
 
-    ``views`` is (enc, cell, dec) as in ``_strategy_tables``; the default
-    strategies map the cell's alphabets to X. ``argopt`` is q(t|e) over the
+    ``views`` is (enc, cell, dec) as in ``_strategy_tables``; the strategies
+    are all maps from the cell's alphabets to X. ``argopt`` is q(t|e) over the
     encoder view's alphabets, 0 where a weight is below the smallest normal
     double. ``extras`` holds the natural-log tables of the certificate,
     ``log_q`` laid out (enc..., T) and ``log_posterior`` laid out
     (Y, dec..., T), the ``posterior`` Q(t|y, dec) and the ``strategies``.
     """
     enc, cell, dec = views
-    if strategies is None:
-        strategies = enumerate_strategies([axes[i] for i in cell], ch.x)
+    strategies = _cell_strategies(ch, axes, cell)
     p_e, p_ote = _strategy_tables(ch, strategies, p_state, enc, cell, dec)
     value, gap, iters, log_q, log_big_q, trace, ok = alternating_strategy_max(
         p_e, p_ote, delta, max_iters
@@ -708,12 +722,13 @@ def _strategy_solve(ch, p_state, axes, views, delta, max_iters, strategies=None)
     )
 
 
-def _strategy_joint(ch, p_state, axes, q, strategies: StrategySpace, enc, cell) -> JointPmf:
+def _strategy_joint(ch, p_state, axes, q, enc, cell) -> JointPmf:
     """The joint p(state) q(t|e) 1{x = t(c)} p(y|x,s1,s2) over (state..., T, X, Y).
 
-    ``q`` is laid out (enc..., T); the views index every state as in
-    ``_strategy_tables``, zero-mass states included.
+    ``q`` is laid out (enc..., T) over the cell's strategies; the views index
+    every state as in ``_strategy_tables``, zero-mass states included.
     """
+    strategies = _cell_strategies(ch, axes, cell)
     idx = np.unravel_index(np.arange(p_state.size), p_state.shape)
     e, c = (_view_index(p_state.shape, idx, v) for v in (enc, cell))
     x = strategies.tables[:, c].T  # (states, T)
@@ -732,7 +747,6 @@ def gp_channel_capacity(
     encoder_axes: Sequence[str],
     decoder_axes: Sequence[str],
     opts: SolverOptions | None = None,
-    strategies: StrategySpace | None = None,
 ) -> SolveReport:
     """max I(T;O) - I(T;E) over q(t|e), T the strategies encoder-state -> X.
 
@@ -743,6 +757,5 @@ def gp_channel_capacity(
     opts = opts or SolverOptions()
     enc, dec = _axis_indices(encoder_axes), _axis_indices(decoder_axes)
     return _strategy_solve(
-        ch, ch.state_joint.probs, (ch.s1, ch.s2), (enc, enc, dec), opts.delta, opts.max_iters,
-        strategies,
+        ch, ch.state_joint.probs, (ch.s1, ch.s2), (enc, enc, dec), opts.delta, opts.max_iters
     )

@@ -22,6 +22,7 @@ from .ba import (
     LN2,
     ChannelInstance,
     SolveReport,
+    _cell_strategies,
     _functionals,
     _strategy_solve,
     _strategy_tables,
@@ -40,7 +41,6 @@ from .probability import (
     mutual_information,
     simplex_grid,
 )
-from .strategies import StrategySpace, enumerate_strategies
 
 
 @dataclass
@@ -114,16 +114,14 @@ def r_w(ch: ChannelInstance, w: CondKernel) -> float:
     return conditional
 
 
-def _inner_tables(ch: ChannelInstance, w: CondKernel, strategies: StrategySpace):
+def _inner_tables(ch: ChannelInstance, w: CondKernel):
     """p(e) over (s1, v2) and p(o|t, e) over (y, s2, v2) for the inner solve."""
+    strategies = _cell_strategies(ch, (ch.s1, ch.s2, w.out_axes[0]), _NONCAUSAL[1])
     return _strategy_tables(ch, strategies, _state_v2_joint(ch, w).probs, *_NONCAUSAL)
 
 
 def inner_max(
-    ch: ChannelInstance,
-    w: CondKernel,
-    opts: Case2Options | None = None,
-    strategies: StrategySpace | None = None,
+    ch: ChannelInstance, w: CondKernel, opts: Case2Options | None = None
 ) -> SolveReport:
     """max over q(t|s1,v2) of I(T;Y,S2|V2) - I(T;S1|V2) for a fixed w(v2|s2).
 
@@ -138,16 +136,12 @@ def inner_max(
     opts = opts or Case2Options()
     return _strategy_solve(
         ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), _NONCAUSAL,
-        opts.delta, opts.max_inner_iters, strategies,
+        opts.delta, opts.max_inner_iters,
     )
 
 
 def u_w_bound(
-    ch: ChannelInstance,
-    w: CondKernel,
-    log_q: np.ndarray,
-    log_posterior: np.ndarray,
-    strategies: StrategySpace | None = None,
+    ch: ChannelInstance, w: CondKernel, log_q: np.ndarray, log_posterior: np.ndarray
 ) -> float:
     """Dominance bound U(q) in bits from log q(t|s1,v2) and log Q(t|y,s2,v2).
 
@@ -155,13 +149,10 @@ def u_w_bound(
     and ``extras["log_posterior"]``. Always at least J(q, Q*) and equal to the
     inner optimum at its fixed point.
     """
-    v2_axis = w.out_axes[0]
     n_t = log_q.shape[-1]
-    if strategies is None:
-        strategies = enumerate_strategies((ch.s1, v2_axis), ch.x)
-    if len(strategies) != n_t:
+    p_e, p_ote = _inner_tables(ch, w)
+    if p_ote.shape[0] != n_t:
         raise ProbabilityError("strategy count does not match q's codomain")
-    p_e, p_ote = _inner_tables(ch, w, strategies)
     u = _functionals(p_e, p_ote, log_q.reshape(-1, n_t).T, log_posterior.reshape(-1, n_t).T)[1]
     return u / LN2
 
@@ -307,14 +298,13 @@ def _capacity_curve(ch, r_primes, opts, causal: bool) -> list[CurvePoint]:
     v2 = Alphabet(opts.v2_size, "V2")
     if causal:
         r_max = entropy(JointPmf((ch.s2,), ch.state_joint.probs.sum(axis=0)))
-        rate, inner, views = _causal_rate, causal_inner_max, _CAUSAL
+        rate, inner = _causal_rate, causal_inner_max
     else:
         r_max = conditional_entropy(ch.state_joint, (1,), (0,))
-        rate, inner, views = r_w, inner_max, _NONCAUSAL
-    strategies = enumerate_strategies([(ch.s1, ch.s2, v2)[i] for i in views[1]], ch.x)
+        rate, inner = r_w, inner_max
 
     def solve_w(w: CondKernel):
-        rep = inner(ch, w, opts, strategies)
+        rep = inner(ch, w, opts)
         return rep.value, rep.iterations, rep.gap, rep.status, {}
 
     points = _grid_sweep(
@@ -337,10 +327,7 @@ def _causal_rate(ch: ChannelInstance, w: CondKernel) -> float:
 
 
 def causal_inner_max(
-    ch: ChannelInstance,
-    w: CondKernel,
-    opts: Case2Options | None = None,
-    strategies: StrategySpace | None = None,
+    ch: ChannelInstance, w: CondKernel, opts: Case2Options | None = None
 ) -> SolveReport:
     """max over p(u|v2) of I(U;Y,S2|V2), U ranging over strategies S1 -> X.
 
@@ -353,7 +340,7 @@ def causal_inner_max(
     opts = opts or Case2Options()
     return _strategy_solve(
         ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), _CAUSAL,
-        opts.delta, opts.max_inner_iters, strategies,
+        opts.delta, opts.max_inner_iters,
     )
 
 

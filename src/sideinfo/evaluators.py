@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ba import ChannelInstance, SourceInstance, _strategy_joint
+from .ba import ChannelInstance, SourceInstance, _source_strategies, _strategy_joint
 from .case2 import _CAUSAL, _NONCAUSAL, _state_v2_joint
 from .probability import (
     Alphabet,
@@ -25,7 +25,6 @@ from .probability import (
     binary_entropy,
     conditional_mutual_information as cmi,
 )
-from .strategies import StrategySpace
 
 
 @dataclass
@@ -292,45 +291,34 @@ def example2_closed_form(d: float, r_prime: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def build_case2_joint(
-    ch: ChannelInstance,
-    w: CondKernel,
-    q: CondKernel,
-    strategies: StrategySpace,
-) -> JointPmf:
+def build_case2_joint(ch: ChannelInstance, w: CondKernel, q: CondKernel) -> JointPmf:
     """Joint (S1, S2, V, U, X, Y) realized by a description kernel and q(t|s1,v2).
 
-    U is the strategy variable; X = t(s1, v2) deterministically.
+    U is the strategy variable, over ``inner_max``'s strategies; X = t(s1, v2)
+    deterministically.
     """
     return _strategy_joint(
-        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), q.probs, strategies,
+        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), q.probs,
         *_NONCAUSAL[:2],
     )
 
 
-def build_case2c_joint(
-    ch: ChannelInstance,
-    w: CondKernel,
-    u_dist: CondKernel,
-    strategies: StrategySpace,
-) -> JointPmf:
+def build_case2c_joint(ch: ChannelInstance, w: CondKernel, u_dist: CondKernel) -> JointPmf:
     """Joint (S1, S2, V, U, X, Y) for the causal variant: U ~ p(t|v2), X = t(s1)."""
     return _strategy_joint(
-        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), u_dist.probs, strategies,
+        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), u_dist.probs,
         *_CAUSAL[:2],
     )
 
 
-def build_wz_joint(
-    src: SourceInstance,
-    q: CondKernel,
-    strategies: StrategySpace,
-) -> JointPmf:
+def build_wz_joint(src: SourceInstance, q: CondKernel) -> JointPmf:
     """Joint (X, S1, S2, V, U, Xhat) realized by the Wyner-Ziv q(t|x,s1) on any source.
 
     The encoder sees (X, S1) and the decoder S2: V is a point mass (no
-    description), U is the strategy variable, and Xhat = t(s2).
+    description), U is the strategy variable over the maps S2 -> Xhat, and
+    Xhat = t(s2).
     """
+    strategies = _source_strategies(src)
     n_t = len(strategies)
     x, s1, s2, t = np.ix_(range(src.x.size), range(src.s1.size), range(src.s2.size), range(n_t))
     out = np.zeros(src.joint.probs.shape + (1, n_t, src.xhat.size))

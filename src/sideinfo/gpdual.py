@@ -19,7 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .ba import LN2, SolveReport, SolverOptions, SourceInstance, wz_primal
+from .ba import (
+    LN2,
+    SolveReport,
+    SolverOptions,
+    SourceInstance,
+    _check_distortion_target,
+    _source_strategies,
+    wz_primal,
+)
 from .case2 import CurvePoint, _grid_sweep, monotone_post_pass
 from .probability import (
     Alphabet,
@@ -33,7 +41,6 @@ from .probability import (
     marginalize,
     simplex_grid,
 )
-from .strategies import StrategySpace, enumerate_strategies
 
 
 class GpInfeasibleError(RuntimeError):
@@ -292,11 +299,7 @@ def _gamma_cap(distortion: np.ndarray) -> float:
     return 400.0 / float(positive.min()) if positive.size else 1.0
 
 
-def build_wz_gp(
-    src: SourceInstance,
-    d_target: float,
-    strategies: StrategySpace | None = None,
-) -> GpProblem:
+def build_wz_gp(src: SourceInstance, d_target: float) -> GpProblem:
     """Dual of the Wyner-Ziv problem at distortion D, as a convex program.
 
     Any source is accepted: the encoder sees (X, S1) and the decoder S2, so
@@ -306,14 +309,13 @@ def build_wz_gp(
     log-sum-exp group per (s2, t). Cells of mass <= ZERO_TOL are absent. The
     program is posed in nats.
     """
-    return _build_dual(src, src.joint.probs[..., None], d_target, strategies)
+    return _build_dual(src, src.joint.probs[..., None], d_target)
 
 
 def wz_rate_via_gp(
     src: SourceInstance,
     d_target: float,
     opts: SolverOptions | None = None,
-    strategies: StrategySpace | None = None,
     cross_check: bool = True,
     tight_tol: float = 1e-3,
 ) -> SolveReport:
@@ -323,13 +325,13 @@ def wz_rate_via_gp(
     "not-tight" when the cross-check misses the primal by more than ``tight_tol``.
     """
     opts = opts or SolverOptions()
-    problem = build_wz_gp(src, d_target, strategies)
+    problem = build_wz_gp(src, d_target)
     report = solve_gp(problem)
     value = max(report.value / LN2, 0.0)
     extras = {"gp_report": report, "certified": report.certified}
     status = "ok" if report.certified else "uncertified"
     if cross_check:
-        primal = wz_primal(src, d_target, opts, strategies)
+        primal = wz_primal(src, d_target, opts)
         extras["primal_value"] = primal.value
         extras["primal_report"] = primal
         extras["tight"] = abs(primal.value - value) <= tight_tol
@@ -351,12 +353,7 @@ def wz_rate_via_gp(
 # ---------------------------------------------------------------------------
 
 
-def build_case1_rd_gp(
-    src: SourceInstance,
-    w: CondKernel,
-    d_target: float,
-    strategies: StrategySpace | None = None,
-) -> GpProblem:
+def build_case1_rd_gp(src: SourceInstance, w: CondKernel, d_target: float) -> GpProblem:
     """Dual program for a fixed description kernel w(v1|s1).
 
     Variables (alpha_{x,s1,v1} | gamma | y_{x,s1,s2,v1,t}); one affine row per
@@ -372,23 +369,16 @@ def build_case1_rd_gp(
     """
     if w.given_shape != (src.s1.size,):
         raise ProbabilityError("description kernel must condition on S1")
-    return _build_dual(src, chain(src.joint, w, bind=(1,)).probs, d_target, strategies)
+    return _build_dual(src, chain(src.joint, w, bind=(1,)).probs, d_target)
 
 
-def _build_dual(
-    src: SourceInstance,
-    p4: np.ndarray,
-    d_target: float,
-    strategies: StrategySpace | None,
-) -> GpProblem:
-    """The dual program of ``build_case1_rd_gp`` for the joint p4 over (X, S1, S2, V1)."""
-    if d_target < 0:
-        raise ValueError("distortion target must be >= 0")
-    if strategies is None:
-        strategies = enumerate_strategies((src.s2,), src.xhat)
-    if strategies.domain_shape != (src.s2.size,):
-        raise ProbabilityError("strategies must map S2 to Xhat")
+def _build_dual(src: SourceInstance, p4: np.ndarray, d_target: float) -> GpProblem:
+    """The dual program of ``build_case1_rd_gp`` for the joint p4 over (X, S1, S2, V1).
 
+    The strategies are all maps S2 -> Xhat; D must be finite and >= 0.
+    """
+    _check_distortion_target(d_target)
+    strategies = _source_strategies(src)
     n_t = len(strategies)
     live = p4 > ZERO_TOL  # the cells the program holds
     kept = live.any(axis=2)  # the alpha cells (x, s1, v1)
@@ -490,14 +480,12 @@ def _rd_curve(src, d_target, r_primes, opts) -> list[CurvePoint]:
     opts = opts or Case1Options()
     if any(rp < 0 for rp in r_primes):
         raise ValueError("r_prime must be >= 0")
-    if d_target < 0:
-        raise ValueError("distortion target must be >= 0")
+    _check_distortion_target(d_target)
     p_s1s2 = marginalize(src.joint, (1, 2))
     v1 = Alphabet(opts.v1_size, "V1")
-    strategies = enumerate_strategies((src.s2,), src.xhat)
 
     def solve_w(w: CondKernel):
-        report = solve_gp(build_case1_rd_gp(src, w, d_target, strategies))
+        report = solve_gp(build_case1_rd_gp(src, w, d_target))
         value = max(report.value / LN2, 0.0)
         status = "ok" if report.certified else "uncertified"
         return value, report.newton_steps, report.gap_bound / LN2, status, {"gp_report": report}

@@ -17,11 +17,11 @@ import numpy as np
 
 from .probability import Alphabet, ProbabilityError
 
-DEFAULT_STRATEGY_CAP = 4096
+STRATEGY_CAP = 4096
 
 
 class StrategyCapacityError(ValueError):
-    """The strategy space is larger than the configured cap."""
+    """The strategy space has more than ``STRATEGY_CAP`` tables."""
 
 
 @dataclass(frozen=True)
@@ -41,26 +41,18 @@ class StrategySpace:
         return self.tables.shape[0]
 
     @property
-    def domain_shape(self) -> tuple[int, ...]:
-        return tuple(a.size for a in self.domain_axes)
-
-    @property
     def alphabet(self) -> Alphabet:
         return Alphabet(len(self), "T")
 
 
-def enumerate_strategies(
-    domain_axes: Sequence[Alphabet],
-    codomain: Alphabet,
-    cap: int = DEFAULT_STRATEGY_CAP,
-) -> StrategySpace:
+def enumerate_strategies(domain_axes: Sequence[Alphabet], codomain: Alphabet) -> StrategySpace:
     domain_axes = tuple(domain_axes)
     n_cells = math.prod(a.size for a in domain_axes)
     n_strategies = codomain.size**n_cells
-    if n_strategies > cap:
+    if n_strategies > STRATEGY_CAP:
         raise StrategyCapacityError(
             f"strategy space needs {n_strategies} tables "
-            f"({codomain.size}^{n_cells}), above the cap of {cap}"
+            f"({codomain.size}^{n_cells}), above the cap of {STRATEGY_CAP}"
         )
     tables = np.array(
         list(itertools.product(range(codomain.size), repeat=n_cells)), dtype=np.intp

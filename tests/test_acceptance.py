@@ -50,7 +50,6 @@ from sideinfo.probability import (
     conditional_entropy,
 )
 from sideinfo.problems import example1_channel, example2_source, example3_source, example4_source
-from sideinfo.strategies import enumerate_strategies
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -204,8 +203,7 @@ def test_inner_solver_lemma_suite():
         wp = rng.random((2, 2)) + 0.05
         wp /= wp.sum(axis=1, keepdims=True)
         w = CondKernel((s2,), (v2,), wp)
-        strategies = enumerate_strategies((s1, v2), x)
-        p_e, p_ote = _inner_tables(ch, w, strategies)
+        p_e, p_ote = _inner_tables(ch, w)
         n_t, n_e, n_o = p_ote.shape
 
         def rand_cols(shape):
@@ -272,23 +270,20 @@ def test_evaluator_consistency_and_duality():
     worst = 0.0
 
     pt = capacity_case2(ch, 0.3, opts)
-    strategies = enumerate_strategies((ch.s1, Alphabet(2, "V2")), ch.x)
-    rep = inner_max(ch, pt.winning_kernel, opts, strategies)
-    joint = build_case2_joint(ch, pt.winning_kernel, rep.argopt, strategies)
+    rep = inner_max(ch, pt.winning_kernel, opts)
+    joint = build_case2_joint(ch, pt.winning_kernel, rep.argopt)
     res = eval_cc("2lb", joint)
     worst = max(worst, abs(res.objective - pt.raw_value))
     worst = max(worst, abs(res.r_prime_required - pt.winning_r_w))
 
     ptc = capacity_case2_causal(ch, 0.3, opts)
-    strat_c = enumerate_strategies((ch.s1,), ch.x)
-    repc = causal_inner_max(ch, ptc.winning_kernel, opts, strat_c)
-    jointc = build_case2c_joint(ch, ptc.winning_kernel, repc.argopt, strat_c)
+    repc = causal_inner_max(ch, ptc.winning_kernel, opts)
+    jointc = build_case2c_joint(ch, ptc.winning_kernel, repc.argopt)
     worst = max(worst, abs(eval_cc("2c", jointc).objective - ptc.raw_value))
 
     src = example3_source()
     wz = wz_primal(src, 0.1, SolverOptions(delta=1e-9))
-    strat_wz = enumerate_strategies((src.s2,), src.xhat)
-    res_wz = eval_sc("1", build_wz_joint(src, wz.argopt, strat_wz), src.distortion)
+    res_wz = eval_sc("1", build_wz_joint(src, wz.argopt), src.distortion)
     worst = max(worst, abs(res_wz.objective - wz.extras["argopt_rate"]))
 
     cases = [("channel", "1"), ("channel", "2"), ("channel", "2c"),

@@ -24,10 +24,9 @@ from sideinfo.ba import (
 )
 from sideinfo.case2 import Case2Options
 from sideinfo.evaluators import build_wz_joint, eval_sc
-from sideinfo.gpdual import build_case1_rd_gp, build_wz_gp, wz_rate_via_gp
+from sideinfo.gpdual import build_case1_rd_gp, build_wz_gp, rd_case1, wz_rate_via_gp
 from sideinfo.probability import Alphabet, CondKernel, JointPmf, ProbabilityError, binary_entropy
-from sideinfo.problems import example1_channel, example3_source, example4_source
-from sideinfo.strategies import enumerate_strategies
+from sideinfo.problems import example1_channel, example2_source, example3_source, example4_source
 
 HAMMING = 1.0 - np.eye(2)
 TIGHT = SolverOptions(delta=1e-9)
@@ -46,6 +45,15 @@ class TestCapacity:
     def test_useless_channel(self):
         rep = ba_capacity(np.array([[0.3, 0.7], [0.3, 0.7]]))
         assert rep.value == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.5, 0.6], [0.2, 0.8]],  # a row sums to 1.1
+        [[1.5, -0.5], [0.2, 0.8]],  # rows sum to 1, one entry negative
+        [[np.nan, 1.0], [0.2, 0.8]],
+    ])
+    def test_matrix_that_is_not_a_channel_raises(self, matrix):
+        with pytest.raises(ProbabilityError):
+            ba_capacity(np.array(matrix))
 
     def test_trace_monotone_and_bracket(self):
         rng = np.random.default_rng(11)
@@ -102,6 +110,17 @@ class TestRateDistortion:
         rep = ba_rate_distortion(np.array([0.5, 0.5]), d, 0.5)
         assert rep.status == "distortion-floor"
         assert rep.extras["distortion_floor"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("p_x, d", [
+        ([0.5, 0.5], [[0.0, np.nan], [1.0, 0.0]]),
+        ([0.0, 0.0], HAMMING),
+        ([0.5, 0.5], [[0.0, -1.0], [1.0, 0.0]]),
+        ([0.5, -0.1, 0.6], np.ones((3, 2))),
+        ([0.5, np.inf], HAMMING),
+    ])
+    def test_invalid_source_raises(self, p_x, d):
+        with pytest.raises(ProbabilityError):
+            ba_rate_distortion(np.array(p_x), np.array(d), 0.1)
 
     def test_curve_nonincreasing_and_convex(self):
         p = np.array([0.4, 0.6])
@@ -212,8 +231,7 @@ class TestWynerZiv:
         assert all(np.array_equal(g, h) for g, h in zip(prog.lse_groups, case1.lse_groups))
         assert (prog.bounds, prog.var_labels) == (case1.bounds, case1.var_labels)
 
-        strategies = enumerate_strategies((s2,), xhat)
-        res = eval_sc("1", build_wz_joint(src, rep.argopt, strategies), d)
+        res = eval_sc("1", build_wz_joint(src, rep.argopt), d)
         assert res.objective == pytest.approx(rep.extras["argopt_rate"], abs=1e-9)
         assert res.distortion == pytest.approx(rep.extras["argopt_distortion"], abs=1e-9)
         assert res.r_prime_required == pytest.approx(0.0, abs=1e-12)
@@ -707,3 +725,21 @@ class TestAcceleratedDriver:
         )
         assert (iters, ok, value) == (21, False, lows[20])
         assert gap > 1e-10 and np.array_equal(trace, full[5][:21])
+
+
+@pytest.mark.parametrize("d_target", [math.nan, math.inf, -0.1])
+def test_distortion_target_must_be_finite_and_nonnegative(d_target):
+    """Primal, dual and the description curve reject a target D the same way."""
+    src = example3_source()
+    w = CondKernel((src.s1,), (Alphabet(1, "V1"),), np.ones((src.s1.size, 1)))
+    solves = [
+        lambda: wz_primal(src, d_target),
+        lambda: ba_rate_distortion(np.array([0.5, 0.5]), HAMMING, d_target),
+        lambda: build_wz_gp(src, d_target),
+        lambda: build_case1_rd_gp(src, w, d_target),
+        lambda: wz_rate_via_gp(src, d_target),
+        lambda: rd_case1(example2_source(), d_target, 0.1),
+    ]
+    for solve in solves:
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            solve()

@@ -34,7 +34,6 @@ from sideinfo.probability import (
     Alphabet,
     CondKernel,
     JointPmf,
-    ProbabilityError,
     ZERO_TOL,
     conditional_entropy,
     conditional_mutual_information,
@@ -208,26 +207,7 @@ class TestStrategyTables:
         want = per_state_tables(ch, strategies, p_state, *views)
         assert all(np.array_equal(g, r) for g, r in zip(got, want))
         if layout == "inner":
-            assert all(np.array_equal(g, r) for g, r in zip(_inner_tables(ch, w, strategies), want))
-
-    def test_causal_rejects_strategies_over_s1_v2(self):
-        # the causal strategy cell is s1 alone; a space over (S1, V2) is a caller's mistake
-        ch = example1_channel()
-        with pytest.raises(ProbabilityError, match="cell axes"):
-            causal_inner_max(ch, copy_w(ch), strategies=enumerate_strategies((ch.s1, V2), ch.x))
-
-    @pytest.mark.parametrize("solve", ["gp", "inner", "causal"])
-    def test_codomain_larger_than_x_raises(self, solve):
-        ch, x3 = example1_channel(), Alphabet(3, "X3")
-        domain = (ch.s1, V2) if solve == "inner" else (ch.s1,)
-        strategies = enumerate_strategies(domain, x3)
-        with pytest.raises(ProbabilityError, match="X of size 2"):
-            if solve == "gp":
-                gp_channel_capacity(ch, ("s1",), ("s2",), strategies=strategies)
-            else:
-                (inner_max if solve == "inner" else causal_inner_max)(
-                    ch, copy_w(ch), strategies=strategies
-                )
+            assert all(np.array_equal(g, r) for g, r in zip(_inner_tables(ch, w), want))
 
 
 class TestSolveReports:
@@ -387,9 +367,8 @@ class TestDominanceBound:
     def test_uniform_q_bound_is_strict(self):
         ch = example1_channel()
         w = copy_w(ch)
-        strategies = enumerate_strategies((ch.s1, V2), ch.x)
-        p_e, p_ote = _inner_tables(ch, w, strategies)
-        n_t = len(strategies)
+        p_e, p_ote = _inner_tables(ch, w)
+        n_t = p_ote.shape[0]
         q = np.full((n_t, p_e.size), 1.0 / n_t)
         p_to = np.einsum("e,te,teo->to", p_e, q, p_ote)
         p_o = p_to.sum(axis=0)
@@ -401,8 +380,7 @@ class TestDominanceBound:
     def test_single_strategy_bound_and_objective_vanish(self):
         ch = example1_channel()
         w = copy_w(ch)
-        strategies = enumerate_strategies((ch.s1, V2), ch.x)
-        p_e, p_ote = _inner_tables(ch, w, strategies)
+        p_e, p_ote = _inner_tables(ch, w)
         one = p_ote[:1]  # restrict to a single strategy
         q = np.ones((1, p_e.size))
         big_q = np.ones((1, one.shape[2]))
@@ -414,8 +392,7 @@ class TestLemmaProbes:
     def test_concavity_and_update_optimality(self):
         rng = np.random.default_rng(33)
         ch, w = random_case2_instance(rng)
-        strategies = enumerate_strategies((ch.s1, V2), ch.x)
-        p_e, p_ote = _inner_tables(ch, w, strategies)
+        p_e, p_ote = _inner_tables(ch, w)
         n_t, n_e, n_o = p_ote.shape
 
         def rand_cols(shape):

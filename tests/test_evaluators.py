@@ -16,7 +16,6 @@ from sideinfo.evaluators import (
 )
 from sideinfo.probability import Alphabet, CondKernel, JointPmf, ProbabilityError, chain
 from sideinfo.problems import example1_channel, example3_source
-from sideinfo.strategies import enumerate_strategies
 
 HAMMING = 1.0 - np.eye(2)
 
@@ -236,9 +235,8 @@ class TestOptimizerConsistency:
         ch = example1_channel()
         opts = Case2Options(delta=1e-9)
         pt = capacity_case2(ch, 0.3, opts)
-        strategies = enumerate_strategies((ch.s1, Alphabet(2, "V2")), ch.x)
-        rep = inner_max(ch, pt.winning_kernel, opts, strategies)
-        joint = build_case2_joint(ch, pt.winning_kernel, rep.argopt, strategies)
+        rep = inner_max(ch, pt.winning_kernel, opts)
+        joint = build_case2_joint(ch, pt.winning_kernel, rep.argopt)
         res = eval_cc("2lb", joint, channel=ch)
         assert res.objective == pytest.approx(pt.raw_value, abs=1e-9)
         assert res.r_prime_required == pytest.approx(pt.winning_r_w, abs=1e-9)
@@ -250,9 +248,8 @@ class TestOptimizerConsistency:
         ch = example1_channel()
         opts = Case2Options(delta=1e-9)
         pt = capacity_case2_causal(ch, 0.3, opts)
-        strategies = enumerate_strategies((ch.s1,), ch.x)
-        rep = causal_inner_max(ch, pt.winning_kernel, opts, strategies)
-        joint = build_case2c_joint(ch, pt.winning_kernel, rep.argopt, strategies)
+        rep = causal_inner_max(ch, pt.winning_kernel, opts)
+        joint = build_case2c_joint(ch, pt.winning_kernel, rep.argopt)
         res = eval_cc("2c", joint)
         assert res.objective == pytest.approx(pt.raw_value, abs=1e-9)
         for name, violation in res.markov_violations:
@@ -261,8 +258,7 @@ class TestOptimizerConsistency:
     def test_wyner_ziv_argopt_reproduced_by_evaluator(self):
         src = example3_source()
         rep = wz_primal(src, 0.1, SolverOptions(delta=1e-9))
-        strategies = enumerate_strategies((src.s2,), src.xhat)
-        joint = build_wz_joint(src, rep.argopt, strategies)
+        joint = build_wz_joint(src, rep.argopt)
         res = eval_sc("1", joint, src.distortion)
         assert res.objective == pytest.approx(rep.extras["argopt_rate"], abs=1e-9)
         assert res.distortion == pytest.approx(rep.extras["argopt_distortion"], abs=1e-12)

@@ -38,7 +38,7 @@ def test_enumeration_order_last_cell_fastest():
 
 def test_cap_exceeded_names_required_size():
     with pytest.raises(StrategyCapacityError) as err:
-        enumerate_strategies((Alphabet(4, "A"), Alphabet(4, "B")), Alphabet(3, "C"), cap=4096)
+        enumerate_strategies((Alphabet(4, "A"), Alphabet(4, "B")), Alphabet(3, "C"))
     assert str(3**16) in str(err.value)
 
 
