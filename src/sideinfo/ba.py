@@ -16,12 +16,13 @@
   max I(T;O) - I(T;E) over distributions q(t|e) on input strategies.
 
 ``alternating_strategy_max`` is the one alternating iteration, with one
-step and one certificate, the concavity bound U(q): classic capacity, these
-oracles, both state-description capacity solvers and every multiplier probe
-run on it; every capacity solve is one ``_strategy_solve``, whose tables come
-from ``_strategy_tables``, given a state joint and its encoder, cell and
-decoder views. The engine returns its log tables and shares one set of strategy
-functionals with the helpers and the sweep.
+step, one certificate, the concavity bound U(q), and its own accelerated
+loop: classic capacity, these oracles, both state-description capacity
+solvers and every multiplier probe run on it; every capacity solve is one
+``_strategy_solve``, whose tables come from ``_strategy_tables``, given a
+state joint and its encoder, cell and decoder views. The engine returns its
+log tables; ``_functionals`` evaluates (J, U) at any tables, for the sweep's
+measurements and for re-checking a certificate.
 
 All values are in bits. Every report carries a certified optimality gap.
 """
@@ -227,62 +228,14 @@ def _norm(a) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def _accelerated_fixed_point(step, x, max_iters: int, out=None, record=None, dist=None):
-    """Iterate ``x <- step(x)`` with one squared-extrapolation candidate per two steps.
-
-    The candidate is SQUAREM's (Varadhan & Roland 2008) with the step length
-    clamped to [1, 1e4].
-    ``step(x)`` returns (next_x, objective, done, out). The objective is
-    maximized: an extrapolated candidate is kept only when its objective is
-    not below the last step's, so a rejected candidate is neither counted as
-    an iteration nor passed to ``record``, which sees the ``out`` of every
-    counted step. Stops once a counted step reports ``done`` or after
-    ``max_iters`` counted steps.
-
-    The candidate is formed on the points, but its step length is measured on
-    ``dist(x)``, the distribution a point stands for (default: the point),
-    called on each point of a cycle before it is stepped from: a coordinate
-    such as the log weight of a vanishing strategy drifts at a constant rate,
-    which on the points holds the length at the clamp and overshoots the rest.
-
-    Returns (iterations, x, out) after the last counted step; ``out`` is the
-    given default when no step ran.
-    """
-    dist = dist or (lambda point: point)
-    iters, obj = 0, -math.inf
-
-    def count(result) -> bool:
-        nonlocal iters, x, obj, out
-        x, obj, done, out = result
-        iters += 1
-        if record is not None:
-            record(out)
-        return done or iters >= max_iters
-
-    while iters < max_iters:
-        x0, q0 = x, dist(x)
-        if count(step(x0)):
-            break
-        x1, q1 = x, dist(x)
-        if count(step(x1)):
-            break
-        r = q1 - q0  # SQUAREM's r and v, measured on what the points stand for
-        vn = _norm(dist(x) - q1 - r)
-        if vn > 1e-300:
-            alpha = -max(1.0, min(_norm(r) / vn, 1e4))
-            cand = step(x0 - 2.0 * alpha * (x1 - x0) + alpha * alpha * (x - 2.0 * x1 + x0))
-            if cand[1] >= obj and count(cand):
-                break
-    return iters, x, out
-
-
 def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = None) -> SolveReport:
     """R(D) = min I(X;Xhat) s.t. E[d(X,Xhat)] <= D, by Blahut's algorithm.
 
     This is the Wyner-Ziv problem with one side letter, whose strategies are
     the reconstruction letters, so it runs through ``_lagrangian_sweep``;
     ``argopt`` is the test channel w(xhat|x). ``p_x`` must be finite and
-    >= 0 with a positive sum, which is divided out, and ``d`` finite and >= 0.
+    >= 0 with a positive sum, which is divided out, and ``d`` finite and >= 0
+    with at least one reconstruction letter.
     """
     opts = opts or SolverOptions()
     p_x = np.asarray(p_x, dtype=float)
@@ -293,6 +246,8 @@ def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = Non
         raise ProbabilityError("p_x must be finite and >= 0 with a positive sum")
     if not np.all(np.isfinite(d)) or d.min(initial=0.0) < 0:
         raise ProbabilityError("distortion entries must be finite and >= 0")
+    if d.shape[1] == 0:
+        raise ProbabilityError("the reconstruction alphabet is empty")
     p_x = p_x / p_x.sum()
     return _lagrangian_sweep(p_x[:, None], d[:, :, None], d_target, opts)
 
@@ -564,79 +519,76 @@ def alternating_strategy_max(
 
     ``cost[t, e]`` is in nats; None means no cost. Alternates the
     exponential-family update of q with the marginal update of the decoder
-    posterior Q(t|o); terminates when the per-iterate upper bound U(q) is
-    within ``delta_bits`` of the objective J(q, Q). J is jointly concave in
-    (q, Q), so the optimum is concave in q, and with the scores
-    sum_o p(o|t,e) log Q(t|o) of the posterior of q, U(q) = sum_e p(e)
-    max_t (score - cost - log q) is its Frank-Wolfe bound; a linear cost
-    keeps it valid. Every third iterate is a squared-extrapolation candidate
-    in the log-weight table, kept only when it does not decrease J, so the
-    recorded trace stays monotone and every certificate is measured at a
-    valid distribution. Its step length is measured on the q(t|e) the tables
-    stand for: in the tables the log weight of a vanishing strategy drifts
-    toward -inf at a near-constant rate, which would hold the length at the
-    clamp and overshoot the strategies that still converge. A counted step
-    whose J reaches ``j_stop`` (nats) also ends the solve, for a caller that
-    only needs to know the optimum is at least that; ``converged`` still
-    means the gap is below ``delta_bits``.
+    posterior Q(t|o), each step through the one set of strategy functionals
+    (``_StrategyModel``). J is jointly concave in (q, Q), so the optimum is
+    concave in q, and with the scores sum_o p(o|t,e) log Q(t|o) of the
+    posterior of q, U(q) = sum_e p(e) max_t (score - cost - log q) is its
+    Frank-Wolfe bound; a linear cost keeps it valid. The solve ends once U(q)
+    is within ``delta_bits`` of J(q, Q) (``converged``), once J reaches
+    ``j_stop`` (nats), for a caller that only needs to know the optimum is at
+    least that, or after ``max_iters`` (>= 1) counted steps.
 
-    Each step runs the one set of strategy functionals (``_StrategyModel``).
+    Each cycle counts two steps from points (table, log q, q), a log-weight
+    table s[t, e] and the q(t|e) it stands for, then steps once from a
+    squared-extrapolation candidate (SQUAREM, Varadhan & Roland 2008) formed
+    on the three tables, its step length clamped to [1, 1e4]. The candidate
+    is counted and traced only when its J is at least the last counted
+    step's, so the trace stays monotone and every certificate is measured at
+    a valid distribution. The step length is measured on q: in the tables
+    the log weight of a vanishing strategy drifts toward -inf at a
+    near-constant rate, which would hold the length at the clamp and
+    overshoot the strategies that still converge.
+
     Returns (value_bits, gap_bits, iterations, log_q, log_big_q, trace, converged):
     the natural-log tables (T, E) and (T, O) of the gap, finite where weights underflow,
-    and the (J, U) bits of each iteration as an (iterations, 2) array.
+    and the (J, U) bits of each counted step as an (iterations, 2) array.
     """
     f = _StrategyModel(p_e, p_ote, cost)
-    last = [None, None, None]  # the table dist normalized last, its log q and its q
+    trace: list[tuple[float, float]] = []
 
-    def normalized(table):
+    def normalize(table):
+        """The point (table, log q, q) of a log-weight table s[t, e]."""
         log_q = _log_weights(table)
         return table, log_q, np.exp(log_q)
 
-    def dist(table):
-        """q(t|e) of a log-weight table, whose normalization the next step reuses."""
-        if table is not last[0]:
-            last[:] = normalized(table)
-        return last[2]
-
-    def step(table):
-        """One alternating cycle from the log-weight table s[t, e]."""
-        _, log_q, q = last if table is last[0] else normalized(table)
+    def step(point):
+        """One alternating step from a point: (J, U, log q, log Q, the next table)."""
+        _, log_q, q = point
         log_big_q = f.log_posterior(log_q)
         nxt = f.scores(log_big_q)
-        j_val, u_val = f.bounds(q, log_q, nxt)
-        done = u_val - j_val < delta_bits * LN2 or j_val >= j_stop
-        return nxt, j_val, done, (j_val, u_val, log_q, log_big_q)
+        return (*f.bounds(q, log_q, nxt), log_q, log_big_q, nxt)
 
-    trace: list[tuple[float, float]] = []
-    iters, _, state = _accelerated_fixed_point(
-        step, np.full(p_ote.shape[:2], -math.log(p_ote.shape[0])), max_iters,
-        record=lambda out: trace.append(out[:2]), dist=dist,
-    )
-    j_val, u_val, log_q, log_big_q = state
+    def count(out) -> bool:
+        """Trace a counted step; True once it ends the solve."""
+        j_val, u_val = out[:2]
+        trace.append((j_val, u_val))
+        return u_val - j_val < delta_bits * LN2 or j_val >= j_stop or len(trace) >= max_iters
+
+    point = normalize(np.full(p_ote.shape[:2], -math.log(p_ote.shape[0])))
+    while True:
+        x0, out = point, step(point)
+        if count(out):
+            break
+        x1 = normalize(out[4])
+        out = step(x1)
+        if count(out):
+            break
+        point = normalize(out[4])
+        r = x1[2] - x0[2]  # SQUAREM's r and v, measured on q
+        vn = _norm(point[2] - x1[2] - r)
+        if vn > 1e-300:
+            alpha = -max(1.0, min(_norm(r) / vn, 1e4))
+            t0, t1, t2 = x0[0], x1[0], point[0]
+            cand = step(normalize(t0 - 2.0 * alpha * (t1 - t0) + alpha * alpha * (t2 - 2.0 * t1 + t0)))
+            if cand[0] >= out[0]:
+                out = cand
+                if count(out):
+                    break
+                point = normalize(out[4])
+    j_val, u_val, log_q, log_big_q, _ = out
     gap = max(u_val - j_val, 0.0)
     trace_bits = np.array(trace, dtype=float).reshape(-1, 2) / LN2
-    return j_val / LN2, gap / LN2, iters, log_q, log_big_q, trace_bits, gap < delta_bits * LN2
-
-
-def strategy_bound(p_e, p_ote, q, big_q) -> float:
-    """The dominance bound U(q) in bits for given q(t|e) and Q(t|o); +inf where q has a zero."""
-    return _functionals(p_e, p_ote, _log(q), _log(big_q))[1] / LN2
-
-
-def strategy_objective(p_e, p_ote, q, big_q) -> float:
-    """The objective J(q, Q) in bits for given q(t|e) and Q(t|o), with 0 log 0 = 0."""
-    return _functionals(p_e, p_ote, _log(q), _log(big_q))[0] / LN2
-
-
-def strategy_posterior(p_e, p_ote, q) -> np.ndarray:
-    """The maximizing decoder posterior Q*(t|o) for a given q(t|e), uniform at unreached views."""
-    log_q = _log(q)
-    return np.exp(_StrategyModel(p_e, p_ote, live=log_q > -np.inf).log_posterior(log_q))
-
-
-def strategy_q_update(p_ote, big_q) -> np.ndarray:
-    """The maximizing q*(t|e) for a given decoder posterior Q(t|o)."""
-    return np.exp(_log_weights(_StrategyModel(np.ones(p_ote.shape[1]), p_ote).scores(_log(big_q))))
+    return j_val / LN2, gap / LN2, len(trace), log_q, log_big_q, trace_bits, gap < delta_bits * LN2
 
 
 def _axis_indices(names: Sequence[str]) -> tuple[int, ...]:
@@ -725,10 +677,15 @@ def _strategy_solve(ch, p_state, axes, views, delta, max_iters) -> SolveReport:
 def _strategy_joint(ch, p_state, axes, q, enc, cell) -> JointPmf:
     """The joint p(state) q(t|e) 1{x = t(c)} p(y|x,s1,s2) over (state..., T, X, Y).
 
-    ``q`` is laid out (enc..., T) over the cell's strategies; the views index
-    every state as in ``_strategy_tables``, zero-mass states included.
+    ``q`` is laid out (enc..., T) over the cell's strategies, else
+    ``ProbabilityError``; the views index every state as in
+    ``_strategy_tables``, zero-mass states included.
     """
     strategies = _cell_strategies(ch, axes, cell)
+    layout = tuple(p_state.shape[i] for i in enc) + (len(strategies),)
+    if np.shape(q) != layout:
+        names = ", ".join([axes[i].label for i in enc] + ["T"])
+        raise ProbabilityError(f"q must be laid out ({names}) with shape {layout}, got {np.shape(q)}")
     idx = np.unravel_index(np.arange(p_state.size), p_state.shape)
     e, c = (_view_index(p_state.shape, idx, v) for v in (enc, cell))
     x = strategies.tables[:, c].T  # (states, T)

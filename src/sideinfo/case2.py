@@ -167,7 +167,8 @@ def _auto_epsilon(rws: Sequence[float]) -> float:
 def _grid_sweep(
     rate_of_w: Callable[[CondKernel], float],
     solve_w: Callable[[CondKernel], tuple[float, int, float, str, dict]],
-    grid_factory: Callable[[float], SimplexGrid],
+    slices: int,
+    codomain: Alphabet,
     r_primes: Sequence[float],
     r_max: float,
     opts: Case2Options,
@@ -175,8 +176,9 @@ def _grid_sweep(
 ) -> list[CurvePoint]:
     """One point per R': the best ``solve_w`` value over the kernels admissible there.
 
-    R' is clamped to ``r_max``, and a kernel is admissible when its rate lies
-    in [R' - eps, R']; when none is, the grid is refined once to half the
+    The kernels w are ``simplex_grid(slices, codomain, step)``'s. R' is
+    clamped to ``r_max``, and a kernel is admissible when its rate lies in
+    [R' - eps, R']; when none is, the grid is refined once to half the
     step. The curve is the unit of work: each grid it uses is built once, and
     each orbit of it (``SimplexGrid.orbit``) has its rate computed once and
     is solved at most once, by the first point that needs it, always on its
@@ -210,7 +212,7 @@ def _grid_sweep(
 
     def grid_at(step: float):
         if step not in grids:
-            grid = grid_factory(step)
+            grid = simplex_grid(slices, codomain, step)
             rates = {r: rate_of_w(grid.points[r]) for r in sorted(set(grid.orbit))}
             rws = [rates[r] for r in grid.orbit]
             eps = opts.epsilon if opts.epsilon is not None else _auto_epsilon(rws)
@@ -310,7 +312,8 @@ def _capacity_curve(ch, r_primes, opts, causal: bool) -> list[CurvePoint]:
     points = _grid_sweep(
         rate_of_w=lambda w: rate(ch, w),
         solve_w=solve_w,
-        grid_factory=lambda step: simplex_grid(ch.s2.size, v2, step),
+        slices=ch.s2.size,
+        codomain=v2,
         r_primes=r_primes,
         r_max=r_max,
         opts=opts,

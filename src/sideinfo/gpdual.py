@@ -39,7 +39,6 @@ from .probability import (
     conditional_mutual_information,
     grid_divisions,
     marginalize,
-    simplex_grid,
 )
 
 
@@ -493,7 +492,8 @@ def _rd_curve(src, d_target, r_primes, opts) -> list[CurvePoint]:
     points = _grid_sweep(
         rate_of_w=lambda w: description_rate_case1(src, w),
         solve_w=solve_w,
-        grid_factory=lambda step: simplex_grid(src.s1.size, v1, step),
+        slices=src.s1.size,
+        codomain=v1,
         r_primes=r_primes,
         r_max=conditional_entropy(p_s1s2, (0,), (1,)),
         opts=opts,

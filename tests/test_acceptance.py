@@ -12,13 +12,13 @@ import pytest
 from sideinfo.ba import (
     LN2,
     SolverOptions,
+    _functionals,
+    _log,
+    _log_weights,
+    _StrategyModel,
     ba_capacity,
     ba_rate_distortion,
     gp_channel_capacity,
-    strategy_bound,
-    strategy_objective,
-    strategy_posterior,
-    strategy_q_update,
     wz_primal,
 )
 from sideinfo.gpdual import wz_rate_via_gp
@@ -210,38 +210,40 @@ def test_inner_solver_lemma_suite():
             m = rng.random(shape) + 1e-3
             return m / m.sum(axis=0, keepdims=True)
 
+        def j_u(q, big_q=None):
+            """(J, U) in bits at q and Q (default: the posterior of q)."""
+            log_big_q = None if big_q is None else _log(big_q)
+            return np.array(_functionals(p_e, p_ote, _log(q), log_big_q)) / LN2
+
         # joint concavity probes
         for _ in range(3):
             q1, q2 = rand_cols((n_t, n_e)), rand_cols((n_t, n_e))
             b1, b2 = rand_cols((n_t, n_o)), rand_cols((n_t, n_o))
-            j1 = strategy_objective(p_e, p_ote, q1, b1)
-            j2 = strategy_objective(p_e, p_ote, q2, b2)
+            j1, j2 = j_u(q1, b1)[0], j_u(q2, b2)[0]
             for a in (0.25, 0.5, 0.75):
-                mix = strategy_objective(p_e, p_ote, a * q1 + (1 - a) * q2, a * b1 + (1 - a) * b2)
+                mix = j_u(a * q1 + (1 - a) * q2, a * b1 + (1 - a) * b2)[0]
                 deltas["concavity"] = max(deltas["concavity"], a * j1 + (1 - a) * j2 - mix)
 
         # the posterior update beats 100 random alternatives for a random q
         q = rand_cols((n_t, n_e))
-        best = strategy_objective(p_e, p_ote, q, strategy_posterior(p_e, p_ote, q))
+        best = j_u(q)[0]
         for _ in range(100):
-            alt = strategy_objective(p_e, p_ote, q, rand_cols((n_t, n_o)))
+            alt = j_u(q, rand_cols((n_t, n_o)))[0]
             deltas["posterior_opt"] = max(deltas["posterior_opt"], alt - best)
 
         # the q update beats 100 random alternatives for a random posterior
         big_q = rand_cols((n_t, n_o))
-        best_q = strategy_objective(p_e, p_ote, strategy_q_update(p_ote, big_q), big_q)
+        q_update = np.exp(_log_weights(_StrategyModel(p_e, p_ote).scores(_log(big_q))))
+        best_q = j_u(q_update, big_q)[0]
         for _ in range(100):
-            alt = strategy_objective(p_e, p_ote, rand_cols((n_t, n_e)), big_q)
+            alt = j_u(rand_cols((n_t, n_e)), big_q)[0]
             deltas["update_opt"] = max(deltas["update_opt"], alt - best_q)
 
         # dominance: U(q) covers J at any other point
         q_a, q_b = rand_cols((n_t, n_e)), rand_cols((n_t, n_e))
-        u_a = strategy_bound(p_e, p_ote, q_a, strategy_posterior(p_e, p_ote, q_a))
+        u_a = j_u(q_a)[1]
         for q_other in (q_b, q):
-            j_other = strategy_objective(
-                p_e, p_ote, q_other, strategy_posterior(p_e, p_ote, q_other)
-            )
-            deltas["dominance"] = max(deltas["dominance"], j_other - u_a)
+            deltas["dominance"] = max(deltas["dominance"], j_u(q_other)[0] - u_a)
 
         rep = inner_max(ch, w, Case2Options(delta=5e-9, max_inner_iters=500000))
         deltas["fixed_gap"] = max(deltas["fixed_gap"], rep.gap)

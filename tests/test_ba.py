@@ -10,16 +10,13 @@ from sideinfo.ba import (
     ChannelInstance,
     SolverOptions,
     SourceInstance,
-    _accelerated_fixed_point,
     _assemble_sweep,
     _functionals,
+    _log,
     alternating_strategy_max,
     ba_capacity,
     ba_rate_distortion,
     gp_channel_capacity,
-    strategy_bound,
-    strategy_objective,
-    strategy_posterior,
     wz_primal,
 )
 from sideinfo.case2 import Case2Options
@@ -117,6 +114,7 @@ class TestRateDistortion:
         ([0.5, 0.5], [[0.0, -1.0], [1.0, 0.0]]),
         ([0.5, -0.1, 0.6], np.ones((3, 2))),
         ([0.5, np.inf], HAMMING),
+        ([0.5, 0.5], np.zeros((2, 0))),
     ])
     def test_invalid_source_raises(self, p_x, d):
         with pytest.raises(ProbabilityError):
@@ -447,9 +445,7 @@ class TestStrategyCapacity:
         # alone would certify it; -log 0 makes the bound +inf instead
         w = np.array([[0.9, 0.1], [0.1, 0.9]])[:, None, :]
         q = np.array([[1.0], [0.0]])
-        big_q = strategy_posterior(np.ones(1), w, q)
-        assert strategy_objective(np.ones(1), w, q, big_q) == 0.0
-        assert strategy_bound(np.ones(1), w, q, big_q) == math.inf
+        assert _functionals(np.ones(1), w, _log(q)) == (0.0, math.inf)
 
     def test_state_independent_channel_equals_plain_capacity(self):
         rng = np.random.default_rng(13)
@@ -511,10 +507,11 @@ class TestStrategyCapacity:
         p_ote[:, :, 0] += 0.05
         p_ote /= p_ote.sum(axis=2, keepdims=True)
         cost = 2.0 * rng.random((n_t, n_e))
-        _, gap, _, log_q, log_big_q, trace, ok = alternating_strategy_max(
+        _, gap, iters, log_q, log_big_q, trace, ok = alternating_strategy_max(
             p_e, p_ote, 1e-9, 20000, cost
         )
         assert ok and gap < 1e-9
+        assert len(trace) == iters  # a rejected candidate is neither counted nor traced
         j_u = np.array(_functionals(p_e, p_ote, log_q, log_big_q, cost)) / LN2
         assert np.allclose(trace[-1], j_u, rtol=0.0, atol=1e-12)
         assert all(u >= j - 1e-12 for j, u in trace)
@@ -524,84 +521,13 @@ class TestStrategyCapacity:
         for _ in range(20):
             q = rng.random((n_t, n_e)) ** 3
             q /= q.sum(axis=0)
-            j_cost = strategy_objective(p_e, p_ote, q, strategy_posterior(p_e, p_ote, q))
+            j_cost = _functionals(p_e, p_ote, _log(q))[0] / LN2
             j_cost -= float(np.einsum("e,te,te->", p_e, q, cost)) / LN2
             assert u_final >= j_cost - 1e-9
 
 
 class TestAcceleratedDriver:
-    @staticmethod
-    def halving(objective):
-        """x <- x / 2, with every evaluation logged."""
-        evaluated = []
-
-        def step(x):
-            evaluated.append(x)
-            nxt = x / 2.0
-            return nxt, objective(nxt), False, nxt
-
-        return step, evaluated
-
-    def test_accepted_candidate_counts_and_is_recorded(self):
-        # from 1 the squared extrapolation lands on the fixed point 0
-        step, evaluated = self.halving(lambda x: -abs(x))
-        recorded = []
-        iters, x, out = _accelerated_fixed_point(step, 1.0, 5, record=recorded.append)
-        assert evaluated == [1.0, 0.5, 0.0, 0.0, 0.0]
-        assert iters == 5 and recorded == [0.5, 0.25, 0.0, 0.0, 0.0]
-        assert x == out == 0.0
-
-    def test_rejected_candidate_is_neither_counted_nor_recorded(self):
-        step, evaluated = self.halving(abs)  # the candidate 0 lowers the objective
-        recorded = []
-        iters, x, _ = _accelerated_fixed_point(step, 1.0, 5, record=recorded.append)
-        assert evaluated == [1.0, 0.5, 0.0, 0.25, 0.125, 0.0, 0.0625]
-        assert iters == 5 and recorded == [0.5, 0.25, 0.125, 0.0625, 0.03125]
-        assert x == 0.03125
-
-    def test_no_step_returns_the_default(self):
-        step, evaluated = self.halving(abs)
-        assert _accelerated_fixed_point(step, 1.0, 0, out="init") == (0, 1.0, "init")
-        assert evaluated == []
-
-    def test_step_length_is_measured_on_what_the_point_stands_for(self):
-        # a point (a, b) stands for (exp(a), b): a drifts at a constant rate,
-        # like the log weight of a vanishing strategy, while b contracts
-        # slowly. Measured on the point, the step length sits at the clamp,
-        # every candidate overshoots b and is rejected, and the plain steps
-        # take 13,809 iterations; measured on (exp(a), b), candidates land on
-        # the fixed point of b.
-        outputs = []
-
-        def step(x):
-            nxt = np.array([x[0] - 0.5, 0.999 * x[1]])
-            obj = -math.exp(nxt[0]) - nxt[1] ** 2
-            # a candidate starts from neither of the last two steps' outputs
-            candidate = bool(outputs) and not any(x is o for o in outputs[-2:])
-            outputs.append(nxt)
-            return nxt, obj, obj > -1e-12, candidate
-
-        kept = []
-        iters, x, _ = _accelerated_fixed_point(
-            step, np.array([0.0, 1.0]), 10**5, record=kept.append,
-            dist=lambda x: np.array([math.exp(x[0]), x[1]]),
-        )
-        assert sum(kept) >= 3
-        assert iters <= 100 and abs(x[1]) < 1e-6
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: SolverOptions(max_iters=0),
-            lambda: SolverOptions(max_iters=-3),
-            lambda: Case2Options(max_inner_iters=0),
-        ],
-        ids=["zero", "negative", "inner-zero"],
-    )
-    def test_iteration_cap_below_one_is_rejected(self, make):
-        # a cap below 1 runs no step, which leaves no iterate to report
-        with pytest.raises(ValueError, match="iters must be >= 1"):
-            make()
+    """The engine's accelerated loop, held by its iteration counts and values."""
 
     @staticmethod
     def lagrangian_probe(p_xs, dbar, beta):
@@ -637,11 +563,12 @@ class TestAcceleratedDriver:
                 assert abs(ref_rate - rate) <= both and abs(ref_dist - dist) <= both
             assert abs((ref_rate + beta * ref_dist) - (rate + beta * dist)) <= both
 
-    # reference figures of the engines that run on the driver: a change to its
-    # order of operations, its acceptance rule or its counting moves them. The
-    # references are (rate, dist, gap) of the former Wyner-Ziv alternating
-    # loop, which stopped on Q growth, and of the driver that measured its
-    # step length on the log-weight table (265, 18, 23 and 21 iterations).
+    # reference figures of the engine's loop: a change to its order of
+    # operations, its acceptance rule, its counting or what its step length
+    # is measured on moves them. The references are (rate, dist, gap) of the
+    # former Wyner-Ziv alternating loop, which stopped on Q growth, and of a
+    # loop that measured its step length on the log-weight table (265, 18, 23
+    # and 21 iterations).
     @pytest.mark.parametrize(
         "beta, pinned, references",
         [
@@ -725,6 +652,21 @@ class TestAcceleratedDriver:
         )
         assert (iters, ok, value) == (21, False, lows[20])
         assert gap > 1e-10 and np.array_equal(trace, full[5][:21])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SolverOptions(max_iters=0),
+        lambda: SolverOptions(max_iters=-3),
+        lambda: Case2Options(max_inner_iters=0),
+    ],
+    ids=["zero", "negative", "inner-zero"],
+)
+def test_iteration_cap_below_one_is_rejected(make):
+    # a cap below 1 runs no step, which leaves no iterate to report
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        make()
 
 
 @pytest.mark.parametrize("d_target", [math.nan, math.inf, -0.1])

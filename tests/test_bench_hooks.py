@@ -1,17 +1,21 @@
 """The benchmark's hooks into the library: every traced function exists and every
 workload builds its calls, so an API change that would break ``bench/run.py``
-fails here first. The calls themselves are not run."""
+fails here first. The workloads' calls are not run; one tiny engine call checks
+the result the tracer reads."""
 
 import importlib
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+from sideinfo.ba import alternating_strategy_max  # noqa: E402
 
 
 @pytest.mark.parametrize("module, name", [(m, f) for m, f, _, _ in tracing.TRACED])
@@ -25,3 +29,12 @@ def test_workload_builds_its_calls(name):
     workload.setup(1)
     calls = workload.calls()
     assert calls and all(callable(c.run) and c.n_ops >= 1 for c in calls)
+
+
+def test_engine_returns_what_the_tracer_reads():
+    # tracing._asm_attrs reads the iteration count at [2] and convergence at [6]
+    p_ote = np.array([[[0.9, 0.1]], [[0.2, 0.8]]])
+    result = alternating_strategy_max(np.ones(1), p_ote, 1e-6, 100)
+    assert isinstance(result, tuple) and len(result) == 7
+    assert isinstance(result[2], int) and result[2] >= 1
+    assert isinstance(result[6], bool)

@@ -10,11 +10,10 @@ from sideinfo.ba import (
     ChannelInstance,
     SolverOptions,
     _functionals,
+    _log,
     _strategy_tables,
     ba_capacity,
     gp_channel_capacity,
-    strategy_bound,
-    strategy_objective,
 )
 from sideinfo.case2 import (
     Case2Options,
@@ -310,11 +309,11 @@ class TestInnerMax:
         ids=["seed=3", "seed=8"],
     )
     def test_pinned_iterations_and_values(self, seed, value, gap, iterations, reference):
-        # reference figures of the accelerated driver: a change to its order of
-        # operations, its acceptance rule or its counting moves them. The
-        # reference (value, gap) is the driver's that measured its step length
-        # on the log-weight table (464 and 2,766 iterations); it lies within
-        # both gaps of the pin.
+        # reference figures of the engine's accelerated loop: a change to its
+        # order of operations, its acceptance rule or its counting moves them.
+        # The reference (value, gap) is that of a loop that measured its step
+        # length on the log-weight table (464 and 2,766 iterations); it lies
+        # within both gaps of the pin.
         ch, w = random_case2_instance(np.random.default_rng(seed))
         rep = inner_max(ch, w, Case2Options(delta=1e-9, max_inner_iters=100000))
         assert rep.status == "ok"
@@ -373,8 +372,7 @@ class TestDominanceBound:
         p_to = np.einsum("e,te,teo->to", p_e, q, p_ote)
         p_o = p_to.sum(axis=0)
         big_q = np.where(p_o[None, :] > 0, p_to / np.where(p_o > 0, p_o, 1.0)[None, :], 1.0 / n_t)
-        j = strategy_objective(p_e, p_ote, q, big_q)
-        u = strategy_bound(p_e, p_ote, q, big_q)
+        j, u = np.array(_functionals(p_e, p_ote, _log(q), _log(big_q))) / LN2
         assert u > j + 1e-6
 
     def test_single_strategy_bound_and_objective_vanish(self):
@@ -384,8 +382,9 @@ class TestDominanceBound:
         one = p_ote[:1]  # restrict to a single strategy
         q = np.ones((1, p_e.size))
         big_q = np.ones((1, one.shape[2]))
-        assert strategy_objective(p_e, one, q, big_q) == pytest.approx(0.0, abs=1e-12)
-        assert strategy_bound(p_e, one, q, big_q) == pytest.approx(0.0, abs=1e-12)
+        j, u = np.array(_functionals(p_e, one, _log(q), _log(big_q))) / LN2
+        assert j == pytest.approx(0.0, abs=1e-12)
+        assert u == pytest.approx(0.0, abs=1e-12)
 
 
 class TestLemmaProbes:
@@ -399,26 +398,27 @@ class TestLemmaProbes:
             m = rng.random(shape) + 1e-3
             return m / m.sum(axis=0, keepdims=True)
 
+        def j_u(q, big_q):
+            """(J, U) in bits at q and Q."""
+            return np.array(_functionals(p_e, p_ote, _log(q), _log(big_q))) / LN2
+
         for _ in range(10):
             q1, q2 = rand_cols((n_t, n_e)), rand_cols((n_t, n_e))
             b1, b2 = rand_cols((n_t, n_o)), rand_cols((n_t, n_o))
             for a in (0.25, 0.5, 0.75):
-                lhs = strategy_objective(p_e, p_ote, a * q1 + (1 - a) * q2, a * b1 + (1 - a) * b2)
-                rhs = a * strategy_objective(p_e, p_ote, q1, b1) + (1 - a) * strategy_objective(
-                    p_e, p_ote, q2, b2
-                )
+                lhs = j_u(a * q1 + (1 - a) * q2, a * b1 + (1 - a) * b2)[0]
+                rhs = a * j_u(q1, b1)[0] + (1 - a) * j_u(q2, b2)[0]
                 assert lhs >= rhs - 1e-10
 
         rep = inner_max(ch, w, Case2Options(delta=1e-9, max_inner_iters=200000))
         q_fin = rep.argopt.probs.reshape(n_e, n_t).T
         b_fin = rep.extras["posterior"].probs.reshape(n_o, n_t).T
-        j_star = strategy_objective(p_e, p_ote, q_fin, b_fin)
-        u_star = strategy_bound(p_e, p_ote, q_fin, b_fin)
+        j_star, u_star = j_u(q_fin, b_fin)
         for _ in range(25):
-            assert strategy_objective(p_e, p_ote, q_fin, rand_cols((n_t, n_o))) <= j_star + 1e-9
+            assert j_u(q_fin, rand_cols((n_t, n_o)))[0] <= j_star + 1e-9
             q_alt = rand_cols((n_t, n_e))
-            assert strategy_objective(p_e, p_ote, q_alt, b_fin) <= j_star + 1e-9
-            assert u_star >= strategy_objective(p_e, p_ote, q_alt, b_fin) - 1e-9
+            assert j_u(q_alt, b_fin)[0] <= j_star + 1e-9
+            assert u_star >= j_u(q_alt, b_fin)[0] - 1e-9
 
 
 class TestCapacityCurve:
@@ -523,7 +523,8 @@ class TestCapacityCurve:
         (point,) = _grid_sweep(
             rate_of_w=lambda w: 0.0,
             solve_w=solve_w,
-            grid_factory=lambda step: simplex_grid(1, V2, step),
+            slices=1,
+            codomain=V2,
             r_primes=[0.0],
             r_max=0.0,
             opts=Case2Options(epsilon=0.1, grid_step=0.25),

@@ -255,6 +255,19 @@ class TestOptimizerConsistency:
         for name, violation in res.markov_violations:
             assert violation < 1e-10, name
 
+    def test_q_of_the_other_solver_is_rejected(self):
+        # each builder reads q over its own encoder view and strategies:
+        # (S1, V2, T) with T: S1 x V2 -> X, or (V2, T) with T: S1 -> X
+        ch = example1_channel()
+        w = CondKernel((ch.s2,), (Alphabet(2, "V2"),), np.full((2, 2), 0.5))
+        crossed = [
+            (build_case2c_joint, inner_max(ch, w).argopt, r"\(V2, T\) with shape \(2, 4\)"),
+            (build_case2_joint, causal_inner_max(ch, w).argopt, r"\(S1, V2, T\) with shape \(2, 2, 16\)"),
+        ]
+        for build, q, layout in crossed:
+            with pytest.raises(ProbabilityError, match=layout):
+                build(ch, w, q)
+
     def test_wyner_ziv_argopt_reproduced_by_evaluator(self):
         src = example3_source()
         rep = wz_primal(src, 0.1, SolverOptions(delta=1e-9))
