@@ -118,6 +118,7 @@ class GpReport:
     z_opt: np.ndarray
     barrier_iters: int
     newton_steps: int
+    stages_uncentered: int     # stages that ended before their Newton decrement met _NEWTON_TOL
     certified: bool
     slater_ok: bool
     gap_bound: float           # m / t at exit, same units
@@ -140,6 +141,11 @@ class _Barrier:
     ``member`` selects group k of the log-sum-exp constraints
     log sum_{i in group k} exp(z_i) + extra[k] @ z <= 0; ``extra`` is zero
     except in phase one.
+
+    Contract: the Newton loop evaluates ``value`` once per point, at each
+    stage start and at each line-search trial, and hands the (f, sigma) it
+    returned for the accepted point to ``grad_hess``. A point that breaks an
+    affine row costs no log-sum-exp.
     """
 
     def __init__(self, c, a_mat, b_vec, member, extra):
@@ -162,15 +168,25 @@ class _Barrier:
         return np.concatenate([self.a @ z + self.b, self._lse(z)[0]])
 
     def value(self, t, z):
-        f = self.constraints(z)
-        if f.max(initial=-np.inf) >= 0:
-            return np.inf, f
-        return -t * float(self.c @ z) + float(-np.log(-f).sum()), f
+        """(barrier value, f, sigma) at z, or (inf, None, None) once some f_i >= 0.
 
-    def grad_hess(self, t, z):
+        f is every constraint value, affine rows first, and sigma the groups'
+        softmax weights. The affine rows are tested before any log-sum-exp.
+        """
+        f_aff = self.a @ z + self.b
+        if f_aff.max(initial=-np.inf) >= 0:
+            return np.inf, None, None
         f_lse, sigma = self._lse(z)
-        inv_aff = 1.0 / -(self.a @ z + self.b)
-        inv_lse = 1.0 / -f_lse
+        if f_lse.max(initial=-np.inf) >= 0:
+            return np.inf, None, None
+        f = np.concatenate([f_aff, f_lse])
+        return -t * float(self.c @ z) + float(-np.log(-f).sum()), f, sigma
+
+    def grad_hess(self, t, z, f, sigma):
+        """Gradient and Hessian at z from the (f, sigma) that ``value`` returned there."""
+        n_aff = self.a.shape[0]
+        inv_aff = 1.0 / -f[:n_aff]
+        inv_lse = 1.0 / -f[n_aff:]
         u = sigma + self.extra  # gradient of each group's constraint
         grad = -t * self.c + self.a.T @ inv_aff + u.T @ inv_lse
         softmax = np.diag(sigma.T @ inv_lse) - (sigma.T * inv_lse) @ sigma
@@ -185,30 +201,41 @@ def _newton_stages(
     stage_values: list,
     stop_early=None,
 ):
-    """Run the barrier path; returns (z, t_final, stages, newton_steps)."""
+    """Run the barrier path; returns (z, t_final, stages, newton_steps, stages_uncentered).
+
+    The oracle is evaluated once per point: at each stage start, where t
+    changes, and at each line-search trial. The accepted trial's value, f
+    and sigma carry into the next step. A stage is uncentered when it ends,
+    at the step cap or on a failed line search, without half the squared
+    Newton decrement reaching _NEWTON_TOL.
+    """
     t = _T0
     stages = 0
     steps = 0
+    uncentered = 0
+    eye = np.eye(z.size)
     while True:
+        val, f, sigma = barrier.value(t, z)
+        centered = False
         for _ in range(_MAX_NEWTON):
-            grad, hess = barrier.grad_hess(t, z)
+            grad, hess = barrier.grad_hess(t, z, f, sigma)
             ridge = 1e-12 * max(1.0, float(np.trace(hess)) / hess.shape[0])
             try:
-                dz = np.linalg.solve(hess + ridge * np.eye(hess.shape[0]), -grad)
+                dz = np.linalg.solve(hess + ridge * eye, -grad)
             except np.linalg.LinAlgError:
-                dz = np.linalg.lstsq(hess + 1e-8 * np.eye(hess.shape[0]), -grad, rcond=None)[0]
+                dz = np.linalg.lstsq(hess + 1e-8 * eye, -grad, rcond=None)[0]
             decrement = float(-grad @ dz)
             if decrement < 0:  # solve failed to produce a descent direction
                 dz = -grad
                 decrement = float(grad @ grad)
-            val, _ = barrier.value(t, z)
+            centered = decrement / 2.0 <= _NEWTON_TOL
             alpha = 1.0
             ok = False
             for _bt in range(_MAX_BACKTRACKS):
                 cand = z + alpha * dz
-                vnew, _ = barrier.value(t, cand)
+                vnew, fnew, snew = barrier.value(t, cand)
                 if vnew < val - 0.25 * alpha * decrement + 1e-14 * abs(val):
-                    z = cand
+                    z, val, f, sigma = cand, vnew, fnew, snew
                     ok = True
                     break
                 alpha *= 0.5
@@ -220,14 +247,15 @@ def _newton_stages(
                 )
             steps += 1
             trace.append((t, float(barrier.c @ z)))
-            if decrement / 2.0 <= _NEWTON_TOL:
+            if centered:
                 break
         stages += 1
+        uncentered += not centered
         stage_values.append(float(barrier.c @ z))
         if stop_early is not None and stop_early(z):
-            return z, t, stages, steps
+            return z, t, stages, steps, uncentered
         if barrier.m / t < _GAP_TOL:
-            return z, t, stages, steps
+            return z, t, stages, steps, uncentered
         t *= _MU
 
 
@@ -247,7 +275,7 @@ def _phase_one(barrier: _Barrier) -> np.ndarray:
         with_s(barrier.member, False), with_s(barrier.extra, -1.0),
     )
     z = np.append(np.zeros(n), s0)
-    z, _, _, _ = _newton_stages(aug, z, [], [], stop_early=lambda zz: zz[-1] < -1e-7)
+    z = _newton_stages(aug, z, [], [], stop_early=lambda zz: zz[-1] < -1e-7)[0]
     if z[-1] >= 0:
         raise GpInfeasibleError(f"no strictly feasible point found (margin {z[-1]:.3e})")
     return z[:-1]
@@ -273,13 +301,14 @@ def solve_gp(p: GpProblem) -> GpReport:
 
     trace: list = []
     stage_values: list = []
-    z, t_final, stages, steps = _newton_stages(barrier, z, trace, stage_values)
+    z, t_final, stages, steps, uncentered = _newton_stages(barrier, z, trace, stage_values)
     gap = barrier.m / t_final
     return GpReport(
         value=float(p.c @ z),
         z_opt=z,
         barrier_iters=stages,
         newton_steps=steps,
+        stages_uncentered=uncentered,
         certified=bool(slater_ok and gap < _GAP_TOL),
         slater_ok=slater_ok,
         gap_bound=gap,

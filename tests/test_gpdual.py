@@ -28,6 +28,12 @@ from sideinfo.problems import example2_source, example3_source, example4_source
 from sideinfo.strategies import enumerate_strategies
 
 
+# an example2 kernel w(v1|s1) that the rd-grid benchmark solves at D = 0.1
+RD_GRID_KERNEL = CondKernel(
+    (Alphabet(2, "S1"),), (Alphabet(2, "V1"),), np.array([[0.1, 0.9], [0.2, 0.8]])
+)
+
+
 class TestBarrierSolver:
     def test_single_affine_constraint(self):
         p = GpProblem(c=np.array([1.0]), a_mat=np.array([[1.0]]), b_vec=np.array([0.0]), lse_groups=[])
@@ -85,6 +91,56 @@ class TestBarrierSolver:
         assert rep.stage_values.dtype == float and rep.stage_values.shape == (rep.barrier_iters,)
         assert GpNumericalError("failed").trace.shape == (0, 2)
         assert np.array_equal(GpNumericalError("failed", [(1.0, 2.0)]).trace, [[1.0, 2.0]])
+
+
+class TestBarrierPath:
+    """The Newton path pinned step for step, and what each step costs."""
+
+    @pytest.mark.parametrize(
+        "build, steps, stages, value",
+        [
+            (lambda: build_wz_gp(example3_source(), 0.0), 865, 9, 0.6108642979873247),
+            (lambda: build_case1_rd_gp(example2_source(), RD_GRID_KERNEL, 0.1),
+             84, 10, 0.3580978177335743),
+            (lambda: dataclasses.replace(
+                build_case1_rd_gp(example2_source(), RD_GRID_KERNEL, 0.1), start=None),
+             136, 10, 0.35809781773357435),
+        ],
+        ids=["wz-example3-D0", "rd-grid-kernel", "phase-one"],
+    )
+    def test_pinned_path(self, build, steps, stages, value):
+        rep = solve_gp(build())
+        assert (rep.newton_steps, rep.barrier_iters) == (steps, stages)
+        assert abs(rep.value - value) <= 1e-14
+
+    @pytest.mark.parametrize("d, uncentered", [(0.0, 4), (0.15, 0)])
+    def test_stages_uncentered(self, d, uncentered):
+        # at D = 0 stages 6-9 each end at the step cap, still certified
+        rep = solve_gp(build_wz_gp(example3_source(), d))
+        assert rep.stages_uncentered == uncentered
+        assert rep.certified
+
+    def test_one_log_sum_exp_per_trial_point(self, monkeypatch):
+        lse = _Barrier._lse
+        counts, solve = [0], sideinfo.gpdual.solve_gp
+        ratios = []
+
+        def counted(self, z):
+            counts[0] += 1
+            return lse(self, z)
+
+        def solve_counted(p):
+            counts[0] = 0
+            rep = solve(p)
+            ratios.append(counts[0] / rep.newton_steps)
+            return rep
+
+        monkeypatch.setattr(_Barrier, "_lse", counted)
+        monkeypatch.setattr(sideinfo.gpdual, "solve_gp", solve_counted)
+        # the rd-grid benchmark's curve: 47 programs
+        rd_case1_sweep(example2_source(), 0.1, [0.0, 0.1, 0.2, 0.3], Case1Options(grid_step=0.1))
+        assert len(ratios) == 47
+        assert max(ratios) <= 1.25
 
 
 class TestValidate:
@@ -187,7 +243,7 @@ class TestBarrierOracle:
         f_ref, grad_ref, hess_ref = per_group_oracle(barrier, t, z, groups)
         assert f_ref.max(initial=-np.inf) < 0
         np.testing.assert_allclose(barrier.constraints(z), f_ref, rtol=1e-13, atol=1e-13)
-        grad, hess = barrier.grad_hess(t, z)
+        grad, hess = barrier.grad_hess(t, z, *barrier.value(t, z)[1:])
         assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
         assert np.abs(hess - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
         # the gradient is that of ``value``: central differences
@@ -197,6 +253,40 @@ class TestBarrierOracle:
             for e in np.eye(z.size)
         ])
         assert np.abs(fd - grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_aff=st.integers(0, 4),
+        n_groups=st.integers(0, 5),
+        phase_one=st.booleans(),
+        t=st.floats(0.1, 100.0),
+    )
+    @example(seed=3, n_aff=2, n_groups=4, phase_one=True, t=20.0)
+    def test_cached_trial_oracle_equals_recomputed(self, seed, n_aff, n_groups, phase_one, t):
+        # the (f, sigma) a line-search trial returns, fed to grad_hess at the
+        # accepted point, is exactly what recomputing them from z gives
+        barrier, z, _ = random_barrier(seed, n_aff, n_groups, phase_one)
+        val, f, sigma = barrier.value(t, z)
+        grad, hess = barrier.grad_hess(t, z, f, sigma)
+        dz = np.linalg.solve(hess + 1e-12 * np.eye(z.size), -grad)
+        for alpha in 0.5 ** np.arange(60):
+            cand = z + alpha * dz
+            trial = barrier.value(t, cand)
+            if trial[0] < val:
+                break
+        assert trial[0] < val
+        fresh = barrier.grad_hess(t, cand, barrier.constraints(cand), barrier._lse(cand)[1])
+        for got, want in zip(barrier.grad_hess(t, cand, *trial[1:]), fresh):
+            assert np.array_equal(got, want)
+
+    def test_affine_violation_costs_no_log_sum_exp(self, monkeypatch):
+        barrier, z, _ = random_barrier(3, 2, 4, False)
+        monkeypatch.setattr(barrier, "_lse", lambda z: pytest.fail("_lse was called"))
+        # push z along the first affine row until it is violated
+        row = barrier.a[0]
+        bad = z + (1.0 - (row @ z + barrier.b[0])) / (row @ row) * row
+        assert barrier.value(1.0, bad) == (np.inf, None, None)
 
     def test_group_with_a_repeated_index_rejected(self):
         p = GpProblem(
