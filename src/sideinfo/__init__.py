@@ -37,12 +37,9 @@ from .ba import (
 from .case2 import (
     Case2Options,
     CurvePoint,
-    capacity_case2,
-    capacity_case2_causal,
     capacity_case2_sweep,
     causal_inner_max,
     inner_max,
-    monotone_post_pass,
     r_w,
     u_w_bound,
 )
@@ -55,7 +52,6 @@ from .gpdual import (
     build_case1_rd_gp,
     build_wz_gp,
     description_rate_case1,
-    rd_case1,
     rd_case1_sweep,
     solve_gp,
     wz_rate_via_gp,

@@ -174,9 +174,10 @@ def _grid_sweep(
     opts: Case2Options,
     maximize: bool,
 ) -> list[CurvePoint]:
-    """One point per R': the best ``solve_w`` value over the kernels admissible there.
+    """A description-rate curve: the best ``solve_w`` value over the kernels admissible at each R'.
 
-    The kernels w are ``simplex_grid(slices, codomain, step)``'s. R' is
+    Every R' must be >= 0 (``ValueError`` otherwise, NaN included). The
+    kernels w are ``simplex_grid(slices, codomain, step)``'s. R' is
     clamped to ``r_max``, and a kernel is admissible when its rate lies in
     [R' - eps, R']; when none is, the grid is refined once to half the
     step. The curve is the unit of work: each grid it uses is built once, and
@@ -206,7 +207,13 @@ def _grid_sweep(
     the first such loser's status. On a minimizing curve each value is a
     dual value, a lower bound on its kernel's rate, so no loser can beat
     the winner and the winner's status stands.
+
+    The true curves are monotone in R', but a finite grid need not be: in
+    order of R', each "ok" point's ``value`` is the running max (or min) of
+    the "ok" points' raw values so far, and ``raw_value`` keeps its own.
     """
+    if not all(rp >= 0 for rp in r_primes):
+        raise ValueError("r_prime must be >= 0")
     grids: dict[float, tuple[SimplexGrid, list[float], float]] = {}
     solved: dict[tuple[float, int], tuple] = {}
 
@@ -269,58 +276,13 @@ def _grid_sweep(
                 "kernels_not_ok": sum(r[3] != "ok" for r in results), **extras,
             },
         ))
-    return points
 
-
-def capacity_case2(
-    ch: ChannelInstance,
-    r_prime: float,
-    opts: Case2Options | None = None,
-) -> CurvePoint:
-    """Lower-bound capacity at description rate R', noncausal encoder states.
-
-    R' is clamped to H(S2|S1) (beyond which extra description of S2 is
-    useless); the grid over w(v2|s2) keeps kernels whose R_w is eps-close to
-    R' from below, and the best inner maximum wins (smallest grid index on
-    ties within 1e-9). This is the one-point case of ``capacity_case2_sweep``.
-    """
-    return _capacity_curve(ch, [r_prime], opts, causal=False)[0]
-
-
-def _capacity_curve(ch, r_primes, opts, causal: bool) -> list[CurvePoint]:
-    """The sweep over w(v2|s2) behind both capacity curves, one point per R'.
-
-    The noncausal curve checks R_w against R' clamped to H(S2|S1) and solves
-    each admissible kernel with ``inner_max``; the causal one checks I(V2;S2)
-    against R' clamped to H(S2) and solves with ``causal_inner_max``.
-    """
-    opts = opts or Case2Options()
-    if any(rp < 0 for rp in r_primes):
-        raise ValueError("r_prime must be >= 0")
-    v2 = Alphabet(opts.v2_size, "V2")
-    if causal:
-        r_max = entropy(JointPmf((ch.s2,), ch.state_joint.probs.sum(axis=0)))
-        rate, inner = _causal_rate, causal_inner_max
-    else:
-        r_max = conditional_entropy(ch.state_joint, (1,), (0,))
-        rate, inner = r_w, inner_max
-
-    def solve_w(w: CondKernel):
-        rep = inner(ch, w, opts)
-        return rep.value, rep.iterations, rep.gap, rep.status, {}
-
-    points = _grid_sweep(
-        rate_of_w=lambda w: rate(ch, w),
-        solve_w=solve_w,
-        slices=ch.s2.size,
-        codomain=v2,
-        r_primes=r_primes,
-        r_max=r_max,
-        opts=opts,
-        maximize=True,
-    )
-    for point in points:
-        point.extras["r_max"] = r_max
+    best = -math.inf if maximize else math.inf
+    for pt in sorted(points, key=lambda pt: pt.r_prime):
+        if pt.status != "ok" or math.isnan(pt.raw_value):
+            continue
+        best = max(best, pt.raw_value) if maximize else min(best, pt.raw_value)
+        pt.value = best
     return points
 
 
@@ -347,42 +309,39 @@ def causal_inner_max(
     )
 
 
-def capacity_case2_causal(
-    ch: ChannelInstance,
-    r_prime: float,
-    opts: Case2Options | None = None,
-) -> CurvePoint:
-    """Capacity at description rate R' when the encoder state is causal.
-
-    The admissibility band uses the unconditional rate I(V2;S2) (the causal
-    description cannot be binned against S1), so R' is clamped to H(S2).
-    This is the one-point case of ``capacity_case2_sweep(..., causal=True)``.
-    """
-    return _capacity_curve(ch, [r_prime], opts, causal=True)[0]
-
-
-def monotone_post_pass(points: list[CurvePoint], maximize: bool = True) -> list[CurvePoint]:
-    """Enforce curve monotonicity in R' by a running max (or min); raw kept.
-
-    The true curves are monotone in R'; finite grids can violate that, so the
-    post-pass restores it while ``raw_value`` retains the grid output.
-    """
-    ordered = sorted(range(len(points)), key=lambda i: points[i].r_prime)
-    best = -math.inf if maximize else math.inf
-    for i in ordered:
-        pt = points[i]
-        if pt.status != "ok" or math.isnan(pt.raw_value):
-            continue
-        best = max(best, pt.raw_value) if maximize else min(best, pt.raw_value)
-        pt.value = best
-    return points
-
-
 def capacity_case2_sweep(
     ch: ChannelInstance,
     r_primes: Sequence[float],
     opts: Case2Options | None = None,
     causal: bool = False,
 ) -> list[CurvePoint]:
-    """Solve a whole R' grid as one curve and apply the monotone post-pass."""
-    return monotone_post_pass(_capacity_curve(ch, r_primes, opts, causal), maximize=True)
+    """Lower-bound capacity curve in the description rate R', one point per R'.
+
+    Noncausal encoder states: a kernel w(v2|s2) is admissible when R_w is
+    eps-close to R' from below, R' is clamped to H(S2|S1) (beyond which more
+    description of S2 is useless), and each kernel is solved by
+    ``inner_max``. Causal states: the rate is I(V2;S2) (the causal
+    description cannot be binned against S1), R' is clamped to H(S2), and
+    each kernel is solved by ``causal_inner_max``. The best inner maximum
+    wins (smallest grid index on ties within 1e-9); see ``_grid_sweep``.
+    Each point's extras carry ``r_max``.
+    """
+    opts = opts or Case2Options()
+    if causal:
+        r_max = entropy(JointPmf((ch.s2,), ch.state_joint.probs.sum(axis=0)))
+        rate, inner = _causal_rate, causal_inner_max
+    else:
+        r_max = conditional_entropy(ch.state_joint, (1,), (0,))
+        rate, inner = r_w, inner_max
+
+    def solve_w(w: CondKernel):
+        rep = inner(ch, w, opts)
+        return rep.value, rep.iterations, rep.gap, rep.status, {}
+
+    points = _grid_sweep(
+        lambda w: rate(ch, w), solve_w, ch.s2.size, Alphabet(opts.v2_size, "V2"),
+        r_primes, r_max, opts, maximize=True,
+    )
+    for point in points:
+        point.extras["r_max"] = r_max
+    return points

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .ba import ChannelInstance, SolverOptions, SourceInstance, wz_primal
-from .case2 import Case2Options, capacity_case2_sweep
+from .case2 import Case2Options, CurvePoint, capacity_case2_sweep
 from .evaluators import case_descriptor, dualize, eval_cc, eval_fact, eval_sc
 from .gpdual import (
     Case1Options,
@@ -31,6 +31,8 @@ from .strategies import StrategyCapacityError
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SOLVER = 3
+GRID_CAP = 10_000  # points in one a:b:step grid
+CURVE_HEADER = "r_prime,value,raw_value,winning_w,iterations,gap,status"
 # failures of a solve on valid input; anything else is a programming error
 SOLVER_ERRORS = (GpNumericalError, GpInfeasibleError, ProbabilityError, StrategyCapacityError)
 
@@ -48,7 +50,10 @@ def _fmt(x: float) -> str:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Values of 'a:b:step' or of a single value; every number must be finite, every value >= 0."""
+    """Values of 'a:b:step' or of a single value; every number must be finite, every value >= 0.
+
+    'a:b:step' holds the values round(a + i * step, 12) up to b, at most ``GRID_CAP`` of them.
+    """
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise CliError(f"grid {text!r} must be 'a:b:step' or a single value", EXIT_PARSE)
@@ -65,11 +70,10 @@ def _parse_grid(text: str) -> list[float]:
             raise CliError(f"grid step must be > 0 in {text!r}", EXIT_PARSE)
         if b < a:
             raise CliError(f"grid end is below its start in {text!r}", EXIT_PARSE)
-        values = []
-        v = a
-        while v <= b + 1e-12:
-            values.append(round(v, 12))
-            v += step
+        count = (b - a) / step + 1e-9  # one less than the number of points, plus slack
+        if not count < GRID_CAP:
+            raise CliError(f"grid {text!r} has more than {GRID_CAP} points", EXIT_PARSE)
+        values = [round(a + i * step, 12) for i in range(math.floor(count) + 1)]
     if any(v < 0 for v in values):
         raise CliError(f"grid {text!r} has a negative value", EXIT_PARSE)
     return values
@@ -99,6 +103,14 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _curve_row(pt: CurvePoint) -> str:
+    """One ``CURVE_HEADER`` row."""
+    return (
+        f"{_fmt(pt.r_prime)},{_fmt(pt.value)},{_fmt(pt.raw_value)},"
+        f"{pt.winning_w},{pt.iterations},{_fmt(pt.gap)},{pt.status}"
+    )
+
+
 def _require_channel(inst) -> ChannelInstance:
     if not isinstance(inst, ChannelInstance):
         raise CliError("this command needs a channel problem", EXIT_PARSE)
@@ -121,15 +133,11 @@ def _cmd_capacity_case2(args, causal: bool) -> int:
         v2_size=args.v2,
     )
     grid = _parse_grid(args.rprime_grid)
-    lines = ["r_prime,value,raw_value,winning_w,iterations,gap,status"]
+    lines = [CURVE_HEADER]
     code = EXIT_OK
     try:
-        points = capacity_case2_sweep(ch, grid, opts, causal=causal)
-        for pt in points:
-            lines.append(
-                f"{_fmt(pt.r_prime)},{_fmt(pt.value)},{_fmt(pt.raw_value)},"
-                f"{pt.winning_w},{pt.iterations},{_fmt(pt.gap)},{pt.status}"
-            )
+        for pt in capacity_case2_sweep(ch, grid, opts, causal=causal):
+            lines.append(_curve_row(pt))
             if pt.status != "ok":
                 code = EXIT_SOLVER
     except SOLVER_ERRORS as exc:  # partial CSV on solver failure
@@ -183,16 +191,12 @@ def _cmd_rd_case1(args) -> int:
     opts = _options(Case1Options, epsilon=args.epsilon, grid_step=args.grid_step, v1_size=args.v1)
     ds = _parse_grid(args.d)
     rps = _parse_grid(args.rprime)
-    lines = ["d,r_prime,value,raw_value,winning_w,iterations,gap,status"]
+    lines = ["d," + CURVE_HEADER]
     code = EXIT_OK
     try:
         for d in ds:
-            points = rd_case1_sweep(src, d, rps, opts)
-            for pt in points:
-                lines.append(
-                    f"{_fmt(d)},{_fmt(pt.r_prime)},{_fmt(pt.value)},{_fmt(pt.raw_value)},"
-                    f"{pt.winning_w},{pt.iterations},{_fmt(pt.gap)},{pt.status}"
-                )
+            for pt in rd_case1_sweep(src, d, rps, opts):
+                lines.append(f"{_fmt(d)},{_curve_row(pt)}")
                 if pt.status != "ok":
                     code = EXIT_SOLVER
     except SOLVER_ERRORS as exc:

@@ -28,7 +28,7 @@ from .ba import (
     _source_strategies,
     wz_primal,
 )
-from .case2 import CurvePoint, _grid_sweep, monotone_post_pass
+from .case2 import CurvePoint, _grid_sweep
 from .probability import (
     Alphabet,
     CondKernel,
@@ -322,8 +322,8 @@ def solve_gp(p: GpProblem) -> GpReport:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_cap(distortion: np.ndarray) -> float:
-    positive = distortion[distortion > ZERO_TOL]
+def _gamma_cap(excess: np.ndarray) -> float:
+    positive = excess[excess > ZERO_TOL]
     return 400.0 / float(positive.min()) if positive.size else 1.0
 
 
@@ -403,7 +403,12 @@ def build_case1_rd_gp(src: SourceInstance, w: CondKernel, d_target: float) -> Gp
 def _build_dual(src: SourceInstance, p4: np.ndarray, d_target: float) -> GpProblem:
     """The dual program of ``build_case1_rd_gp`` for the joint p4 over (X, S1, S2, V1).
 
-    The strategies are all maps S2 -> Xhat; D must be finite and >= 0.
+    The strategies are all maps S2 -> Xhat; D must be finite and >= 0. As in
+    the primal, the program sees the excess distortion d(x, xhat) - least(x),
+    least(x) being the least d(x, .), and the target D - sum p(x) * least(x):
+    every test channel's distortion moves by that same offset, so the rate
+    is unchanged, while the multiplier's coefficients and cap stay on the
+    scale of the excess.
     """
     _check_distortion_target(d_target)
     strategies = _source_strategies(src)
@@ -423,7 +428,9 @@ def _build_dual(src: SourceInstance, p4: np.ndarray, d_target: float) -> GpProbl
         # p(s2|x,s1) and log p(x,s1|s2,v1) on the live cells, 0 elsewhere
         weight = np.where(live, (p4.sum(axis=3) / p4.sum(axis=(2, 3))[:, :, None])[..., None], 0.0)
         log_post = np.where(live, np.log(p4 / p4.sum(axis=(0, 1))), 0.0)
-    dist = src.distortion[:, strategies.tables.T]  # d(x, t(s2)) as (X, S2, T)
+    least = src.distortion.min(axis=1)
+    excess = src.distortion - least[:, None]
+    dist = excess[:, strategies.tables.T]  # excess d(x, t(s2)) as (X, S2, T)
     gamma_coef = 0.0 - (weight[..., None] * dist[:, None, :, None, :]).sum(axis=2)
 
     rows = np.arange(n_a * n_t)
@@ -439,7 +446,7 @@ def _build_dual(src: SourceInstance, p4: np.ndarray, d_target: float) -> GpProbl
 
     c = np.zeros(n)
     c[:n_a] = p4.sum(axis=2)[kept]
-    c[gamma_idx] = -d_target
+    c[gamma_idx] = -(d_target - float(p4.sum(axis=(1, 2, 3)) @ least))
 
     start = np.zeros(n)
     # y below log(1 / #kept (x, s1) cells) keeps every group's log-sum-exp < 0
@@ -458,7 +465,7 @@ def _build_dual(src: SourceInstance, p4: np.ndarray, d_target: float) -> GpProbl
         b_vec=b_vec,
         lse_groups=groups,
         nonneg=np.array([gamma_idx], dtype=np.intp),
-        bounds=[(gamma_idx, _gamma_cap(src.distortion))],
+        bounds=[(gamma_idx, _gamma_cap(excess))],
         start=start,
         var_labels=labels,
     )
@@ -487,30 +494,21 @@ def description_rate_case1(src: SourceInstance, w: CondKernel) -> float:
     return conditional_mutual_information(joint, (2,), (0,), (1,))
 
 
-def rd_case1(
+def rd_case1_sweep(
     src: SourceInstance,
     d_target: float,
-    r_prime: float,
+    r_primes: Sequence[float],
     opts: Case1Options | None = None,
-) -> CurvePoint:
-    """Rate-distortion at distortion D and encoder-description rate R'.
+) -> list[CurvePoint]:
+    """Rate-distortion curve in the encoder-description rate R' at distortion D.
 
     R' is clamped to H(S1|S2); kernels w(v1|s1) whose I(V1;S1|S2) is
     eps-close to R' from below are admissible, each solved through the dual
-    program, and the smallest rate wins (smallest grid index on ties). This
-    is the one-point case of ``rd_case1_sweep``.
+    program, and the smallest rate wins (smallest grid index on ties); see
+    ``_grid_sweep``. Each point's extras carry ``d_target``.
     """
-    return _rd_curve(src, d_target, [r_prime], opts)[0]
-
-
-def _rd_curve(src, d_target, r_primes, opts) -> list[CurvePoint]:
-    """One point per R' at distortion D, each admissible kernel orbit's program solved once."""
     opts = opts or Case1Options()
-    if any(rp < 0 for rp in r_primes):
-        raise ValueError("r_prime must be >= 0")
     _check_distortion_target(d_target)
-    p_s1s2 = marginalize(src.joint, (1, 2))
-    v1 = Alphabet(opts.v1_size, "V1")
 
     def solve_w(w: CondKernel):
         report = solve_gp(build_case1_rd_gp(src, w, d_target))
@@ -518,26 +516,11 @@ def _rd_curve(src, d_target, r_primes, opts) -> list[CurvePoint]:
         status = "ok" if report.certified else "uncertified"
         return value, report.newton_steps, report.gap_bound / LN2, status, {"gp_report": report}
 
+    r_max = conditional_entropy(marginalize(src.joint, (1, 2)), (0,), (1,))
     points = _grid_sweep(
-        rate_of_w=lambda w: description_rate_case1(src, w),
-        solve_w=solve_w,
-        slices=src.s1.size,
-        codomain=v1,
-        r_primes=r_primes,
-        r_max=conditional_entropy(p_s1s2, (0,), (1,)),
-        opts=opts,
-        maximize=False,
+        lambda w: description_rate_case1(src, w), solve_w, src.s1.size,
+        Alphabet(opts.v1_size, "V1"), r_primes, r_max, opts, maximize=False,
     )
     for point in points:
         point.extras["d_target"] = d_target
     return points
-
-
-def rd_case1_sweep(
-    src: SourceInstance,
-    d_target: float,
-    r_primes: Sequence[float],
-    opts: Case1Options | None = None,
-) -> list[CurvePoint]:
-    """Solve an R' grid at fixed distortion as one curve, then enforce monotonicity (min)."""
-    return monotone_post_pass(_rd_curve(src, d_target, r_primes, opts), maximize=False)

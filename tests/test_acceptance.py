@@ -24,8 +24,6 @@ from sideinfo.ba import (
 from sideinfo.gpdual import wz_rate_via_gp
 from sideinfo.case2 import (
     Case2Options,
-    capacity_case2,
-    capacity_case2_causal,
     capacity_case2_sweep,
     causal_inner_max,
     inner_max,
@@ -41,7 +39,7 @@ from sideinfo.evaluators import (
     eval_sc,
     example2_closed_form,
 )
-from sideinfo.gpdual import Case1Options, rd_case1, rd_case1_sweep
+from sideinfo.gpdual import Case1Options, rd_case1_sweep
 from sideinfo.probability import (
     Alphabet,
     CondKernel,
@@ -127,8 +125,8 @@ def test_semi_iterative_capacity_structure():
     pts = capacity_case2_sweep(ch, grid, opts)
     vals = [p.value for p in pts]
     monotone = all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 1))
-    at_h = capacity_case2(ch, h, opts)
-    beyond = capacity_case2(ch, h + 0.3, opts)
+    at_h = capacity_case2_sweep(ch, [h], opts)[0]
+    beyond = capacity_case2_sweep(ch, [h + 0.3], opts)[0]
     saturated = at_h.value == beyond.value
     cc = gp_channel_capacity(ch, ("s1",), ("s2",), SolverOptions(delta=1e-7))
     full = gp_channel_capacity(ch, ("s1", "s2"), ("s2",), SolverOptions(delta=1e-7))
@@ -163,7 +161,7 @@ def test_switched_noise_source_consistency():
     opts = Case1Options(grid_step=0.05, v1_size=2)
     worst = 0.0
     for d in (0.1, 0.3):
-        pt = rd_case1(src, d, 0.0, opts)
+        pt = rd_case1_sweep(src, d, [0.0], opts)[0]
         wz = wz_primal(src, d)
         worst = max(worst, abs(pt.value - wz.value))
     values = {}
@@ -271,14 +269,14 @@ def test_evaluator_consistency_and_duality():
     opts = Case2Options(delta=1e-9)
     worst = 0.0
 
-    pt = capacity_case2(ch, 0.3, opts)
+    pt = capacity_case2_sweep(ch, [0.3], opts)[0]
     rep = inner_max(ch, pt.winning_kernel, opts)
     joint = build_case2_joint(ch, pt.winning_kernel, rep.argopt)
     res = eval_cc("2lb", joint)
     worst = max(worst, abs(res.objective - pt.raw_value))
     worst = max(worst, abs(res.r_prime_required - pt.winning_r_w))
 
-    ptc = capacity_case2_causal(ch, 0.3, opts)
+    ptc = capacity_case2_sweep(ch, [0.3], opts, causal=True)[0]
     repc = causal_inner_max(ch, ptc.winning_kernel, opts)
     jointc = build_case2c_joint(ch, ptc.winning_kernel, repc.argopt)
     worst = max(worst, abs(eval_cc("2c", jointc).objective - ptc.raw_value))

@@ -21,7 +21,7 @@ from sideinfo.ba import (
 )
 from sideinfo.case2 import Case2Options
 from sideinfo.evaluators import build_wz_joint, eval_sc
-from sideinfo.gpdual import build_case1_rd_gp, build_wz_gp, rd_case1, wz_rate_via_gp
+from sideinfo.gpdual import build_case1_rd_gp, build_wz_gp, rd_case1_sweep, wz_rate_via_gp
 from sideinfo.probability import Alphabet, CondKernel, JointPmf, ProbabilityError, binary_entropy
 from sideinfo.problems import example1_channel, example2_source, example3_source, example4_source
 
@@ -680,7 +680,7 @@ def test_distortion_target_must_be_finite_and_nonnegative(d_target):
         lambda: build_wz_gp(src, d_target),
         lambda: build_case1_rd_gp(src, w, d_target),
         lambda: wz_rate_via_gp(src, d_target),
-        lambda: rd_case1(example2_source(), d_target, 0.1),
+        lambda: rd_case1_sweep(example2_source(), d_target, [0.1])[0],
     ]
     for solve in solves:
         with pytest.raises(ValueError, match="finite and >= 0"):

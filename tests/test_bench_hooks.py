@@ -1,8 +1,10 @@
-"""The benchmark's hooks into the library: every traced function exists and every
-workload builds its calls, so an API change that would break ``bench/run.py``
-fails here first. The workloads' calls are not run; one tiny engine call checks
-the result the tracer reads."""
+"""The benchmark's hooks into the library: every traced function exists, every
+workload builds its calls, and every library attribute the workloads name, in
+their calls and checks too, resolves, so an API change that would break
+``bench/run.py`` fails here first. The workloads' calls are not run; one tiny
+engine call checks the result the tracer reads."""
 
+import ast
 import importlib
 import pathlib
 import sys
@@ -38,3 +40,38 @@ def test_engine_returns_what_the_tracer_reads():
     assert isinstance(result, tuple) and len(result) == 7
     assert isinstance(result[2], int) and result[2] >= 1
     assert isinstance(result[6], bool)
+
+
+def _library_attributes(path: pathlib.Path) -> list[tuple[str, str]]:
+    """(module, attribute) for every ``alias.name`` in ``path`` whose alias imports a sideinfo module."""
+    tree = ast.parse(path.read_text())
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.split(".")[0] == "sideinfo"
+    }
+    return sorted({
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    })
+
+
+WORKLOAD_ATTRIBUTES = _library_attributes(pathlib.Path(workloads.__file__))
+
+
+def test_workload_attributes_cover_every_library_module():
+    # the names read only inside a Call's lambda or a check, which building the calls misses
+    assert {m for m, _ in WORKLOAD_ATTRIBUTES} == {
+        "sideinfo", "sideinfo.ba", "sideinfo.case2", "sideinfo.gpdual"
+    }
+    for name in ("capacity_case2_sweep", "causal_inner_max"):
+        assert ("sideinfo.case2", name) in WORKLOAD_ATTRIBUTES
+    for name in ("rd_case1_sweep", "wz_rate_via_gp"):
+        assert ("sideinfo.gpdual", name) in WORKLOAD_ATTRIBUTES
+
+
+@pytest.mark.parametrize("module, name", WORKLOAD_ATTRIBUTES)
+def test_workload_attribute_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +20,6 @@ from sideinfo.case2 import (
     Case2Options,
     _causal_rate,
     _grid_sweep,
-    capacity_case2,
-    capacity_case2_causal,
     capacity_case2_sweep,
     causal_inner_max,
     inner_max,
@@ -424,7 +423,7 @@ class TestLemmaProbes:
 class TestCapacityCurve:
     def test_zero_rate_matches_oracle(self):
         ch = example1_channel()
-        pt = capacity_case2(ch, 0.0, Case2Options())
+        pt = capacity_case2_sweep(ch, [0.0], Case2Options())[0]
         oracle = gp_channel_capacity(ch, ("s1",), ("s2",), SolverOptions(delta=1e-7))
         assert pt.status == "ok"
         assert pt.value == pytest.approx(oracle.value, abs=5e-3)
@@ -432,13 +431,13 @@ class TestCapacityCurve:
     def test_clamping_beyond_max_rate(self):
         ch = example1_channel()
         h = conditional_entropy(ch.state_joint, (1,), (0,))
-        a = capacity_case2(ch, h, Case2Options())
-        b = capacity_case2(ch, h + 0.5, Case2Options())
+        a = capacity_case2_sweep(ch, [h], Case2Options())[0]
+        b = capacity_case2_sweep(ch, [h + 0.5], Case2Options())[0]
         assert a.value == b.value and a.winning_w == b.winning_w
 
     def test_winner_respects_feasibility_band(self):
         ch = example1_channel()
-        pt = capacity_case2(ch, 0.3, Case2Options())
+        pt = capacity_case2_sweep(ch, [0.3], Case2Options())[0]
         eps = pt.extras["epsilon"]
         assert pt.winning_r_w <= 0.3 + 1e-12
         assert pt.winning_r_w >= 0.3 - eps - 1e-12
@@ -485,10 +484,23 @@ class TestCapacityCurve:
             assert pt.status == "ok"
             assert abs(pt.raw_value - value) <= gap + pt.gap
 
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_r_prime_must_be_at_least_zero(self, causal):
+        for bad in (math.nan, -0.1):
+            with pytest.raises(ValueError, match="r_prime must be >= 0"):
+                capacity_case2_sweep(example1_channel(), [0.0, bad], Case2Options(), causal=causal)
+
+    def test_infinite_r_prime_is_clamped(self):
+        ch = example1_channel()
+        h = conditional_entropy(ch.state_joint, (1,), (0,))
+        beyond, at_h = capacity_case2_sweep(ch, [math.inf, h], Case2Options(grid_step=0.25))
+        assert beyond.extras["clamped_r_prime"] == h
+        assert (beyond.raw_value, beyond.winning_w) == (at_h.raw_value, at_h.winning_w)
+
     def test_deterministic_tie_break(self):
         ch = example1_channel()
-        a = capacity_case2(ch, 0.0, Case2Options())
-        b = capacity_case2(ch, 0.0, Case2Options())
+        a = capacity_case2_sweep(ch, [0.0], Case2Options())[0]
+        b = capacity_case2_sweep(ch, [0.0], Case2Options())[0]
         assert a.winning_w == b.winning_w and a.value == b.value
 
     def test_losing_kernels_that_did_not_converge_are_counted(self):
@@ -517,6 +529,44 @@ class TestCapacityCurve:
         assert point.status == "nonconverged"
         assert point.extras["kernels_not_ok"] == 3
 
+    # kernels [a, 1 - a] with larger entry m have rate m - 0.5, so at epsilon
+    # 0.1 each R' in (0, 0.25, 0.5) admits one orbit: m = 0.5, 0.75 and 1
+    @staticmethod
+    def three_points(r_primes, values, maximize, not_ok=()):
+        def solve_w(w):
+            m = float(w.probs.max())
+            return values[m], 1, 0.0, "nonconverged" if m in not_ok else "ok", {}
+
+        return _grid_sweep(
+            rate_of_w=lambda w: float(w.probs.max()) - 0.5,
+            solve_w=solve_w,
+            slices=1,
+            codomain=V2,
+            r_primes=r_primes,
+            r_max=0.5,
+            opts=Case2Options(epsilon=0.1, grid_step=0.25),
+            maximize=maximize,
+        )
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_post_pass_runs_in_order_of_r_prime_and_keeps_raw_values(self, maximize):
+        sign = 1.0 if maximize else -1.0
+        raw = {0.5: sign * 2.0, 0.75: sign * 1.0, 1.0: sign * 3.0}  # at R' = 0, 0.25, 0.5
+        points = self.three_points([0.5, 0.25, 0.0], raw, maximize)
+        assert [pt.r_prime for pt in points] == [0.5, 0.25, 0.0]
+        assert [pt.raw_value for pt in points] == [sign * 3.0, sign * 1.0, sign * 2.0]
+        assert [pt.value for pt in points] == [sign * 3.0, sign * 2.0, sign * 2.0]
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_post_pass_skips_points_that_are_not_ok(self, maximize):
+        # the R' = 0.25 point is not ok: its raw value neither moves nor leads
+        sign = 1.0 if maximize else -1.0
+        raw = {0.5: sign * 2.0, 0.75: sign * 5.0, 1.0: sign * 3.0}
+        points = self.three_points([0.0, 0.25, 0.5], raw, maximize, not_ok=(0.75,))
+        assert [pt.status for pt in points] == ["ok", "nonconverged", "ok"]
+        assert [pt.raw_value for pt in points] == [sign * 2.0, sign * 5.0, sign * 3.0]
+        assert [pt.value for pt in points] == [sign * 2.0, sign * 5.0, sign * 3.0]
+
     @staticmethod
     def one_point(solve_w):
         """The one point of five kernels [a, 1 - a], all admissible, valued by ``solve_w``."""
@@ -543,7 +593,7 @@ class TestCausal:
         x, y, s1, s2 = (Alphabet(2, n) for n in "XY12")
         sj = np.outer([0.5, 0.5], [0.4, 0.6])
         ch = ChannelInstance(x, y, s1, s2, JointPmf((s1, s2), sj), CondKernel((x, s1, s2), (y,), kern))
-        pt = capacity_case2_causal(ch, 0.0, Case2Options(delta=1e-8))
+        pt = capacity_case2_sweep(ch, [0.0], Case2Options(delta=1e-8), causal=True)[0]
         # oracle: plain capacity of the marginal channel x -> (y, s2)
         m = np.zeros((2, 4))
         for xx in range(2):
@@ -562,22 +612,22 @@ class TestCausal:
             CondKernel((x, s1, s2), (y,), kern),
         )
         for rp in (0.0, 0.4, 2.0):
-            pt = capacity_case2_causal(ch, rp, Case2Options())
+            pt = capacity_case2_sweep(ch, [rp], Case2Options(), causal=True)[0]
             assert pt.value == pytest.approx(1.0, abs=1e-6)
 
     def test_causal_below_noncausal_at_matched_rate(self):
         ch = example1_channel()
         opts = Case2Options(delta=1e-7)
-        pt_c = capacity_case2_causal(ch, 0.4, opts)
+        pt_c = capacity_case2_sweep(ch, [0.4], opts, causal=True)[0]
         # compare at the noncausal description rate of the causal winner
         matched = r_w(ch, pt_c.winning_kernel)
-        pt_nc = capacity_case2(ch, matched, opts)
+        pt_nc = capacity_case2_sweep(ch, [matched], opts)[0]
         assert pt_c.value <= pt_nc.value + 1e-6
 
     def test_causal_inner_consistent_with_point(self):
         ch = example1_channel()
         opts = Case2Options(delta=1e-8)
-        pt = capacity_case2_causal(ch, 0.3, opts)
+        pt = capacity_case2_sweep(ch, [0.3], opts, causal=True)[0]
         rep = causal_inner_max(ch, pt.winning_kernel, opts)
         assert rep.value == pytest.approx(pt.raw_value, abs=1e-12)
 
@@ -638,9 +688,8 @@ class TestCurveIsOneSweep:
         opts = Case2Options(epsilon=epsilon, grid_step=0.25)
         r_primes = self.R_PRIMES[causal]
         sweep = capacity_case2_sweep(ch, r_primes, opts, causal=causal)
-        one_point = capacity_case2_causal if causal else capacity_case2
         for rp, pt in zip(r_primes, sweep):
-            alone = one_point(ch, rp, opts)
+            (alone,) = capacity_case2_sweep(ch, [rp], opts, causal=causal)
             assert alone.value == alone.raw_value == pt.raw_value
             for name in self.FIELDS:
                 assert getattr(alone, name) == getattr(pt, name), (rp, name)

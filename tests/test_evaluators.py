@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sideinfo.ba import ChannelInstance, SolverOptions, wz_primal
-from sideinfo.case2 import Case2Options, capacity_case2, capacity_case2_causal, causal_inner_max, inner_max
+from sideinfo.case2 import Case2Options, capacity_case2_sweep, causal_inner_max, inner_max
 from sideinfo.evaluators import (
     build_case2_joint,
     build_case2c_joint,
@@ -234,7 +234,7 @@ class TestOptimizerConsistency:
     def test_noncausal_winner_reproduced_by_evaluator(self):
         ch = example1_channel()
         opts = Case2Options(delta=1e-9)
-        pt = capacity_case2(ch, 0.3, opts)
+        pt = capacity_case2_sweep(ch, [0.3], opts)[0]
         rep = inner_max(ch, pt.winning_kernel, opts)
         joint = build_case2_joint(ch, pt.winning_kernel, rep.argopt)
         res = eval_cc("2lb", joint, channel=ch)
@@ -247,7 +247,7 @@ class TestOptimizerConsistency:
     def test_causal_winner_reproduced_by_evaluator(self):
         ch = example1_channel()
         opts = Case2Options(delta=1e-9)
-        pt = capacity_case2_causal(ch, 0.3, opts)
+        pt = capacity_case2_sweep(ch, [0.3], opts, causal=True)[0]
         rep = causal_inner_max(ch, pt.winning_kernel, opts)
         joint = build_case2c_joint(ch, pt.winning_kernel, rep.argopt)
         res = eval_cc("2c", joint)

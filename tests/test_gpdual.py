@@ -17,7 +17,6 @@ from sideinfo.gpdual import (
     build_case1_rd_gp,
     build_wz_gp,
     description_rate_case1,
-    rd_case1,
     rd_case1_sweep,
     solve_gp,
     wz_rate_via_gp,
@@ -361,6 +360,18 @@ class TestWzDual:
         if primal.status == "ok":
             assert primal.gap <= SolverOptions().delta
 
+    def test_program_is_posed_in_excess_distortion(self):
+        # every answer to x = 0 costs 1000 more and every answer to x = 1 500
+        # more, so with D raised by the mean 750 the rate is unchanged
+        src = example3_source()
+        shifted = dataclasses.replace(
+            src, distortion=0.01 * src.distortion + np.array([[1000.0], [500.0]])
+        )
+        rep = wz_rate_via_gp(shifted, 750.0005, cross_check=False)
+        plain = wz_rate_via_gp(src, 0.05, cross_check=False)
+        assert rep.status == plain.status == "ok"
+        assert abs(rep.value - plain.value) <= rep.gap + plain.gap + 1e-9
+
     def test_zero_distortion_endpoint(self):
         src = example3_source()
         rep = wz_rate_via_gp(src, 0.0, cross_check=False)
@@ -484,6 +495,9 @@ class TestDualRows:
         tables = enumerate_strategies((s2,), xhat).tables
         labels = [parse_label(lab) for lab in prog.var_labels]
         gamma = prog.var_labels.index("gamma")
+        # the program sees each x's excess over its least distortion, and D less its mean
+        excess = d - d.min(axis=1, keepdims=True)
+        assert abs(prog.c[gamma] + 0.2 - p4.sum(axis=(1, 2, 3)) @ d.min(axis=1)) <= 1e-12
         ys = {cell: i for i, (name, cell) in enumerate(labels) if name == "y"}
         alphas = {cell for name, cell in labels if name == "alpha"}
         assert set(ys) == {(*c, t) for c in np.argwhere(live).tolist() for t in range(len(tables))}
@@ -501,7 +515,7 @@ class TestDualRows:
             w = {ss2: cond[xx, ss1, ss2] for ss2 in kept}
             for ss2 in kept:
                 assert abs(row[ys[xx, ss1, ss2, vv1, t]] + w[ss2]) <= 1e-12
-            assert abs(row[gamma] + sum(w[ss2] * d[xx, tables[t, ss2]] for ss2 in kept)) <= 1e-12
+            assert abs(row[gamma] + sum(w[ss2] * excess[xx, tables[t, ss2]] for ss2 in kept)) <= 1e-12
             log_post = {ss2: math.log(p4[xx, ss1, ss2, vv1] / p_s2v1[ss2, vv1]) for ss2 in kept}
             assert abs(b - sum(w[ss2] * log_post[ss2] for ss2 in kept)) <= 1e-12
         assert len(rows) == prog.a_mat.shape[0] == len(alphas) * len(tables)
@@ -526,7 +540,7 @@ class TestNearZeroCells:
 
     def test_rd_case1_with_a_1e14_cell(self, cell_source):
         opts = Case1Options(grid_step=0.05)
-        tiny, zero = (rd_case1(cell_source("rd", m), 0.1, 0.2, opts) for m in (1e-14, 0.0))
+        tiny, zero = (rd_case1_sweep(cell_source("rd", m), 0.1, [0.2], opts)[0] for m in (1e-14, 0.0))
         assert tiny.status == zero.status == "ok"
         assert abs(tiny.value - zero.value) <= tiny.gap + zero.gap + 1e-9
 
@@ -570,30 +584,43 @@ class TestCase1Curve:
 
     def test_modulo_sum_point_matches_closed_form(self):
         src = example2_source()
-        pt = rd_case1(src, 0.1, 0.2, Case1Options())
+        pt = rd_case1_sweep(src, 0.1, [0.2], Case1Options())[0]
         assert pt.status == "ok"
         assert pt.value == pytest.approx(example2_closed_form(0.1, 0.2), abs=2e-2)
 
     def test_high_distortion_zero(self):
         src = example2_source()
         for rp in (0.0, 0.3):
-            pt = rd_case1(src, 0.5, rp, Case1Options())
+            pt = rd_case1_sweep(src, 0.5, [rp], Case1Options())[0]
             assert pt.value == pytest.approx(0.0, abs=1e-6)
 
     def test_zero_description_matches_pair_source_primal(self):
         src = example4_source()
-        pt = rd_case1(src, 0.1, 0.0, Case1Options())
+        pt = rd_case1_sweep(src, 0.1, [0.0], Case1Options())[0]
         wz = wz_primal(src, 0.1, SolverOptions())
         assert pt.value == pytest.approx(wz.value, abs=1e-3)
 
     def test_status_uncertified(self, monkeypatch):
         src, opts = example2_source(), Case1Options(grid_step=0.5)
-        assert rd_case1(src, 0.1, 0.2, opts).status == "ok"
+        assert rd_case1_sweep(src, 0.1, [0.2], opts)[0].status == "ok"
         solve = sideinfo.gpdual.solve_gp
         monkeypatch.setattr(
             sideinfo.gpdual, "solve_gp", lambda p: dataclasses.replace(solve(p), certified=False)
         )
-        assert rd_case1(src, 0.1, 0.2, opts).status == "uncertified"
+        assert rd_case1_sweep(src, 0.1, [0.2], opts)[0].status == "uncertified"
+
+    def test_curve_is_posed_in_excess_distortion(self):
+        src = example2_source()
+        shifted = dataclasses.replace(src, distortion=0.01 * src.distortion + 1000.0)
+        (pt,) = rd_case1_sweep(shifted, 1000.001, [0.0], Case1Options())
+        (plain,) = rd_case1_sweep(src, 0.1, [0.0], Case1Options())
+        assert pt.status == plain.status == "ok"
+        assert abs(pt.value - plain.value) <= pt.gap + plain.gap + 1e-9
+
+    def test_r_prime_must_be_at_least_zero(self):
+        for bad in (math.nan, -0.1):
+            with pytest.raises(ValueError, match="r_prime must be >= 0"):
+                rd_case1_sweep(example2_source(), 0.1, [bad], Case1Options())
 
     def test_sweep_monotone_post_pass(self):
         src = example2_source()
@@ -612,7 +639,7 @@ class TestCase1CurveIsOneSweep:
         src, opts = example2_source(), Case1Options(epsilon=epsilon, grid_step=0.25)
         sweep = rd_case1_sweep(src, 0.1, self.R_PRIMES, opts)
         for rp, pt in zip(self.R_PRIMES, sweep):
-            alone = rd_case1(src, 0.1, rp, opts)
+            alone = rd_case1_sweep(src, 0.1, [rp], opts)[0]
             assert alone.value == alone.raw_value == pt.raw_value
             for name in ("winning_w", "iterations", "gap", "status", "winning_r_w"):
                 assert getattr(alone, name) == getattr(pt, name), (rp, name)

@@ -8,7 +8,7 @@ import pytest
 from sideinfo.ba import ChannelInstance, SourceInstance
 import sideinfo.cli
 import sideinfo.gpdual
-from sideinfo.cli import main
+from sideinfo.cli import GRID_CAP, _parse_grid, main
 from sideinfo.gpdual import GpNumericalError
 from sideinfo.probability import binary_entropy
 from sideinfo.problems import (
@@ -170,6 +170,17 @@ class TestCli:
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("text, values", [
+        ("0:0.72:0.06", [0.0, 0.06, 0.12, 0.18, 0.24, 0.3, 0.36, 0.42, 0.48, 0.54, 0.6, 0.66, 0.72]),
+        ("0:0.3:0.05", [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]),
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+        ("0:0.6:0.2", [0.0, 0.2, 0.4, 0.6]),
+        ("0.1:0.35:0.1", [0.1, 0.2, 0.3]),
+        ("0.2:0.2:1", [0.2]),
+    ])
+    def test_grid_values(self, text, values):
+        assert _parse_grid(text) == values
+
     def test_csv_deterministic_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0.2:0.2:1"]
@@ -294,6 +305,15 @@ class TestCliInputErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    # 1.0 + 1e-17 == 1.0, so stepping 1 by 1e-17 never reaches 2; 1 / 5e-324 overflows
+    @pytest.mark.parametrize("grid", ["1:2:1e-17", "0:1:5e-324", f"0:1:{1 / GRID_CAP}", "0:1:1e-5"])
+    def test_grid_above_the_point_cap_exits_2(self, grid, capsys):
+        assert main(["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid", grid]) == 2
+        assert f"more than {GRID_CAP} points" in capsys.readouterr().err
+
+    def test_grid_at_the_point_cap_is_read(self):
+        assert len(_parse_grid(f"0:{GRID_CAP - 1}:1")) == GRID_CAP
 
     def test_solver_error_still_writes_partial_csv(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
