@@ -17,12 +17,14 @@
 
 ``alternating_strategy_max`` is the one alternating iteration, with one
 step, one certificate, the concavity bound U(q), and its own accelerated
-loop: classic capacity, these oracles, both state-description capacity
-solvers and every multiplier probe run on it; every capacity solve is one
-``_strategy_solve``, whose tables come from ``_strategy_tables``, given a
-state joint and its encoder, cell and decoder views. The engine returns its
-log tables; ``_functionals`` evaluates (J, U) at any tables, for the sweep's
-measurements and for re-checking a certificate.
+loop, which ``_stacked_strategy_max`` runs on a stack of same-shape
+instances at once: classic capacity, these oracles, both state-description
+capacity solvers and every multiplier probe run on it. Every capacity solve
+takes its tables from ``_strategy_tables``, given a state joint and its
+encoder, cell and decoder views; a single one is a ``_strategy_solve``, and
+the capacity sweep stacks the tables of a curve point's kernels. The engine
+returns its log tables; ``_functionals`` evaluates (J, U) at any tables, for
+the sweep's measurements and for re-checking a certificate.
 
 All values are in bits. Every report carries a certified optimality gap.
 """
@@ -222,10 +224,13 @@ def _probe_bound(probe, d_target: float) -> float:
     return rate + beta * (dist - d_target) - gap
 
 
-def _norm(a) -> float:
-    """Euclidean norm of an array or a scalar, summed as ``np.linalg.norm`` sums it."""
-    flat = np.ravel(a)
-    return math.sqrt(flat.dot(flat))
+def _norms(a: np.ndarray) -> list[float]:
+    """The Euclidean norm of each instance of a stack, summed as ``np.linalg.norm`` sums it.
+
+    ``np.vecdot`` makes one ``ddot`` per instance, as ``a.dot(a)`` is alone.
+    """
+    flat = a.reshape(a.shape[0], -1)
+    return [math.sqrt(x) for x in np.vecdot(flat, flat).tolist()]
 
 
 def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = None) -> SolveReport:
@@ -350,7 +355,7 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
         value, gap, iters, _, log_big_q, _, ok = alternating_strategy_max(
             p_x, p_ote, inner_delta, opts.max_iters, cost, j_stop
         )
-        nxt = _StrategyModel(p_x, p_ote, cost).scores(log_big_q)
+        nxt = _StrategyModel(p_x[None], p_ote[None], cost[None]).scores(log_big_q[None])[0]
         rate, dist, q = measure(np.exp(_log_weights(nxt)).T)
         probes.append((beta, rate, dist, max(rate + beta * dist + value + gap, 0.0), q))
         # short of its gap, the engine ends before the cap only on reaching j_stop
@@ -425,61 +430,86 @@ def wz_primal(
 
 
 class _StrategyModel:
-    """The strategy functionals of p(e) q(t|e) p(o|t,e) on natural-log tables, in nats.
+    """The strategy functionals of a stack of models p(e) q(t|e) p(o|t,e), in nats.
 
-    ``cost[t, e]`` is in nats; ``live[t, e]`` (default: all) marks the pairs
-    whose weight may be positive. Rows of other pairs and of letters with
-    p(e) <= ZERO_TOL are dropped: a zero weight adds 0 to J (0 log 0 = 0), and
-    a view reached only via zero-mass letters cannot make J nan.
+    Every table has a leading stack axis: ``p_e`` is (B, E), ``p_ote`` (B, T, E, O),
+    ``cost`` (B, T, E) in nats or None, and ``live`` (B, T, E) (default: all) marks
+    the pairs whose weight may be positive. Each instance goes through the same
+    reductions over the same axes, in the same memory layout, as it would alone,
+    so its numbers do not depend on the stack it is in. Rows of pairs that are
+    not live and of letters with p(e) <= ZERO_TOL are dropped: a zero weight adds
+    0 to J (0 log 0 = 0), and a view reached only via zero-mass letters cannot
+    make J nan.
     """
 
+    # the per-instance tables, kept in step by ``take``
+    _STACKED = ("p_e", "sup_e", "pm_mask", "pm", "ln_pe_pm", "reach_to", "reach_o",
+                "buf_to", "buf_o", "buf_te", "buf_terms")
+
     def __init__(self, p_e, p_ote, cost=None, live=True):
-        n_t, n_e, n_o = p_ote.shape
+        n_b, n_t, n_e, n_o = p_ote.shape
         self.p_e, self.cost, self.live = np.asarray(p_e, dtype=float), cost, live
         self.sup_e = self.p_e > ZERO_TOL
-        self.pm_mask = (p_ote > ZERO_TOL) & self.sup_e[None, :, None] & np.asarray(live)[..., None]
+        live_e = self.sup_e[:, None, :, None] & np.asarray(live)[..., None]
+        self.pm_mask = (p_ote > ZERO_TOL) & live_e
         self.pm = np.where(self.pm_mask, p_ote, 0.0)
-        self.ln_pe_pm = _log(self.p_e)[None, :, None] + _log(self.pm)  # constant part of the joint
+        # the constant part of the joint
+        self.ln_pe_pm = _log(self.p_e)[:, None, :, None] + _log(self.pm)
         # structural zeros: the (t, o) cells no e reaches, and the views no t reaches
-        self.reach_to = self.pm_mask.any(axis=1)
-        self.reach_o = self.reach_to.any(axis=0)
+        self.reach_to = self.pm_mask.any(axis=2)
+        self.reach_o = self.reach_to.any(axis=1, keepdims=True)
         # fixed masks, so skipped cells keep these fills: log p(t, o) is -inf at unreached
         # cells, uniform at unreached views (log p(o) 0); pm log Q and score - log q are 0
-        self.buf_to = np.tile(np.where(self.reach_o, -np.inf, -math.log(n_t)), (n_t, 1))
-        self.buf_o, self.buf_te = np.zeros(n_o), np.zeros((n_t, n_e))
+        self.buf_to = np.repeat(np.where(self.reach_o, -np.inf, -math.log(n_t)), n_t, axis=1)
+        self.buf_o, self.buf_te = np.zeros((n_b, 1, n_o)), np.zeros((n_b, n_t, n_e))
         self.buf_terms = np.zeros(p_ote.shape)
+
+    def take(self, keep: np.ndarray) -> None:
+        """Keep only the instances ``keep``, a mask over the stack; ``live`` must be all."""
+        for name in self._STACKED:
+            setattr(self, name, getattr(self, name)[keep])
+        if self.cost is not None:
+            self.cost = self.cost[keep]
 
     def log_posterior(self, log_q: np.ndarray) -> np.ndarray:
         """log Q*(t|o), the decoder posterior of q; each log-sum-exp shifts by its max."""
-        joint = self.ln_pe_pm + log_q[:, :, None]
-        m_to = np.where(self.reach_to, joint.max(axis=1), 0.0)
+        joint = self.ln_pe_pm + log_q[..., None]
+        m_to = np.where(self.reach_to, joint.max(axis=2), 0.0)
+        joint -= m_to[:, :, None, :]  # in place: one (B, T, E, O) temporary per call
         log_p_to = np.log(
-            np.exp(joint - m_to[:, None, :]).sum(axis=1), out=self.buf_to, where=self.reach_to
+            np.exp(joint, out=joint).sum(axis=2), out=self.buf_to, where=self.reach_to
         ) + m_to
-        m_o = np.where(self.reach_o, log_p_to.max(axis=0), 0.0)
-        log_p_o = np.log(np.exp(log_p_to - m_o).sum(axis=0), out=self.buf_o, where=self.reach_o)
+        m_o = np.where(self.reach_o, log_p_to.max(axis=1, keepdims=True), 0.0)
+        log_p_o = np.log(
+            np.exp(log_p_to - m_o).sum(axis=1, keepdims=True), out=self.buf_o, where=self.reach_o
+        )
         return log_p_to - (log_p_o + m_o)
 
     def scores(self, log_big_q: np.ndarray) -> np.ndarray:
-        """The (T, E) table sum_o p(o|t,e) log Q(t|o) - cost[t, e]."""
-        prod = np.multiply(self.pm, log_big_q[:, None, :], out=self.buf_terms, where=self.pm_mask)
-        return prod.sum(axis=2) if self.cost is None else prod.sum(axis=2) - self.cost
+        """The (B, T, E) table sum_o p(o|t,e) log Q(t|o) - cost[t, e]."""
+        prod = np.multiply(
+            self.pm, log_big_q[:, :, None, :], out=self.buf_terms, where=self.pm_mask
+        )
+        return prod.sum(axis=3) if self.cost is None else prod.sum(axis=3) - self.cost
 
-    def bounds(self, q: np.ndarray, log_q: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
-        """(J, U): sum_e p(e) times the q-average, and the max over t, of score - log q."""
+    def bounds(self, q: np.ndarray, log_q: np.ndarray, scores: np.ndarray):
+        """(J, U), each (B,): sum_e p(e) times the q-average, and the max over t, of score - log q.
+
+        U is one ``ddot`` per instance (``np.vecdot``), as ``p_e @ v`` is alone.
+        """
         diff = np.subtract(scores, log_q, out=self.buf_te, where=self.live)
-        j_val = float(np.einsum("e,te,te->", self.p_e, q, diff))
-        return j_val, float(self.p_e @ np.where(self.sup_e, diff.max(axis=0), 0.0))
+        j_val = np.einsum("be,bte,bte->b", self.p_e, q, diff)
+        return j_val, np.vecdot(self.p_e, np.where(self.sup_e, diff.max(axis=1), 0.0))
 
 
 def _log_weights(table: np.ndarray) -> np.ndarray:
-    """log q(t|e) = s - log sum_t exp(s) from a log-weight table s[t, e].
+    """log q(t|e) = s - log sum_t exp(s) from a log-weight table s[t, e], or a stack of them.
 
     The shift-then-clip keeps the normalization exact for extrapolated tables
     whose entries are too large for the correction to survive rounding.
     """
-    table = np.maximum(table - table.max(axis=0, keepdims=True), -800.0)
-    return table - np.log(np.exp(table).sum(axis=0))
+    table = np.maximum(table - table.max(axis=-2, keepdims=True), -800.0)
+    return table - np.log(np.exp(table).sum(axis=-2, keepdims=True))
 
 
 def _probs(log_table: np.ndarray) -> np.ndarray:
@@ -501,10 +531,11 @@ def _log(a) -> np.ndarray:
 def _functionals(p_e, p_ote, log_q, log_big_q=None, cost=None) -> tuple[float, float]:
     """(J, U) in nats at log q and log Q (default: Q*(q)); a zero weight makes U +inf (-log 0)."""
     live = log_q > -np.inf
-    f = _StrategyModel(p_e, p_ote, cost, live)
-    log_big_q = f.log_posterior(log_q) if log_big_q is None else log_big_q
-    j_val, u_val = f.bounds(np.exp(log_q), log_q, f.scores(log_big_q))
-    return j_val, u_val if live[:, f.sup_e].all() else math.inf
+    stack_cost = None if cost is None else cost[None]
+    f = _StrategyModel(np.asarray(p_e, dtype=float)[None], p_ote[None], stack_cost, live[None])
+    log_big_q = f.log_posterior(log_q[None]) if log_big_q is None else log_big_q[None]
+    j_val, u_val = f.bounds(np.exp(log_q)[None], log_q[None], f.scores(log_big_q))
+    return float(j_val[0]), float(u_val[0]) if live[:, f.sup_e[0]].all() else math.inf
 
 
 def alternating_strategy_max(
@@ -528,6 +559,28 @@ def alternating_strategy_max(
     ``j_stop`` (nats), for a caller that only needs to know the optimum is at
     least that, or after ``max_iters`` (>= 1) counted steps.
 
+    This is the stack of one of ``_stacked_strategy_max``, whose loop it is.
+
+    Returns (value_bits, gap_bits, iterations, log_q, log_big_q, trace, converged):
+    the natural-log tables (T, E) and (T, O) of the gap, finite where weights underflow,
+    and the (J, U) bits of each counted step as an (iterations, 2) array.
+    """
+    p_e = np.asarray(p_e, dtype=float)
+    return _stacked_strategy_max(
+        p_e[None], p_ote[None], delta_bits, max_iters,
+        None if cost is None else cost[None], [j_stop],
+    )[0]
+
+
+def _stacked_strategy_max(p_e, p_ote, delta_bits, max_iters, cost=None, j_stop=None) -> list:
+    """``alternating_strategy_max`` on each instance of a stack, in one run.
+
+    ``p_e`` is (B, E), ``p_ote`` (B, T, E, O), ``cost`` (B, T, E) or None and
+    ``j_stop`` B values (default: none). Returns one 7-tuple per instance, as
+    ``alternating_strategy_max`` returns it, and equal to it bit for bit:
+    every array operation is per instance (``_StrategyModel``), and each
+    instance keeps its own trace, stop test and candidate acceptance.
+
     Each cycle counts two steps from points (table, log q, q), a log-weight
     table s[t, e] and the q(t|e) it stands for, then steps once from a
     squared-extrapolation candidate (SQUAREM, Varadhan & Roland 2008) formed
@@ -537,14 +590,18 @@ def alternating_strategy_max(
     a valid distribution. The step length is measured on q: in the tables
     the log weight of a vanishing strategy drifts toward -inf at a
     near-constant rate, which would hold the length at the clamp and
-    overshoot the strategies that still converge.
-
-    Returns (value_bits, gap_bits, iterations, log_q, log_big_q, trace, converged):
-    the natural-log tables (T, E) and (T, O) of the gap, finite where weights underflow,
-    and the (J, U) bits of each counted step as an (iterations, 2) array.
+    overshoot the strategies that still converge. The stack runs the cycle in
+    lockstep; an instance whose candidate is rejected, or has no step length
+    (its SQUAREM v vanishes), ignores it, and an instance that ends leaves
+    the stack.
     """
     f = _StrategyModel(p_e, p_ote, cost)
-    trace: list[tuple[float, float]] = []
+    n_b, n_t = p_ote.shape[:2]
+    stops = [math.inf] * n_b if j_stop is None else list(j_stop)
+    traces: list[list[tuple[float, float]]] = [[] for _ in range(n_b)]
+    results: list = [None] * n_b
+    ids = list(range(n_b))  # the instance at each stack position
+    tol = delta_bits * LN2
 
     def normalize(table):
         """The point (table, log q, q) of a log-weight table s[t, e]."""
@@ -558,37 +615,79 @@ def alternating_strategy_max(
         nxt = f.scores(log_big_q)
         return (*f.bounds(q, log_q, nxt), log_q, log_big_q, nxt)
 
-    def count(out) -> bool:
-        """Trace a counted step; True once it ends the solve."""
-        j_val, u_val = out[:2]
-        trace.append((j_val, u_val))
-        return u_val - j_val < delta_bits * LN2 or j_val >= j_stop or len(trace) >= max_iters
+    def count(out, counted=None):
+        """Trace a counted step of each instance (or of those ``counted``).
 
-    point = normalize(np.full(p_ote.shape[:2], -math.log(p_ote.shape[0])))
-    while True:
+        Returns None when every instance runs on, else the mask of those that
+        do, after recording the others' results and dropping them from ``f``.
+        """
+        nonlocal ids
+        ended = []
+        for pos, (i, j_val, u_val) in enumerate(zip(ids, out[0].tolist(), out[1].tolist())):
+            if counted is not None and not counted[pos]:
+                continue
+            trace = traces[i]
+            trace.append((j_val, u_val))
+            if u_val - j_val < tol or j_val >= stops[i] or len(trace) >= max_iters:
+                gap = max(u_val - j_val, 0.0)
+                trace_bits = np.array(trace, dtype=float).reshape(-1, 2) / LN2
+                results[i] = (j_val / LN2, gap / LN2, len(trace), out[2][pos], out[3][pos],
+                              trace_bits, gap < tol)
+                ended.append(pos)
+        if not ended:
+            return None
+        keep = np.ones(len(ids), dtype=bool)
+        keep[ended] = False
+        ids = [i for i, k in zip(ids, keep) if k]
+        if ids:
+            f.take(keep)
+        return keep
+
+    def compact(keep, *points):
+        """Each of ``points`` (tuples of stacked arrays) with only the instances ``keep``."""
+        return [tuple(a[keep] for a in point) for point in points]
+
+    point = normalize(np.full(p_ote.shape[:3], -math.log(n_t)))
+    while ids:
         x0, out = point, step(point)
-        if count(out):
-            break
+        keep = count(out)
+        if keep is not None:
+            if not ids:
+                break
+            x0, out = compact(keep, x0, out)
         x1 = normalize(out[4])
         out = step(x1)
-        if count(out):
-            break
+        keep = count(out)
+        if keep is not None:
+            if not ids:
+                break
+            x0, x1, out = compact(keep, x0, x1, out)
         point = normalize(out[4])
         r = x1[2] - x0[2]  # SQUAREM's r and v, measured on q
-        vn = _norm(point[2] - x1[2] - r)
-        if vn > 1e-300:
-            alpha = -max(1.0, min(_norm(r) / vn, 1e4))
-            t0, t1, t2 = x0[0], x1[0], point[0]
-            cand = step(normalize(t0 - 2.0 * alpha * (t1 - t0) + alpha * alpha * (t2 - 2.0 * t1 + t0)))
-            if cand[0] >= out[0]:
-                out = cand
-                if count(out):
-                    break
-                point = normalize(out[4])
-    j_val, u_val, log_q, log_big_q, _ = out
-    gap = max(u_val - j_val, 0.0)
-    trace_bits = np.array(trace, dtype=float).reshape(-1, 2) / LN2
-    return j_val / LN2, gap / LN2, len(trace), log_q, log_big_q, trace_bits, gap < delta_bits * LN2
+        vns = _norms(point[2] - x1[2] - r)
+        moves = [vn > 1e-300 for vn in vns]
+        if not any(moves):
+            continue
+        alpha = [
+            -max(1.0, min(rn / vn, 1e4)) if move else -1.0
+            for rn, vn, move in zip(_norms(r), vns, moves)
+        ]
+        # one step length per instance, as a (B, 1, 1) column; a stack of one keeps
+        # its Python float, the same values, which numpy applies with less overhead
+        alpha = np.array(alpha)[:, None, None] if len(alpha) > 1 else alpha[0]
+        t0, t1, t2 = x0[0], x1[0], point[0]
+        cand = step(normalize(t0 - 2.0 * alpha * (t1 - t0) + alpha * alpha * (t2 - 2.0 * t1 + t0)))
+        kept = [move and c >= o for move, c, o in zip(moves, cand[0].tolist(), out[0].tolist())]
+        if not any(kept):
+            continue
+        table = cand[4] if all(kept) else np.where(np.array(kept)[:, None, None], cand[4], out[4])
+        keep = count(cand, kept)
+        if keep is not None:
+            if not ids:
+                break
+            table = table[keep]
+        point = normalize(table)
+    return results
 
 
 def _axis_indices(names: Sequence[str]) -> tuple[int, ...]:

@@ -24,6 +24,7 @@ from .ba import (
     SolveReport,
     _cell_strategies,
     _functionals,
+    _stacked_strategy_max,
     _strategy_solve,
     _strategy_tables,
 )
@@ -86,6 +87,9 @@ class CurvePoint:
     winning_r_w: float = 0.0
     extras: dict = field(default_factory=dict)
 
+
+# kernels solved in one stacked engine run: it bounds a run's memory, not its results
+STACK_CAP = 16
 
 # the (enc, cell, dec) views of the two inner solves on the state joint (S1, S2, V2)
 _NONCAUSAL = ((0, 2), (0, 2), (1, 2))
@@ -166,7 +170,7 @@ def _auto_epsilon(rws: Sequence[float]) -> float:
 
 def _grid_sweep(
     rate_of_w: Callable[[CondKernel], float],
-    solve_w: Callable[[CondKernel], tuple[float, int, float, str, dict]],
+    solve_ws: Callable[[list[CondKernel]], list[tuple[float, int, float, str, dict]]],
     slices: int,
     codomain: Alphabet,
     r_primes: Sequence[float],
@@ -174,7 +178,7 @@ def _grid_sweep(
     opts: Case2Options,
     maximize: bool,
 ) -> list[CurvePoint]:
-    """A description-rate curve: the best ``solve_w`` value over the kernels admissible at each R'.
+    """A description-rate curve: the best solved value over the kernels admissible at each R'.
 
     Every R' must be >= 0 (``ValueError`` otherwise, NaN included). The
     kernels w are ``simplex_grid(slices, codomain, step)``'s. R' is
@@ -185,21 +189,22 @@ def _grid_sweep(
     is solved at most once, by the first point that needs it, always on its
     representative, the orbit's smallest index. Every member reads the
     representative's rate and result. The table of solved orbits lives only
-    for this call.
+    for this call. A point hands its fresh orbits' representatives to
+    ``solve_ws`` as one list, in orbit order, and gets one result per kernel back.
 
-    Contract: ``rate_of_w`` and ``solve_w`` are invariant under relabeling
+    Contract: ``rate_of_w`` and the solve are invariant under relabeling
     the codomain letters of w, as the description rates are, and the inner
     solves and dual programs are up to their certified gaps. Members of an
     orbit then carry equal values, so the winner (ties within 1e-9 go to
     the smallest grid index) is always a representative, solved exactly as
     if every kernel were.
 
-    ``solve_w(w)`` returns (value, iterations, gap, status, extras); the
-    winner's extras join the point's. ``kernels_admissible`` counts the
-    point's admissible kernels, ``kernels_solved`` the orbits among them
-    solved for this point and not an earlier one, and ``kernels_not_ok``
-    the kernels, winner included, whose status is not "ok". ``opts``
-    supplies ``grid_step`` and ``epsilon``.
+    A result is (value, iterations, gap, status, extras); the winner's
+    extras join the point's. ``kernels_admissible`` counts the point's
+    admissible kernels, ``kernels_solved`` the orbits among them solved for
+    this point and not an earlier one, ``solve_iterations`` the iterations
+    summed over those, and ``kernels_not_ok`` the kernels, winner included,
+    whose status is not "ok". ``opts`` supplies ``grid_step`` and ``epsilon``.
 
     The point takes the winner's status. On a maximizing curve a loser that
     is not "ok" may still beat the winner, so the point is "ok" only when
@@ -245,8 +250,7 @@ def _grid_sweep(
             continue
 
         fresh = sorted({(step, grid.orbit[i]) for i in feasible} - solved.keys())
-        for key in fresh:
-            solved[key] = solve_w(grid.points[key[1]])
+        solved.update(zip(fresh, solve_ws([grid.points[r] for _, r in fresh]), strict=True))
         results = [solved[step, grid.orbit[i]] for i in feasible]
         best_idx = None
         best_val = -math.inf
@@ -273,7 +277,8 @@ def _grid_sweep(
             extras={
                 "epsilon": eps, "grid_step": step, "clamped_r_prime": r_clamped,
                 "kernels_admissible": len(feasible), "kernels_solved": len(fresh),
-                "kernels_not_ok": sum(r[3] != "ok" for r in results), **extras,
+                "kernels_not_ok": sum(r[3] != "ok" for r in results),
+                "solve_iterations": sum(solved[key][1] for key in fresh), **extras,
             },
         ))
 
@@ -319,28 +324,44 @@ def capacity_case2_sweep(
 
     Noncausal encoder states: a kernel w(v2|s2) is admissible when R_w is
     eps-close to R' from below, R' is clamped to H(S2|S1) (beyond which more
-    description of S2 is useless), and each kernel is solved by
-    ``inner_max``. Causal states: the rate is I(V2;S2) (the causal
+    description of S2 is useless), and each kernel's inner solve is
+    ``inner_max``'s. Causal states: the rate is I(V2;S2) (the causal
     description cannot be binned against S1), R' is clamped to H(S2), and
-    each kernel is solved by ``causal_inner_max``. The best inner maximum
-    wins (smallest grid index on ties within 1e-9); see ``_grid_sweep``.
-    Each point's extras carry ``r_max``.
+    each kernel's inner solve is ``causal_inner_max``'s. The best inner
+    maximum wins (smallest grid index on ties within 1e-9); see
+    ``_grid_sweep``. A point's fresh kernels are solved as stacks of at most
+    ``STACK_CAP``, one engine run each, with the values, gaps, iterations
+    and statuses of one call per kernel, bit for bit. Each point's extras
+    carry ``r_max``.
     """
     opts = opts or Case2Options()
     if causal:
         r_max = entropy(JointPmf((ch.s2,), ch.state_joint.probs.sum(axis=0)))
-        rate, inner = _causal_rate, causal_inner_max
+        rate, views = _causal_rate, _CAUSAL
     else:
         r_max = conditional_entropy(ch.state_joint, (1,), (0,))
-        rate, inner = r_w, inner_max
+        rate, views = r_w, _NONCAUSAL
+    v2 = Alphabet(opts.v2_size, "V2")
+    strategies = _cell_strategies(ch, (ch.s1, ch.s2, v2), views[1])
 
-    def solve_w(w: CondKernel):
-        rep = inner(ch, w, opts)
-        return rep.value, rep.iterations, rep.gap, rep.status, {}
+    def solve_ws(ws: list[CondKernel]):
+        results = []
+        for at in range(0, len(ws), STACK_CAP):
+            tables = [
+                _strategy_tables(ch, strategies, _state_v2_joint(ch, w).probs, *views)
+                for w in ws[at : at + STACK_CAP]
+            ]
+            p_e, p_ote = (np.stack(t) for t in zip(*tables))
+            results += [
+                (value, iters, gap, "ok" if ok else "nonconverged", {})
+                for value, gap, iters, *_, ok in _stacked_strategy_max(
+                    p_e, p_ote, opts.delta, opts.max_inner_iters
+                )
+            ]
+        return results
 
     points = _grid_sweep(
-        lambda w: rate(ch, w), solve_w, ch.s2.size, Alphabet(opts.v2_size, "V2"),
-        r_primes, r_max, opts, maximize=True,
+        lambda w: rate(ch, w), solve_ws, ch.s2.size, v2, r_primes, r_max, opts, maximize=True,
     )
     for point in points:
         point.extras["r_max"] = r_max

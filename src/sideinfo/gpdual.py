@@ -340,6 +340,21 @@ def build_wz_gp(src: SourceInstance, d_target: float) -> GpProblem:
     return _build_dual(src, src.joint.probs[..., None], d_target)
 
 
+def _floor_target(src: SourceInstance, d_target: float) -> tuple[float, str]:
+    """The target a dual program is posed at, and the status it gives an ``ok`` solve.
+
+    D must be finite and >= 0. Below the distortion floor sum p(x) * least(x),
+    by more than 1e-12, no test channel meets D and the dual objective grows
+    with the multiplier up to its cap; so, as the primal does, the program is
+    posed at the floor itself, with status "distortion-floor".
+    """
+    _check_distortion_target(d_target)
+    floor = float(src.joint.probs.sum(axis=(1, 2)) @ src.distortion.min(axis=1))
+    if d_target < floor - 1e-12:
+        return floor, "distortion-floor"
+    return d_target, "ok"
+
+
 def wz_rate_via_gp(
     src: SourceInstance,
     d_target: float,
@@ -350,14 +365,16 @@ def wz_rate_via_gp(
     """Wyner-Ziv rate from the dual program, with an optional primal cross-check.
 
     The status is "uncertified" when the barrier solve is not certified, else
-    "not-tight" when the cross-check misses the primal by more than ``tight_tol``.
+    "distortion-floor" when D is below the distortion floor and the program
+    was posed at the floor (``_floor_target``), else "not-tight" when the
+    cross-check misses the primal by more than ``tight_tol``.
     """
     opts = opts or SolverOptions()
-    problem = build_wz_gp(src, d_target)
-    report = solve_gp(problem)
+    target, status = _floor_target(src, d_target)
+    report = solve_gp(build_wz_gp(src, target))
     value = max(report.value / LN2, 0.0)
     extras = {"gp_report": report, "certified": report.certified}
-    status = "ok" if report.certified else "uncertified"
+    status = status if report.certified else "uncertified"
     if cross_check:
         primal = wz_primal(src, d_target, opts)
         extras["primal_value"] = primal.value
@@ -505,20 +522,22 @@ def rd_case1_sweep(
     R' is clamped to H(S1|S2); kernels w(v1|s1) whose I(V1;S1|S2) is
     eps-close to R' from below are admissible, each solved through the dual
     program, and the smallest rate wins (smallest grid index on ties); see
-    ``_grid_sweep``. Each point's extras carry ``d_target``.
+    ``_grid_sweep``. Below the distortion floor the programs are posed at
+    the floor, and a certified solve has status "distortion-floor"
+    (``_floor_target``). Each point's extras carry ``d_target``, as given.
     """
     opts = opts or Case1Options()
-    _check_distortion_target(d_target)
+    target, floor_status = _floor_target(src, d_target)
 
     def solve_w(w: CondKernel):
-        report = solve_gp(build_case1_rd_gp(src, w, d_target))
+        report = solve_gp(build_case1_rd_gp(src, w, target))
         value = max(report.value / LN2, 0.0)
-        status = "ok" if report.certified else "uncertified"
+        status = floor_status if report.certified else "uncertified"
         return value, report.newton_steps, report.gap_bound / LN2, status, {"gp_report": report}
 
     r_max = conditional_entropy(marginalize(src.joint, (1, 2)), (0,), (1,))
     points = _grid_sweep(
-        lambda w: description_rate_case1(src, w), solve_w, src.s1.size,
+        lambda w: description_rate_case1(src, w), lambda ws: [solve_w(w) for w in ws], src.s1.size,
         Alphabet(opts.v1_size, "V1"), r_primes, r_max, opts, maximize=False,
     )
     for point in points:

@@ -231,7 +231,8 @@ def test_inner_solver_lemma_suite():
 
         # the q update beats 100 random alternatives for a random posterior
         big_q = rand_cols((n_t, n_o))
-        q_update = np.exp(_log_weights(_StrategyModel(p_e, p_ote).scores(_log(big_q))))
+        scores = _StrategyModel(p_e[None], p_ote[None]).scores(_log(big_q)[None])[0]
+        q_update = np.exp(_log_weights(scores))
         best_q = j_u(q_update, big_q)[0]
         for _ in range(100):
             alt = j_u(rand_cols((n_t, n_e)), big_q)[0]

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sideinfo.ba import (
     LN2,
@@ -13,6 +13,7 @@ from sideinfo.ba import (
     _assemble_sweep,
     _functionals,
     _log,
+    _stacked_strategy_max,
     alternating_strategy_max,
     ba_capacity,
     ba_rate_distortion,
@@ -524,6 +525,63 @@ class TestStrategyCapacity:
             j_cost = _functionals(p_e, p_ote, _log(q))[0] / LN2
             j_cost -= float(np.einsum("e,te,te->", p_e, q, cost)) / LN2
             assert u_final >= j_cost - 1e-9
+
+
+class TestStackedEngine:
+    """A stacked engine run equals one ``alternating_strategy_max`` call each, bit for bit."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_b=st.integers(2, 6), n_t=st.integers(2, 5), n_e=st.integers(1, 4), n_o=st.integers(1, 5),
+        with_cost=st.booleans(), with_stop=st.booleans(), max_iters=st.integers(2, 40),
+        delta=st.sampled_from([1e-12, 1e-17]),
+    )
+    def test_stack_equals_one_call_each(
+        self, seed, n_b, n_t, n_e, n_o, with_cost, with_stop, max_iters, delta
+    ):
+        # at delta 1e-17 an instance can reach a fixed point in floating point
+        # short of its gap: its q stops moving and it has no SQUAREM step
+        rng = np.random.default_rng(seed)
+        p_e = rng.random((n_b, n_e)) + 0.05
+        p_e[rng.random((n_b, n_e)) < 0.25] = 0.0  # zero-mass letters
+        total = p_e.sum(axis=1, keepdims=True)
+        p_e /= np.where(total > 0, total, 1.0)
+        p_ote = rng.random((n_b, n_t, n_e, n_o))
+        p_ote[p_ote < 0.3] = 0.0  # structural zeros, whole rows included
+        total = p_ote.sum(axis=3, keepdims=True)
+        p_ote /= np.where(total > 0, total, 1.0)
+        # instance 0 ignores the strategy, so its first step closes the gap
+        p_ote[0] = p_ote[0, :1]
+        cost = 2.0 * rng.random((n_b, n_t, n_e)) if with_cost else None
+        j_stop = np.where(rng.random(n_b) < 0.5, 0.3 * rng.random(n_b), math.inf)
+        if with_cost:
+            cost[0] = 0.0
+
+        stacked = _stacked_strategy_max(
+            p_e, p_ote, delta, max_iters, cost, j_stop if with_stop else None
+        )
+        iters = [r[2] for r in stacked]
+        assert iters[0] == 1
+        assume(max_iters in iters)
+        for b, got in enumerate(stacked):
+            want = alternating_strategy_max(
+                p_e[b], p_ote[b], delta, max_iters, None if cost is None else cost[b],
+                j_stop[b] if with_stop else math.inf,
+            )
+            assert len(got) == len(want) == 7
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), b
+            assert type(got[2]) is int and type(got[6]) is bool
+
+    def test_stack_of_one_is_the_engine_call(self):
+        p_ote = np.array([[[0.9, 0.1]], [[0.2, 0.8]]])
+        (got,) = _stacked_strategy_max(np.ones((1, 1)), p_ote[None], 1e-9, 100)
+        want = alternating_strategy_max(np.ones(1), p_ote, 1e-9, 100)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert got[3].shape == (2, 1) and got[4].shape == (2, 2)
+
+    def test_empty_stack_has_no_results(self):
+        assert _stacked_strategy_max(np.zeros((0, 1)), np.zeros((0, 2, 1, 2)), 1e-9, 100) == []
 
 
 class TestAcceleratedDriver:

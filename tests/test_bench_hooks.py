@@ -2,7 +2,8 @@
 workload builds its calls, and every library attribute the workloads name, in
 their calls and checks too, resolves, so an API change that would break
 ``bench/run.py`` fails here first. The workloads' calls are not run; one tiny
-engine call checks the result the tracer reads."""
+engine call checks the result the tracer reads, and one traced round of two
+one-point capacity sweeps checks that the tracer and its metrics still run."""
 
 import ast
 import importlib
@@ -17,7 +18,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
+import sideinfo.case2 as case2  # noqa: E402
 from sideinfo.ba import alternating_strategy_max  # noqa: E402
+from sideinfo.case2 import Case2Options  # noqa: E402
+from sideinfo.problems import example1_channel  # noqa: E402
 
 
 @pytest.mark.parametrize("module, name", [(m, f) for m, f, _, _ in tracing.TRACED])
@@ -75,3 +79,22 @@ def test_workload_attributes_cover_every_library_module():
 @pytest.mark.parametrize("module, name", WORKLOAD_ATTRIBUTES)
 def test_workload_attribute_resolves(module, name):
     assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_traced_round_runs_the_capacity_sweeps():
+    # a traced benchmark round: the tracer installed, both kinds of sweep, then
+    # the per-layer metrics of the round, as bench/worker.py reads them
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        ch, opts = example1_channel(), Case2Options(grid_step=0.25)
+        points = case2.capacity_case2_sweep(ch, [0.1], opts)
+        points += case2.capacity_case2_sweep(ch, [0.1], opts, causal=True)
+        tracer.active = False
+        metrics = tracing.layer_metrics(tracer, 0)
+    finally:
+        tracer.uninstall()
+    assert [pt.status for pt in points] == ["ok", "ok"]
+    assert metrics["case2.r_w.calls"] > 0 and metrics["trace.spans"] > 0
+    assert not hasattr(case2.r_w, "__wrapped__")  # uninstalled

@@ -539,7 +539,7 @@ class TestCapacityCurve:
 
         return _grid_sweep(
             rate_of_w=lambda w: float(w.probs.max()) - 0.5,
-            solve_w=solve_w,
+            solve_ws=lambda ws: [solve_w(w) for w in ws],
             slices=1,
             codomain=V2,
             r_primes=r_primes,
@@ -572,7 +572,7 @@ class TestCapacityCurve:
         """The one point of five kernels [a, 1 - a], all admissible, valued by ``solve_w``."""
         (point,) = _grid_sweep(
             rate_of_w=lambda w: 0.0,
-            solve_w=solve_w,
+            solve_ws=lambda ws: [solve_w(w) for w in ws],
             slices=1,
             codomain=V2,
             r_primes=[0.0],
@@ -718,34 +718,61 @@ class TestCurveIsOneSweep:
             want = (best, rep.value, rep.iterations, rep.gap, rep.status, rate(ch, kernels[best]))
             assert (pt.winning_w, pt.raw_value, pt.iterations, pt.gap, pt.status, pt.winning_r_w) == want
 
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_fresh_orbits_across_stack_runs_equal_one_call_each(self, causal, monkeypatch):
+        # three kernels per stacked run, so a point's fresh orbits span several runs
+        monkeypatch.setattr(sideinfo.case2, "STACK_CAP", 3)
+        ch, opts = example1_channel(), Case2Options(grid_step=0.1)
+        r_primes = [0.05, 0.3, 0.31]
+        sweep = capacity_case2_sweep(ch, r_primes, opts, causal=causal)
+        assert max(pt.extras["kernels_solved"] for pt in sweep) > 2 * 3
+
+        solve, rate = (causal_inner_max, _causal_rate) if causal else (inner_max, r_w)
+
+        def one_call_each(ws):
+            reports = [solve(ch, w, opts) for w in ws]
+            return [(r.value, r.iterations, r.gap, r.status, {}) for r in reports]
+
+        r_max = sweep[0].extras["r_max"]
+        want = _grid_sweep(
+            lambda w: rate(ch, w), one_call_each, ch.s2.size, V2, r_primes, r_max, opts, True
+        )
+        for got, ref in zip(sweep, want, strict=True):
+            for name in ("r_prime", "value", "raw_value", "winning_w", "status", "iterations",
+                         "gap", "winning_r_w"):
+                assert getattr(got, name) == getattr(ref, name), name
+            assert np.array_equal(got.winning_kernel.probs, ref.winning_kernel.probs)
+            assert got.extras == {**ref.extras, "r_max": r_max}
+
+    @staticmethod
+    def count_solves(monkeypatch, solves: list) -> None:
+        """Append to ``solves`` the (p_e, p_ote) of every kernel the sweep's stacked runs solve."""
+        engine = sideinfo.case2._stacked_strategy_max
+
+        def counted(p_e, p_ote, *args):
+            assert p_e.shape[0] <= sideinfo.case2.STACK_CAP
+            solves.extend(zip(p_e, p_ote))
+            return engine(p_e, p_ote, *args)
+
+        monkeypatch.setattr(sideinfo.case2, "_stacked_strategy_max", counted)
+
     def test_readme_grid_solves_each_orbit_once(self, monkeypatch, capsys):
         # the README capacity-case2 curve: 441 kernels in 221 orbits, of which
         # 439 kernels in 220 orbits are admissible at some R'
-        calls = {"inner_max": 0, "r_w": 0}
-
-        def counted(name):
-            fn = getattr(sideinfo.case2, name)
-
-            def call(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return call
-
-        for name in calls:
-            monkeypatch.setattr(sideinfo.case2, name, counted(name))
+        rates, solves = [], []
+        r_w_fn = sideinfo.case2.r_w
+        monkeypatch.setattr(sideinfo.case2, "r_w", lambda *a: rates.append(a) or r_w_fn(*a))
+        self.count_solves(monkeypatch, solves)
         argv = "capacity-case2 --problem builtin:example1 --rprime-grid 0:0.72:0.06"
         assert main(argv.split()) == 0
-        assert calls == {"inner_max": 220, "r_w": 221}
+        assert (len(solves), len(rates)) == (220, 221)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_each_admissible_kernel_solved_once(self, causal, monkeypatch, admissible_kernels):
         ch = example1_channel()
         opts = Case2Options(epsilon=0.05, grid_step=0.25)
-        name = "causal_inner_max" if causal else "inner_max"
-        solve = getattr(sideinfo.case2, name)
         calls = []
-        monkeypatch.setattr(sideinfo.case2, name, lambda *a: calls.append(a[1]) or solve(*a))
+        self.count_solves(monkeypatch, calls)
         rate = _causal_rate if causal else r_w
         for _ in range(2):  # the second sweep starts from nothing again
             calls.clear()

@@ -372,6 +372,23 @@ class TestWzDual:
         assert rep.status == plain.status == "ok"
         assert abs(rep.value - plain.value) <= rep.gap + plain.gap + 1e-9
 
+    def test_below_the_floor_the_program_is_posed_at_the_floor(self):
+        # d = Hamming + 0.5 has floor 0.5: D = 0.25 is met by no test channel,
+        # and the dual, as the primal, answers for D = 0.5
+        src = example3_source()
+        shifted = dataclasses.replace(src, distortion=src.distortion + 0.5)
+        rep = wz_rate_via_gp(shifted, 0.25, cross_check=False)
+        at_floor = wz_rate_via_gp(shifted, 0.5, cross_check=False)
+        primal = wz_primal(shifted, 0.25)
+        assert rep.status == primal.status == "distortion-floor"
+        assert at_floor.status == "ok" and rep.value == at_floor.value
+        # the floor is the dual's D = 0 in excess units, where its value is
+        # 5.9e-9 bits under the primal's (the wz-sweep workload's 1e-6)
+        assert abs(rep.value - primal.value) <= 1e-6
+        assert rep.value <= 1.0  # H(X)
+        checked = wz_rate_via_gp(shifted, 0.25)
+        assert checked.status == "distortion-floor" and checked.extras["tight"]
+
     def test_zero_distortion_endpoint(self):
         src = example3_source()
         rep = wz_rate_via_gp(src, 0.0, cross_check=False)
@@ -621,6 +638,17 @@ class TestCase1Curve:
         for bad in (math.nan, -0.1):
             with pytest.raises(ValueError, match="r_prime must be >= 0"):
                 rd_case1_sweep(example2_source(), 0.1, [bad], Case1Options())
+
+    def test_below_the_floor_the_curve_is_posed_at_the_floor(self):
+        src = example2_source()
+        shifted = dataclasses.replace(src, distortion=src.distortion + 0.5)
+        below = rd_case1_sweep(shifted, 0.25, [0.0, 0.3], Case1Options())
+        at_floor = rd_case1_sweep(shifted, 0.5, [0.0, 0.3], Case1Options())
+        assert [pt.status for pt in below] == ["distortion-floor"] * 2
+        assert [pt.status for pt in at_floor] == ["ok"] * 2
+        assert [pt.raw_value for pt in below] == [pt.raw_value for pt in at_floor]
+        assert [pt.extras["d_target"] for pt in below] == [0.25, 0.25]
+        assert all(pt.raw_value <= 1.0 + 1e-9 for pt in below)  # H(X)
 
     def test_sweep_monotone_post_pass(self):
         src = example2_source()

@@ -143,6 +143,18 @@ class TestCli:
         assert main(argv) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 8
 
+    def test_wz_rate_below_the_floor_exits_as_the_primal_does(self, tmp_path, capsys):
+        src = example3_source()
+        path = tmp_path / "offset.json"
+        shifted = dataclasses.replace(src, distortion=src.distortion + 0.5)
+        path.write_text(json.dumps(serialize_problem(shifted)))
+        rows = {}
+        for via in ("ba", "gp"):
+            assert main(["wz-rate", "--problem", str(path), "--d", "0.25", "--via", via]) == 0
+            rows[via] = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert rows["ba"][4] == rows["gp"][4] == "distortion-floor"
+        assert rows["ba"][1] == rows["gp"][1] == "0.881291"
+
     def test_wz_rate_single_via_ba(self, capsys):
         code = main(["wz-rate", "--problem", "builtin:example3", "--d", "0", "--via", "ba"])
         assert code == 0
