@@ -9,9 +9,9 @@
   view s2, p(o|t,e) = p(s2|e) and the linear cost
   beta * ln 2 * sum_s2 p(s2|e) d(x, t(s2)), inside a bisection on the
   multiplier that stops on the certified gap.
-* ``ba_rate_distortion`` -- classic rate-distortion, the same problem with a
-  single side letter, whose strategies are the reconstruction letters
-  (Blahut 1972); both run through ``_lagrangian_sweep``.
+* ``ba_rate_distortion`` -- classic rate-distortion (Blahut 1972): that sweep,
+  ``_lagrangian_sweep``, on a source with one-letter S1 and S2. One helper,
+  ``_excess_target``, poses every distortion target, the dual programs' too.
 * ``gp_channel_capacity`` -- Gelfand-Pinsker-type capacity
   max I(T;O) - I(T;E) over distributions q(t|e) on input strategies.
 
@@ -44,7 +44,7 @@ from .probability import (
     ProbabilityError,
     ZERO_TOL,
 )
-from .strategies import StrategySpace, enumerate_strategies, lift_source
+from .strategies import StrategySpace, enumerate_strategies
 
 LN2 = math.log(2.0)
 
@@ -84,14 +84,23 @@ class SourceInstance:
     def __post_init__(self) -> None:
         if tuple(a.size for a in self.joint.axes) != (self.x.size, self.s1.size, self.s2.size):
             raise ProbabilityError("source joint axes do not match (X, S1, S2)")
-        d = np.asarray(self.distortion, dtype=float)
-        if d.shape != (self.x.size, self.xhat.size):
-            raise ProbabilityError("distortion matrix shape does not match (X, Xhat)")
-        if not np.all(np.isfinite(d)) or d.min() < 0:
-            raise ProbabilityError("distortion entries must be finite and >= 0")
-        d = d.copy()
-        d.setflags(write=False)
+        d = _distortion_matrix(self.distortion, (self.x.size, self.xhat.size))
         object.__setattr__(self, "distortion", d)
+
+
+def _distortion_matrix(distortion, shape: tuple[int, int]) -> np.ndarray:
+    """A read-only copy of d(x, xhat): shape ``shape`` = (|X|, |Xhat|), finite and >= 0.
+
+    The one check of a distortion matrix; anything else is a ``ProbabilityError``.
+    """
+    d = np.asarray(distortion, dtype=float)
+    if d.shape != shape:
+        raise ProbabilityError(f"distortion shape {d.shape} does not match (X, Xhat) {shape}")
+    if not np.all(np.isfinite(d)) or d.min() < 0:
+        raise ProbabilityError("distortion entries must be finite and >= 0")
+    d = d.copy()
+    d.setflags(write=False)
+    return d
 
 
 @dataclass
@@ -236,11 +245,11 @@ def _norms(a: np.ndarray) -> list[float]:
 def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = None) -> SolveReport:
     """R(D) = min I(X;Xhat) s.t. E[d(X,Xhat)] <= D, by Blahut's algorithm.
 
-    This is the Wyner-Ziv problem with one side letter, whose strategies are
-    the reconstruction letters, so it runs through ``_lagrangian_sweep``;
-    ``argopt`` is the test channel w(xhat|x). ``p_x`` must be finite and
-    >= 0 with a positive sum, which is divided out, and ``d`` finite and >= 0
-    with at least one reconstruction letter.
+    This is the Wyner-Ziv sweep on the source with one-letter S1 and S2,
+    whose strategies are the reconstruction letters; ``argopt`` is the test
+    channel w(xhat|x). ``p_x`` must be finite and >= 0 with a positive sum,
+    which is divided out, and ``d`` an (|X|, |Xhat|) matrix, which
+    ``SourceInstance`` checks.
     """
     opts = opts or SolverOptions()
     p_x = np.asarray(p_x, dtype=float)
@@ -249,12 +258,10 @@ def ba_rate_distortion(p_x, d, d_target: float, opts: SolverOptions | None = Non
         raise ProbabilityError("p_x and distortion shapes are inconsistent")
     if not (np.all(np.isfinite(p_x)) and p_x.min(initial=0.0) >= 0 and p_x.sum() > 0):
         raise ProbabilityError("p_x must be finite and >= 0 with a positive sum")
-    if not np.all(np.isfinite(d)) or d.min(initial=0.0) < 0:
-        raise ProbabilityError("distortion entries must be finite and >= 0")
-    if d.shape[1] == 0:
-        raise ProbabilityError("the reconstruction alphabet is empty")
-    p_x = p_x / p_x.sum()
-    return _lagrangian_sweep(p_x[:, None], d[:, :, None], d_target, opts)
+    x, xhat = Alphabet(d.shape[0], "X"), Alphabet(d.shape[1], "Xhat")
+    s1, s2 = Alphabet(1, "S1"), Alphabet(1, "S2")
+    joint = JointPmf((x, s1, s2), (p_x / p_x.sum())[:, None, None])
+    return _lagrangian_sweep(SourceInstance(x, xhat, s1, s2, joint, d), d_target, opts)
 
 
 def _check_distortion_target(d_target: float) -> None:
@@ -263,22 +270,35 @@ def _check_distortion_target(d_target: float) -> None:
         raise ValueError(f"distortion target must be finite and >= 0, got {d_target!r}")
 
 
-def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
-    """R(D) = min over q(t|x) of I(T;X|S) s.t. E[d(X, t, S)] <= D, by the multiplier sweep.
+def _excess_target(src: SourceInstance, d_target: float):
+    """(excess, offset, posed, status): how the primal sweep and the dual programs pose D.
 
-    ``p_xs`` is the source joint p(x, s) and ``d_xts[x, t, s]`` the
-    distortion of answer t (a reconstruction strategy) at source letter x and
-    side letter s. The sweep works in excess units: it subtracts from d its
-    least value at each (x, s), which leaves every minimizer unchanged and
-    keeps exp2(-beta * d) from underflowing a whole row, and moves the target
-    by the offset sum p(x, s) * least(x, s). The probes, the zero-rate
-    shortcut, the distortion floor, the feasibility slack and the mixtures
-    all see the excess; the reported distortions have the offset added back.
+    ``excess`` is d(x, xhat) - least(x), least(x) the least d(x, .); every
+    test channel's distortion is its excess plus ``offset`` = sum p(x, s1, s2)
+    * least(x), the floor. ``posed`` is D, status "ok", or, with D below the
+    floor by more than 1e-12, the floor, status "distortion-floor". D is
+    checked first.
+    """
+    _check_distortion_target(d_target)
+    least = src.distortion.min(axis=1)
+    excess = src.distortion - least[:, None]
+    offset = float((src.joint.probs * least[:, None, None]).sum())
+    if d_target - offset < -1e-12:
+        return excess, offset, offset, "distortion-floor"
+    return excess, offset, d_target, "ok"
 
-    The target must be finite and >= 0 (``ValueError`` otherwise). Targets
-    at or above the best constant answer's distortion have rate 0
-    exactly; targets below the distortion floor are raised to it with status
-    "distortion-floor". The multiplier is bisected on [0, gamma_max] by the
+
+def _lagrangian_sweep(src: SourceInstance, d_target: float, opts: SolverOptions) -> SolveReport:
+    """Wyner-Ziv R(D) = min over q(t|x,s1) of I(T;X,S1|S2) s.t. E[d(X, t(S2))] <= D.
+
+    The encoder letter is the pair (x, s1) in row-major order, the decoder
+    view s2, and the answers t all maps S2 -> Xhat. D is posed by
+    ``_excess_target``; the excess units leave every minimizer unchanged and
+    keep exp2(-beta * d) from underflowing a whole row. The reported
+    distortions have the offset added back.
+
+    Targets at or above the best constant answer's distortion have rate 0
+    exactly. The multiplier is bisected on [0, gamma_max] by the
     sign of each probe's dist - D, a subgradient of the concave Lagrangian
     lower bound g(beta) = min_q rate + beta * (dist - D), until
     ``_assemble_sweep`` certifies a gap of at most half of ``opts.delta`` or
@@ -295,32 +315,26 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     "nonconverged". ``extras`` counts the ``probes``, the ``probes_stopped``
     early, the ``probes_capped`` that reached ``opts.max_iters`` short of
     their own gap, and ``probe_iterations``, the engine's iterations summed
-    over the probes.
+    over the probes. ``argopt`` is q(t|e) as an (E, T) array.
     """
-    _check_distortion_target(d_target)
+    excess, offset, posed, status = _excess_target(src, d_target)
+    target = posed - offset
+    p_xs = src.joint.probs.reshape(src.x.size * src.s1.size, src.s2.size)
     p_x = p_xs.sum(axis=1)
     sup_x = p_x > ZERO_TOL
     p_s_given_x = np.where(sup_x[:, None], p_xs / np.where(sup_x, p_x, 1.0)[:, None], 0.0)
-    least = d_xts.min(axis=1)
-    offset = float((p_xs * least).sum())
-    excess = d_xts - least[:, None, :]
-    dbar = np.einsum("xs,xts->xt", p_s_given_x, excess)
-    target = d_target - offset
+    # the excess d(x, t(s2)) of each encoder letter, answer and side letter
+    excess_xts = np.repeat(excess, src.s1.size, axis=0)[:, _source_strategies(src).tables]
+    dbar = np.einsum("xs,xts->xt", p_s_given_x, excess_xts)
 
     counts = {"probes_capped": 0, "probes_stopped": 0, "probe_iterations": 0}
     d_zero_rate = float((p_x @ dbar).min())  # best constant answer
-    if target >= d_zero_rate - 1e-12:
+    if status == "ok" and target >= d_zero_rate - 1e-12:  # D itself, not a raised floor
         arg = np.zeros_like(dbar)
         arg[:, int((p_x @ dbar).argmin())] = 1.0
         extras = {"argopt_rate": 0.0, "argopt_distortion": d_zero_rate + offset,
                   "probes": 0, **counts}
         return SolveReport(0.0, 0.0, 0, arg, np.zeros((1, 2)), extras=extras)
-
-    status = "ok"
-    d_floor = float(p_x @ dbar.min(axis=1))
-    if target < d_floor - 1e-12:
-        status = "distortion-floor"
-        target = d_floor
 
     # the negated Lagrangian is the strategy objective with encoder letter x,
     # decoder view s and the linear cost beta * ln 2 * dbar
@@ -331,7 +345,7 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
         rate = -_functionals(p_x, p_ote, _log(q.T))[0] / LN2
         return max(rate, 0.0), float((p_x[:, None] * q * dbar).sum()), q
 
-    # the multiplier range follows the per-(x, t, s) excess, not its average
+    # the multiplier range follows the per-(x, xhat) excess, not its average
     positive = excess[excess > ZERO_TOL]
     gamma_max = 50.0 / float(positive.min()) if positive.size else 1.0
     inner_delta = opts.delta / 4.0
@@ -384,7 +398,7 @@ def _lagrangian_sweep(p_xs, d_xts, d_target, opts) -> SolveReport:
     return SolveReport(
         value, gap, len(probes), arg, np.array([[value, value + gap]]), status=status,
         extras={
-            "distortion_floor": d_floor + offset,
+            "distortion_floor": offset,
             "zero_rate_distortion": d_zero_rate + offset,
             "argopt_rate": arg_rate,
             "argopt_distortion": arg_dist + offset,
@@ -415,12 +429,9 @@ def wz_primal(
     order; the strategies are all maps S2 -> Xhat. ``argopt`` is q(t|x,s1).
     """
     opts = opts or SolverOptions()
-    strategies = _source_strategies(src)
-
-    p_es = src.joint.probs.reshape(src.x.size * src.s1.size, src.s2.size)
-    rep = _lagrangian_sweep(p_es, lift_source(src, strategies), d_target, opts)
-    shape = (src.x.size, src.s1.size, len(strategies))
-    rep.argopt = CondKernel((src.x, src.s1), (strategies.alphabet,), rep.argopt.reshape(shape))
+    rep = _lagrangian_sweep(src, d_target, opts)
+    q = rep.argopt.reshape(src.x.size, src.s1.size, -1)
+    rep.argopt = CondKernel((src.x, src.s1), (_source_strategies(src).alphabet,), q)
     return rep
 
 

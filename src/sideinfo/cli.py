@@ -149,9 +149,9 @@ def _cmd_capacity_case2(args, causal: bool) -> int:
 
 def _cmd_wz_rate(args) -> int:
     src = _require_source(_load(args.problem))
-    if args.d_grid is None and args.d is None:
-        raise CliError("wz-rate needs --d or --d-grid", EXIT_PARSE)
-    ds = _parse_grid(args.d_grid if args.d_grid else repr(args.d))
+    if (args.d_grid is None) == (args.d is None):
+        raise CliError("wz-rate needs one of --d and --d-grid", EXIT_PARSE)
+    ds = _parse_grid(repr(args.d) if args.d_grid is None else args.d_grid)
     opts = _options(SolverOptions, delta=args.delta)
     if not (math.isfinite(args.tight_tol) and args.tight_tol >= 0):
         raise CliError("--tight-tol must be finite and >= 0", EXIT_PARSE)
@@ -212,30 +212,29 @@ _EVAL_AXES = {
 }
 
 
-def _load_joint(path: str, n_axes: int) -> JointPmf:
+def _load_table(path: str, what: str, key: str) -> np.ndarray:
+    """The list ``key`` of the JSON object in ``path``, shaped by its list ``sizes``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError("the file must hold a JSON object")
         sizes = spec["sizes"]
-        probs = np.asarray(spec["probs"], dtype=float).reshape(sizes)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"cannot load joint: {exc}", EXIT_PARSE) from exc
-    if len(sizes) != n_axes:
-        raise CliError(f"joint needs {n_axes} axes, got {len(sizes)}", EXIT_PARSE)
-    axes = tuple(Alphabet(int(s), f"A{i}") for i, s in enumerate(sizes))
+        if not (isinstance(sizes, list) and all(type(n) is int and n >= 1 for n in sizes)):
+            raise ValueError(f"'sizes' must be a list of positive integers, got {sizes!r}")
+        return np.asarray(spec[key], dtype=float).reshape(sizes)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"cannot load {what}: {exc}", EXIT_PARSE) from exc
+
+
+def _load_joint(path: str, n_axes: int) -> JointPmf:
+    probs = _load_table(path, "joint", "probs")
+    if probs.ndim != n_axes:
+        raise CliError(f"joint needs {n_axes} axes, got {probs.ndim}", EXIT_PARSE)
     try:
-        return JointPmf(axes, probs)
+        return JointPmf(tuple(Alphabet(n, f"A{i}") for i, n in enumerate(probs.shape)), probs)
     except ProbabilityError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
-
-
-def _load_distortion(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        return np.asarray(spec["values"], dtype=float).reshape(spec["sizes"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(f"cannot load distortion: {exc}", EXIT_PARSE) from exc
 
 
 def _cmd_eval(args) -> int:
@@ -243,7 +242,7 @@ def _cmd_eval(args) -> int:
     if case not in _EVAL_AXES:
         raise CliError(f"unknown case {case!r}; expected one of {sorted(_EVAL_AXES)}", EXIT_PARSE)
     joint = _load_joint(args.joint, _EVAL_AXES[case])
-    distortion = _load_distortion(args.distortion) if args.distortion else None
+    distortion = _load_table(args.distortion, "distortion", "values") if args.distortion else None
     try:
         if case.startswith("cc"):
             result = eval_cc(case[2:], joint)
@@ -279,6 +278,9 @@ def _cmd_dualize(args) -> int:
             alphabets = json.loads(args.alphabets)
         except json.JSONDecodeError as exc:
             raise CliError(f"invalid alphabets JSON: {exc}", EXIT_PARSE) from exc
+        sizes = alphabets.values() if isinstance(alphabets, dict) else [None]
+        if not all(type(n) is int and n >= 1 for n in sizes):
+            raise CliError("--alphabets must map role names to positive integers", EXIT_PARSE)
     try:
         desc = dualize(case_descriptor(problem, case_id, alphabets))
     except ValueError as exc:

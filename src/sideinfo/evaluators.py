@@ -15,7 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ba import ChannelInstance, SourceInstance, _source_strategies, _strategy_joint
+from .ba import (
+    ChannelInstance, SourceInstance, _distortion_matrix, _source_strategies, _strategy_joint
+)
 from .case2 import _CAUSAL, _NONCAUSAL, _state_v2_joint
 from .probability import (
     Alphabet,
@@ -124,9 +126,8 @@ def eval_sc(case: str, joint: JointPmf, distortion: np.ndarray) -> EvalResult:
     else:
         r_prime = cmi(joint, v, (_SC_S2,)) - cmi(joint, v, xs1)
 
-    d = np.asarray(distortion, dtype=float)
     p_xxh = joint.probs.sum(axis=(_SC_S1, _SC_S2, _SC_V, _SC_U))
-    dist = float((p_xxh * d).sum())
+    dist = float((p_xxh * _distortion_matrix(distortion, p_xxh.shape)).sum())
 
     chains: list[tuple[str, float]] = []
     if case in ("1", "1c"):
@@ -178,9 +179,8 @@ def eval_fact(fact: int, joint: JointPmf, distortion: np.ndarray | None = None) 
         ]
         dist = None
         if distortion is not None:
-            d = np.asarray(distortion, dtype=float)
             p_xxh = joint.probs.sum(axis=(s1, s2, v1, v2, u))
-            dist = float((p_xxh * d).sum())
+            dist = float((p_xxh * _distortion_matrix(distortion, p_xxh.shape)).sum())
         return EvalResult(objective, (rp1, rp2), dist, chains)
     raise ValueError(f"unknown fact {fact!r}; expected 1 or 2")
 

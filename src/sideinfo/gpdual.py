@@ -24,7 +24,7 @@ from .ba import (
     SolveReport,
     SolverOptions,
     SourceInstance,
-    _check_distortion_target,
+    _excess_target,
     _source_strategies,
     wz_primal,
 )
@@ -340,19 +340,10 @@ def build_wz_gp(src: SourceInstance, d_target: float) -> GpProblem:
     return _build_dual(src, src.joint.probs[..., None], d_target)
 
 
-def _floor_target(src: SourceInstance, d_target: float) -> tuple[float, str]:
-    """The target a dual program is posed at, and the status it gives an ``ok`` solve.
-
-    D must be finite and >= 0. Below the distortion floor sum p(x) * least(x),
-    by more than 1e-12, no test channel meets D and the dual objective grows
-    with the multiplier up to its cap; so, as the primal does, the program is
-    posed at the floor itself, with status "distortion-floor".
-    """
-    _check_distortion_target(d_target)
-    floor = float(src.joint.probs.sum(axis=(1, 2)) @ src.distortion.min(axis=1))
-    if d_target < floor - 1e-12:
-        return floor, "distortion-floor"
-    return d_target, "ok"
+def _dual_value(report: GpReport, status: str) -> tuple[float, float, str]:
+    """(value, gap) in bits of a solved dual program, and its status: ``status`` if certified."""
+    status = status if report.certified else "uncertified"
+    return max(report.value / LN2, 0.0), report.gap_bound / LN2, status
 
 
 def wz_rate_via_gp(
@@ -364,17 +355,17 @@ def wz_rate_via_gp(
 ) -> SolveReport:
     """Wyner-Ziv rate from the dual program, with an optional primal cross-check.
 
-    The status is "uncertified" when the barrier solve is not certified, else
+    The program is posed as the primal poses it (``_excess_target``). The
+    status is "uncertified" when the barrier solve is not certified, else
     "distortion-floor" when D is below the distortion floor and the program
-    was posed at the floor (``_floor_target``), else "not-tight" when the
-    cross-check misses the primal by more than ``tight_tol``.
+    was posed at the floor, else "not-tight" when the cross-check misses the
+    primal by more than ``tight_tol``.
     """
     opts = opts or SolverOptions()
-    target, status = _floor_target(src, d_target)
-    report = solve_gp(build_wz_gp(src, target))
-    value = max(report.value / LN2, 0.0)
+    _, _, posed, status = _excess_target(src, d_target)
+    report = solve_gp(build_wz_gp(src, posed))
+    value, gap, status = _dual_value(report, status)
     extras = {"gp_report": report, "certified": report.certified}
-    status = status if report.certified else "uncertified"
     if cross_check:
         primal = wz_primal(src, d_target, opts)
         extras["primal_value"] = primal.value
@@ -384,7 +375,7 @@ def wz_rate_via_gp(
             status = "not-tight"
     return SolveReport(
         value=value,
-        gap=report.gap_bound / LN2,
+        gap=gap,
         iterations=report.newton_steps,
         argopt=None,
         trace=np.repeat(report.stage_values[:, None] / LN2, 2, axis=1),
@@ -420,14 +411,13 @@ def build_case1_rd_gp(src: SourceInstance, w: CondKernel, d_target: float) -> Gp
 def _build_dual(src: SourceInstance, p4: np.ndarray, d_target: float) -> GpProblem:
     """The dual program of ``build_case1_rd_gp`` for the joint p4 over (X, S1, S2, V1).
 
-    The strategies are all maps S2 -> Xhat; D must be finite and >= 0. As in
-    the primal, the program sees the excess distortion d(x, xhat) - least(x),
-    least(x) being the least d(x, .), and the target D - sum p(x) * least(x):
-    every test channel's distortion moves by that same offset, so the rate
-    is unchanged, while the multiplier's coefficients and cap stay on the
-    scale of the excess.
+    The strategies are all maps S2 -> Xhat. As in the primal, the program
+    sees ``_excess_target``'s excess distortion and is posed at D less its
+    offset, which leaves the rate unchanged and keeps the multiplier's
+    coefficients and cap on the scale of the excess; D itself is not raised
+    to the floor.
     """
-    _check_distortion_target(d_target)
+    excess, offset, _, _ = _excess_target(src, d_target)
     strategies = _source_strategies(src)
     n_t = len(strategies)
     live = p4 > ZERO_TOL  # the cells the program holds
@@ -445,8 +435,6 @@ def _build_dual(src: SourceInstance, p4: np.ndarray, d_target: float) -> GpProbl
         # p(s2|x,s1) and log p(x,s1|s2,v1) on the live cells, 0 elsewhere
         weight = np.where(live, (p4.sum(axis=3) / p4.sum(axis=(2, 3))[:, :, None])[..., None], 0.0)
         log_post = np.where(live, np.log(p4 / p4.sum(axis=(0, 1))), 0.0)
-    least = src.distortion.min(axis=1)
-    excess = src.distortion - least[:, None]
     dist = excess[:, strategies.tables.T]  # excess d(x, t(s2)) as (X, S2, T)
     gamma_coef = 0.0 - (weight[..., None] * dist[:, None, :, None, :]).sum(axis=2)
 
@@ -463,7 +451,7 @@ def _build_dual(src: SourceInstance, p4: np.ndarray, d_target: float) -> GpProbl
 
     c = np.zeros(n)
     c[:n_a] = p4.sum(axis=2)[kept]
-    c[gamma_idx] = -(d_target - float(p4.sum(axis=(1, 2, 3)) @ least))
+    c[gamma_idx] = -(d_target - offset)
 
     start = np.zeros(n)
     # y below log(1 / #kept (x, s1) cells) keeps every group's log-sum-exp < 0
@@ -522,18 +510,18 @@ def rd_case1_sweep(
     R' is clamped to H(S1|S2); kernels w(v1|s1) whose I(V1;S1|S2) is
     eps-close to R' from below are admissible, each solved through the dual
     program, and the smallest rate wins (smallest grid index on ties); see
-    ``_grid_sweep``. Below the distortion floor the programs are posed at
-    the floor, and a certified solve has status "distortion-floor"
-    (``_floor_target``). Each point's extras carry ``d_target``, as given.
+    ``_grid_sweep``. The programs are posed as the primal poses D
+    (``_excess_target``): below the distortion floor, at the floor, and a
+    certified solve has status "distortion-floor". Each point's extras carry
+    ``d_target``, as given.
     """
     opts = opts or Case1Options()
-    target, floor_status = _floor_target(src, d_target)
+    _, _, posed, floor_status = _excess_target(src, d_target)
 
     def solve_w(w: CondKernel):
-        report = solve_gp(build_case1_rd_gp(src, w, target))
-        value = max(report.value / LN2, 0.0)
-        status = floor_status if report.certified else "uncertified"
-        return value, report.newton_steps, report.gap_bound / LN2, status, {"gp_report": report}
+        report = solve_gp(build_case1_rd_gp(src, w, posed))
+        value, gap, status = _dual_value(report, floor_status)
+        return value, report.newton_steps, gap, status, {"gp_report": report}
 
     r_max = conditional_entropy(marginalize(src.joint, (1, 2)), (0,), (1,))
     points = _grid_sweep(

@@ -1,4 +1,4 @@
-"""Shannon-strategy enumeration and the lifting of source distortions onto strategies.
+"""Shannon-strategy enumeration and the auxiliary cardinality bounds.
 
 A strategy is a deterministic map from a product of state alphabets to an
 input (or reconstruction) alphabet. Randomizing over the enumerated strategy
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .probability import Alphabet, ProbabilityError
+from .probability import Alphabet
 
 STRATEGY_CAP = 4096
 
@@ -59,20 +59,6 @@ def enumerate_strategies(domain_axes: Sequence[Alphabet], codomain: Alphabet) ->
     ).reshape(n_strategies, n_cells)
     tables.setflags(write=False)
     return StrategySpace(domain_axes, codomain, tables)
-
-
-def lift_source(src, strategies: StrategySpace) -> np.ndarray:
-    """Distortion table d(e, t, s) = d_base(x, t(s)) for strategies s -> xhat.
-
-    The row e is the encoder letter (x, s1), row-major; it is x when |S1| = 1.
-    """
-    if strategies.codomain.size != src.xhat.size:
-        raise ProbabilityError(
-            f"strategy codomain size {strategies.codomain.size} "
-            f"does not match reconstruction size {src.xhat.size}"
-        )
-    # distortion[x, xhat] repeated over s1, indexed by the strategy tables (T, S) -> (E, T, S)
-    return np.repeat(src.distortion, src.s1.size, axis=0)[:, strategies.tables]
 
 
 _CARDINALITY_CASES = {

@@ -2,8 +2,10 @@
 workload builds its calls, and every library attribute the workloads name, in
 their calls and checks too, resolves, so an API change that would break
 ``bench/run.py`` fails here first. The workloads' calls are not run; one tiny
-engine call checks the result the tracer reads, and one traced round of two
-one-point capacity sweeps checks that the tracer and its metrics still run."""
+engine call checks the result the tracer reads, and two traced rounds, one of
+the capacity sweeps and one of the distortion-side solvers, check that the
+tracer and its metrics still run and that each traced name is still on the
+path a solve takes."""
 
 import ast
 import importlib
@@ -18,10 +20,12 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
+import sideinfo.ba as ba  # noqa: E402
 import sideinfo.case2 as case2  # noqa: E402
+import sideinfo.gpdual as gpdual  # noqa: E402
 from sideinfo.ba import alternating_strategy_max  # noqa: E402
 from sideinfo.case2 import Case2Options  # noqa: E402
-from sideinfo.problems import example1_channel  # noqa: E402
+from sideinfo.problems import example1_channel, example2_source, example3_source  # noqa: E402
 
 
 @pytest.mark.parametrize("module, name", [(m, f) for m, f, _, _ in tracing.TRACED])
@@ -98,3 +102,28 @@ def test_traced_round_runs_the_capacity_sweeps():
     assert [pt.status for pt in points] == ["ok", "ok"]
     assert metrics["case2.r_w.calls"] > 0 and metrics["trace.spans"] > 0
     assert not hasattr(case2.r_w, "__wrapped__")  # uninstalled
+
+
+def test_traced_round_runs_the_distortion_solvers():
+    # one Wyner-Ziv rate with its primal cross-check, one BA R(D) and a
+    # one-point case-1 curve: a solver that stops calling a traced name reads
+    # 0 or a wrong count here, not only in a benchmark metric
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        wz = gpdual.wz_rate_via_gp(example3_source(), 0.1)
+        rd = ba.ba_rate_distortion(np.array([0.5, 0.5]), 1.0 - np.eye(2), 0.1)
+        opts = gpdual.Case1Options(grid_step=0.5)
+        (pt,) = gpdual.rd_case1_sweep(example2_source(), 0.1, [0.2], opts)
+        tracer.active = False
+        metrics = tracing.layer_metrics(tracer, 0)
+    finally:
+        tracer.uninstall()
+    assert [wz.status, rd.status, pt.status] == ["ok", "ok", "ok"]
+    assert metrics["ba.wz_primal.calls"] == 1  # the cross-check; BA R(D) is not a Wyner-Ziv call
+    assert metrics["ba.wz_primal.probes"] == wz.extras["primal_report"].iterations
+    assert metrics["ba.ba_rate_distortion.probes"] == rd.extras["probes"] > 0
+    assert metrics["gpdual.build_gp.s"] > 0
+    assert metrics["gpdual.solve_gp.calls"] == 1 + pt.extras["kernels_solved"]
+    assert not hasattr(ba.wz_primal, "__wrapped__")  # uninstalled

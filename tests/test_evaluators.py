@@ -148,6 +148,41 @@ class TestSourceEvaluator:
         assert causal.objective >= full.objective - 1e-12
 
 
+BAD_DISTORTIONS = [
+    pytest.param(np.array([0.0, 1.0]), id="shape-2"),
+    pytest.param(np.zeros((2, 3)), id="shape-2x3"),
+    pytest.param(np.ones((1, 1)), id="shape-1x1"),
+    pytest.param(np.array([[0.0, np.nan], [1.0, 0.0]]), id="nan"),
+    pytest.param(np.array([[0.0, -5.0], [1.0, 0.0]]), id="negative"),
+    pytest.param(np.array([[0.0, np.inf], [1.0, 0.0]]), id="inf"),
+]
+
+
+class TestDistortionChecks:
+    """A distortion is checked as ``SourceInstance`` checks it: (|X|, |Xhat|), finite, >= 0."""
+
+    @staticmethod
+    def source_joint():
+        # Xhat = X except with probability 0.2, so the Hamming distortion is 0.2
+        j = np.zeros((2, 1, 1, 1, 1, 2))
+        j[:, 0, 0, 0, 0, :] = 0.5 * np.array([[0.8, 0.2], [0.2, 0.8]])
+        return JointPmf([Alphabet(n) for n in j.shape], j)
+
+    @pytest.mark.parametrize("d", BAD_DISTORTIONS)
+    def test_eval_sc_rejects(self, d):
+        assert eval_sc("1", self.source_joint(), HAMMING).distortion == pytest.approx(0.2)
+        with pytest.raises(ProbabilityError, match="distortion"):
+            eval_sc("1", self.source_joint(), d)
+
+    @pytest.mark.parametrize("d", BAD_DISTORTIONS)
+    def test_eval_fact_rejects(self, d):
+        j = np.full((2, 1, 1, 1, 1, 1, 2), 0.25)
+        joint = JointPmf([Alphabet(n) for n in j.shape], j)
+        assert eval_fact(2, joint, HAMMING).distortion == pytest.approx(0.5)
+        with pytest.raises(ProbabilityError, match="distortion"):
+            eval_fact(2, joint, d)
+
+
 class TestFactEvaluators:
     def seven_axis_channel_joint(self, rng, v_point=True):
         # (S1, S2, V1, V2, U, X, Y) with both descriptions degenerate

@@ -389,6 +389,26 @@ class TestWzDual:
         checked = wz_rate_via_gp(shifted, 0.25)
         assert checked.status == "distortion-floor" and checked.extras["tight"]
 
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_primal_and_dual_pose_the_floor_alike(self, seed):
+        # a random source whose distortion has per-letter offsets: a hair below
+        # its floor sum p(x) * least(x), at it and a hair above, the primal and
+        # the dual give D the same status (each dual at the floor takes about
+        # 1,000 Newton steps, so the alphabets stay small)
+        rng = np.random.default_rng(seed)
+        n_x, n_s1, n_xhat = rng.integers(2, 4), rng.integers(1, 3), 2
+        x, xhat = Alphabet(n_x, "X"), Alphabet(n_xhat, "Xhat")
+        s1, s2 = Alphabet(n_s1, "S1"), Alphabet(2, "S2")
+        p = rng.random((n_x, n_s1, 2)) + 0.05
+        d = rng.random((n_x, n_xhat)) + rng.uniform(0.5, 5.0, (n_x, 1))
+        src = SourceInstance(x, xhat, s1, s2, JointPmf((x, s1, s2), p / p.sum()), d)
+        floor = float(src.joint.probs.sum(axis=(1, 2)) @ d.min(axis=1))
+        for target, status in ((floor - 1e-9, "distortion-floor"), (floor, "ok"), (floor + 1e-9, "ok")):
+            primal = wz_primal(src, target)
+            dual = wz_rate_via_gp(src, target, cross_check=False)
+            assert primal.status == dual.status == status
+
     def test_zero_distortion_endpoint(self):
         src = example3_source()
         rep = wz_rate_via_gp(src, 0.0, cross_check=False)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -310,9 +311,47 @@ class TestCliInputErrors:
             ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--tight-tol", "-1"],
             ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--tight-tol", "nan"],
             ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--via", "ba", "--tight-tol", "inf"],
+            ["wz-rate", "--problem", "builtin:example3", "--d", "0.1", "--d-grid", "0:0.1:0.1"],
+            ["dualize", "--case", "cc2c", "--alphabets", "[1, 2]"],
+            ["dualize", "--case", "cc2c", "--alphabets", '{"X": 0}'],
+            ["dualize", "--case", "sc1", "--alphabets", '{"X": "2"}'],
+            ["dualize", "--case", "sc1", "--alphabets", '{"X": true}'],
         ],
     )
     def test_exits_2_with_message(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name, spec",
+        [
+            ("joint", [0.4, 0.1, 0.1, 0.4]),
+            ("joint", {"sizes": "ab", "probs": [1.0]}),
+            ("joint", {"sizes": [2, 1, 1, 1, 1, 2.0], "probs": [0.4, 0.1, 0.1, 0.4]}),
+            ("distortion", [0.0, 1.0, 1.0, 0.0]),
+            ("distortion", {"sizes": "ab", "values": [0.0]}),
+            ("distortion", {"sizes": [2], "values": [0.0, 1.0]}),
+            ("distortion", {"sizes": [2, 2], "values": [0.0, math.nan, 1.0, 0.0]}),
+            ("distortion", {"sizes": [2, 2], "values": [0.0, -5.0, 1.0, 0.0]}),
+        ],
+        ids=["joint-list", "joint-sizes-str", "joint-sizes-float", "distortion-list",
+             "distortion-sizes-str", "distortion-shape", "distortion-nan", "distortion-negative"],
+    )
+    def test_eval_input_file_exits_2(self, tmp_path, capsys, name, spec):
+        # Xhat = X except with probability 0.2: the valid pair reads distortion 0.2
+        files = {
+            "joint": {"sizes": [2, 1, 1, 1, 1, 2], "probs": [0.4, 0.1, 0.1, 0.4]},
+            "distortion": {"sizes": [2, 2], "values": [0.0, 1.0, 1.0, 0.0]},
+        }
+        argv = ["eval", "--case", "sc1"]
+        for key, content in files.items():
+            (tmp_path / f"{key}.json").write_text(json.dumps(content))
+            argv += [f"--{key}", str(tmp_path / f"{key}.json")]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["distortion"] == pytest.approx(0.2)
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")

@@ -1,20 +1,16 @@
 import itertools
 
-import numpy as np
 import pytest
 
-from sideinfo.ba import SourceInstance
-from sideinfo.probability import Alphabet, JointPmf
+from sideinfo.probability import Alphabet
 from sideinfo.strategies import (
     StrategyCapacityError,
     cardinality_bounds,
     enumerate_strategies,
-    lift_source,
 )
 
 X2 = Alphabet(2, "X")
 S1 = Alphabet(2, "S1")
-S2 = Alphabet(2, "S2")
 V2 = Alphabet(2, "V2")
 
 
@@ -40,39 +36,6 @@ def test_cap_exceeded_names_required_size():
     with pytest.raises(StrategyCapacityError) as err:
         enumerate_strategies((Alphabet(4, "A"), Alphabet(4, "B")), Alphabet(3, "C"))
     assert str(3**16) in str(err.value)
-
-
-class TestLiftSource:
-    def make_source(self, d):
-        joint = JointPmf((X2, Alphabet(1, "S1"), S2), np.full((2, 1, 2), 0.25))
-        return SourceInstance(X2, X2, Alphabet(1, "S1"), S2, joint, d)
-
-    def test_identity_strategy_hamming(self):
-        src = self.make_source(1.0 - np.eye(2))
-        space = enumerate_strategies((S2,), X2)
-        d = lift_source(src, space)
-        ident = [tuple(r) for r in space.tables].index((0, 1))
-        for x in range(2):
-            for s in range(2):
-                assert d[x, ident, s] == (0.0 if x == s else 1.0)
-
-    def test_constant_strategy(self):
-        src = self.make_source(np.array([[0.0, 2.0], [3.0, 0.0]]))
-        space = enumerate_strategies((S2,), X2)
-        d = lift_source(src, space)
-        const0 = [tuple(r) for r in space.tables].index((0, 0))
-        for x in range(2):
-            for s in range(2):
-                assert d[x, const0, s] == src.distortion[x, 0]
-
-    def test_matches_substitution_loop(self):
-        src = self.make_source(1.0 - np.eye(2))
-        space = enumerate_strategies((S2,), X2)
-        d = lift_source(src, space)
-        for t in range(len(space)):
-            for x in range(2):
-                for s in range(2):
-                    assert d[x, t, s] == src.distortion[x, space.tables[t, s]]
 
 
 def test_cardinality_bounds_table():
