@@ -297,8 +297,9 @@ def _lagrangian_sweep(src: SourceInstance, d_target: float, opts: SolverOptions)
     keep exp2(-beta * d) from underflowing a whole row. The reported
     distortions have the offset added back.
 
-    Targets at or above the best constant answer's distortion have rate 0
-    exactly. The multiplier is bisected on [0, gamma_max] by the
+    A posed target, the floor's too, at or above the best constant answer's
+    distortion has rate 0 exactly and runs no probe. The multiplier is
+    bisected on [0, gamma_max] by the
     sign of each probe's dist - D, a subgradient of the concave Lagrangian
     lower bound g(beta) = min_q rate + beta * (dist - D), until
     ``_assemble_sweep`` certifies a gap of at most half of ``opts.delta`` or
@@ -329,12 +330,12 @@ def _lagrangian_sweep(src: SourceInstance, d_target: float, opts: SolverOptions)
 
     counts = {"probes_capped": 0, "probes_stopped": 0, "probe_iterations": 0}
     d_zero_rate = float((p_x @ dbar).min())  # best constant answer
-    if status == "ok" and target >= d_zero_rate - 1e-12:  # D itself, not a raised floor
+    if target >= d_zero_rate - 1e-12:
         arg = np.zeros_like(dbar)
         arg[:, int((p_x @ dbar).argmin())] = 1.0
         extras = {"argopt_rate": 0.0, "argopt_distortion": d_zero_rate + offset,
                   "probes": 0, **counts}
-        return SolveReport(0.0, 0.0, 0, arg, np.zeros((1, 2)), extras=extras)
+        return SolveReport(0.0, 0.0, 0, arg, np.zeros((1, 2)), status=status, extras=extras)
 
     # the negated Lagrangian is the strategy objective with encoder letter x,
     # decoder view s and the linear cost beta * ln 2 * dbar

@@ -7,7 +7,8 @@ q(t|s1,v2) on input strategies t: S1 x V2 -> X. A kernel w is admissible for
 rate R' when its description rate R_w = I(V2;S2|S1) lies in [R' - eps, R'].
 The causal variant constrains I(V2;S2) instead, and its inner problem is the
 same strategy solve over q(t|v2), t: S1 -> X, with encoder view V2 and decoder
-view (Y, S2, V2).
+view (Y, S2, V2). Both rates, and R''s clamp, are the one description rate
+of ``sideinfo.probability``, read from p(s1, s2) and w(v2|s2) as arrays.
 """
 
 from __future__ import annotations
@@ -31,15 +32,11 @@ from .ba import (
 from .probability import (
     Alphabet,
     CondKernel,
-    JointPmf,
     ProbabilityError,
     SimplexGrid,
-    chain,
-    conditional_entropy,
-    conditional_mutual_information,
-    entropy,
+    _description_rate,
+    _kernel_table,
     grid_divisions,
-    mutual_information,
     simplex_grid,
 )
 
@@ -96,32 +93,23 @@ _NONCAUSAL = ((0, 2), (0, 2), (1, 2))
 _CAUSAL = ((2,), (0,), (1, 2))
 
 
-def _state_v2_joint(ch: ChannelInstance, w: CondKernel) -> JointPmf:
-    if w.given_shape != (ch.s2.size,):
-        raise ProbabilityError("description kernel must condition on S2")
-    return chain(ch.state_joint, w, bind=(1,))  # axes (S1, S2, V2)
+def _state_v2_joint(ch: ChannelInstance, w: CondKernel) -> np.ndarray:
+    return ch.state_joint.probs[:, :, None] * _kernel_table(w, ch.s2, "S2")  # (S1, S2, V2)
 
 
 def r_w(ch: ChannelInstance, w: CondKernel) -> float:
-    """Description rate R_w = I(V2;S2) - I(V2;S1) of a kernel w(v2|s2), in bits.
+    """Description rate R_w = I(V2;S2|S1) of a kernel w(v2|s2), in bits.
 
-    By construction V2 - S2 - S1 is a Markov chain, so this equals
-    I(V2;S2|S1); both are computed and compared as an internal sanity check.
+    V2 - S2 - S1 is a Markov chain, so this is H(V2|S1) - H(V2|S2), read
+    from p(s2, s1) and w alone.
     """
-    joint = _state_v2_joint(ch, w)
-    direct = mutual_information(joint, (2,), (1,)) - mutual_information(joint, (2,), (0,))
-    conditional = conditional_mutual_information(joint, (2,), (1,), (0,))
-    if abs(direct - conditional) > 1e-10:
-        raise ProbabilityError(
-            f"R_w cross-check failed: {direct} vs {conditional}"
-        )
-    return conditional
+    return _description_rate(ch.state_joint.probs.T, _kernel_table(w, ch.s2, "S2"))
 
 
 def _inner_tables(ch: ChannelInstance, w: CondKernel):
     """p(e) over (s1, v2) and p(o|t, e) over (y, s2, v2) for the inner solve."""
     strategies = _cell_strategies(ch, (ch.s1, ch.s2, w.out_axes[0]), _NONCAUSAL[1])
-    return _strategy_tables(ch, strategies, _state_v2_joint(ch, w).probs, *_NONCAUSAL)
+    return _strategy_tables(ch, strategies, _state_v2_joint(ch, w), *_NONCAUSAL)
 
 
 def inner_max(
@@ -139,7 +127,7 @@ def inner_max(
     """
     opts = opts or Case2Options()
     return _strategy_solve(
-        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), _NONCAUSAL,
+        ch, _state_v2_joint(ch, w), (ch.s1, ch.s2, w.out_axes[0]), _NONCAUSAL,
         opts.delta, opts.max_inner_iters,
     )
 
@@ -292,8 +280,8 @@ def _grid_sweep(
 
 
 def _causal_rate(ch: ChannelInstance, w: CondKernel) -> float:
-    joint = _state_v2_joint(ch, w)
-    return mutual_information(joint, (2,), (1,))
+    p_s2 = ch.state_joint.probs.sum(axis=0)[:, None]  # S1 of one letter
+    return _description_rate(p_s2, _kernel_table(w, ch.s2, "S2"))
 
 
 def causal_inner_max(
@@ -309,7 +297,7 @@ def causal_inner_max(
     """
     opts = opts or Case2Options()
     return _strategy_solve(
-        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), _CAUSAL,
+        ch, _state_v2_joint(ch, w), (ch.s1, ch.s2, w.out_axes[0]), _CAUSAL,
         opts.delta, opts.max_inner_iters,
     )
 
@@ -335,12 +323,9 @@ def capacity_case2_sweep(
     carry ``r_max``.
     """
     opts = opts or Case2Options()
-    if causal:
-        r_max = entropy(JointPmf((ch.s2,), ch.state_joint.probs.sum(axis=0)))
-        rate, views = _causal_rate, _CAUSAL
-    else:
-        r_max = conditional_entropy(ch.state_joint, (1,), (0,))
-        rate, views = r_w, _NONCAUSAL
+    rate, views = (_causal_rate, _CAUSAL) if causal else (r_w, _NONCAUSAL)
+    p_ab = ch.state_joint.probs.sum(axis=0)[:, None] if causal else ch.state_joint.probs.T
+    r_max = _description_rate(p_ab, np.eye(ch.s2.size))
     v2 = Alphabet(opts.v2_size, "V2")
     strategies = _cell_strategies(ch, (ch.s1, ch.s2, v2), views[1])
 
@@ -348,7 +333,7 @@ def capacity_case2_sweep(
         results = []
         for at in range(0, len(ws), STACK_CAP):
             tables = [
-                _strategy_tables(ch, strategies, _state_v2_joint(ch, w).probs, *views)
+                _strategy_tables(ch, strategies, _state_v2_joint(ch, w), *views)
                 for w in ws[at : at + STACK_CAP]
             ]
             p_e, p_ote = (np.stack(t) for t in zip(*tables))

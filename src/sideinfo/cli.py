@@ -241,6 +241,8 @@ def _cmd_eval(args) -> int:
     case = args.case.lower()
     if case not in _EVAL_AXES:
         raise CliError(f"unknown case {case!r}; expected one of {sorted(_EVAL_AXES)}", EXIT_PARSE)
+    if args.distortion and not (case.startswith("sc") or case == "fact2"):
+        raise CliError(f"--distortion applies to source cases and fact2, not {case}", EXIT_PARSE)
     joint = _load_joint(args.joint, _EVAL_AXES[case])
     distortion = _load_table(args.distortion, "distortion", "values") if args.distortion else None
     try:

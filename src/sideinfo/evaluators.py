@@ -298,7 +298,7 @@ def build_case2_joint(ch: ChannelInstance, w: CondKernel, q: CondKernel) -> Join
     deterministically.
     """
     return _strategy_joint(
-        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), q.probs,
+        ch, _state_v2_joint(ch, w), (ch.s1, ch.s2, w.out_axes[0]), q.probs,
         *_NONCAUSAL[:2],
     )
 
@@ -306,7 +306,7 @@ def build_case2_joint(ch: ChannelInstance, w: CondKernel, q: CondKernel) -> Join
 def build_case2c_joint(ch: ChannelInstance, w: CondKernel, u_dist: CondKernel) -> JointPmf:
     """Joint (S1, S2, V, U, X, Y) for the causal variant: U ~ p(t|v2), X = t(s1)."""
     return _strategy_joint(
-        ch, _state_v2_joint(ch, w).probs, (ch.s1, ch.s2, w.out_axes[0]), u_dist.probs,
+        ch, _state_v2_joint(ch, w), (ch.s1, ch.s2, w.out_axes[0]), u_dist.probs,
         *_CAUSAL[:2],
     )
 

@@ -32,13 +32,10 @@ from .case2 import CurvePoint, _grid_sweep
 from .probability import (
     Alphabet,
     CondKernel,
-    ProbabilityError,
     ZERO_TOL,
-    chain,
-    conditional_entropy,
-    conditional_mutual_information,
+    _description_rate,
+    _kernel_table,
     grid_divisions,
-    marginalize,
 )
 
 
@@ -403,9 +400,8 @@ def build_case1_rd_gp(src: SourceInstance, w: CondKernel, d_target: float) -> Gp
     are the kept cells, and each (s2, v1, t) group holds the y variables of
     its kept cells. With |V1| = 1 this is exactly ``build_wz_gp``.
     """
-    if w.given_shape != (src.s1.size,):
-        raise ProbabilityError("description kernel must condition on S1")
-    return _build_dual(src, chain(src.joint, w, bind=(1,)).probs, d_target)
+    p4 = src.joint.probs[..., None] * _kernel_table(w, src.s1, "S1")[:, None]
+    return _build_dual(src, p4, d_target)
 
 
 def _build_dual(src: SourceInstance, p4: np.ndarray, d_target: float) -> GpProblem:
@@ -493,10 +489,8 @@ class Case1Options:
 
 
 def description_rate_case1(src: SourceInstance, w: CondKernel) -> float:
-    """I(V1;S1|S2) of a description kernel w(v1|s1), in bits."""
-    p_s1s2 = marginalize(src.joint, (1, 2))
-    joint = chain(p_s1s2, w, bind=(0,))  # (S1, S2, V1)
-    return conditional_mutual_information(joint, (2,), (0,), (1,))
+    """I(V1;S1|S2) = H(V1|S2) - H(V1|S1) of a description kernel w(v1|s1), in bits."""
+    return _description_rate(src.joint.probs.sum(axis=0), _kernel_table(w, src.s1, "S1"))
 
 
 def rd_case1_sweep(
@@ -523,7 +517,7 @@ def rd_case1_sweep(
         value, gap, status = _dual_value(report, floor_status)
         return value, report.newton_steps, gap, status, {"gp_report": report}
 
-    r_max = conditional_entropy(marginalize(src.joint, (1, 2)), (0,), (1,))
+    r_max = _description_rate(src.joint.probs.sum(axis=0), np.eye(src.s1.size))
     points = _grid_sweep(
         lambda w: description_rate_case1(src, w), lambda ws: [solve_w(w) for w in ws], src.s1.size,
         Alphabet(opts.v1_size, "V1"), r_primes, r_max, opts, maximize=False,

@@ -224,6 +224,23 @@ def mutual_information(p: JointPmf, a: Iterable[int], b: Iterable[int]) -> float
     return conditional_mutual_information(p, a, b, ())
 
 
+def _kernel_table(w: CondKernel, state: Alphabet, name: str) -> np.ndarray:
+    """w(v|a) as an (A, V) array; ``ProbabilityError`` unless w conditions on ``state``."""
+    if w.given_shape != (state.size,):
+        raise ProbabilityError(f"description kernel must condition on {name}")
+    return w.probs
+
+
+def _description_rate(p_ab: np.ndarray, w: np.ndarray) -> float:
+    """I(V;A|B) = H(V|B) - H(V|A) in bits for V - A - B, from the arrays p(a, b) as (A, B)
+    and w(v|a) as (A, V). An absent B is one letter; the identity w gives H(A|B)."""
+    p_a = p_ab.sum(axis=1)
+    h_v_given_b = entropy_of(w.T @ p_ab) - entropy_of(p_ab.sum(axis=0))
+    h_v_given_a = entropy_of(p_a[:, None] * w) - entropy_of(p_a)
+    # mathematically nonnegative; clear entropy-combination roundoff
+    return max(h_v_given_b - h_v_given_a, 0.0)
+
+
 def check_markov(
     p: JointPmf,
     a: Iterable[int],

@@ -126,4 +126,5 @@ def test_traced_round_runs_the_distortion_solvers():
     assert metrics["ba.ba_rate_distortion.probes"] == rd.extras["probes"] > 0
     assert metrics["gpdual.build_gp.s"] > 0
     assert metrics["gpdual.solve_gp.calls"] == 1 + pt.extras["kernels_solved"]
+    assert metrics["gpdual.description_rate_case1.calls"] > 0
     assert not hasattr(ba.wz_primal, "__wrapped__")  # uninstalled

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import sideinfo.case2
+import sideinfo.gpdual
 from sideinfo.ba import (
     LN2,
     ChannelInstance,
+    SourceInstance,
     SolverOptions,
     _functionals,
     _log,
@@ -32,14 +34,18 @@ from sideinfo.probability import (
     Alphabet,
     CondKernel,
     JointPmf,
+    ProbabilityError,
     ZERO_TOL,
     conditional_entropy,
     conditional_mutual_information,
     chain,
+    entropy,
+    marginalize,
     mutual_information,
     simplex_grid,
 )
 from sideinfo.cli import main
+from sideinfo.gpdual import build_case1_rd_gp, description_rate_case1, rd_case1_sweep
 from sideinfo.problems import example1_channel
 from sideinfo.strategies import enumerate_strategies
 
@@ -82,6 +88,73 @@ class TestDescriptionRate:
         joint = chain(ch.state_joint, w, bind=(1,))
         direct = conditional_mutual_information(joint, (2,), (1,), (0,))
         assert r_w(ch, w) == pytest.approx(direct, abs=1e-12)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.tuples(*[st.integers(2, 3)] * 3),
+        dead=st.booleans(),
+    )
+    def test_rates_and_clamps_match_the_functionals(self, seed, sizes, dead):
+        # A = S2 and B = S1 on the channel, A = S1 and B = S2 on the source; the
+        # rates and each sweep's R' clamp against the JointPmf functionals
+        n_a, n_b, n_v = sizes
+        rng = np.random.default_rng(seed)
+        x, y, v = Alphabet(2, "X"), Alphabet(2, "Y"), Alphabet(n_v, "V")
+        a, b = Alphabet(n_a, "A"), Alphabet(n_b, "B")
+        p_ab = rng.random((n_a, n_b))
+        p_ab[rng.random(p_ab.shape) < 0.3] = 0.0  # zero-mass states
+        p_ab.flat[0] += 0.1
+        wp = rng.random((n_a, n_v)) + 0.05
+        if dead:
+            wp[:, 0] = 0.0  # a v without mass
+        w = CondKernel((a,), (v,), wp / wp.sum(axis=1, keepdims=True))
+        kern = rng.random((2, n_b, n_a, 2)) + 0.05
+        ch = ChannelInstance(
+            x, y, b, a, JointPmf((b, a), (p_ab / p_ab.sum()).T),
+            CondKernel((x, b, a), (y,), kern / kern.sum(axis=3, keepdims=True)),
+        )
+        p_x = rng.random((2, n_a, n_b)) + 0.05
+        p_xab = p_x / p_x.sum(axis=0) * p_ab / p_ab.sum()
+        src = SourceInstance(x, x, a, b, JointPmf((x, a, b), p_xab), 1.0 - np.eye(2))
+
+        channel = chain(ch.state_joint, w, bind=(1,))  # (S1, S2, V)
+        source = chain(marginalize(src.joint, (1, 2)), w, bind=(0,))  # (S1, S2, V)
+        assert np.abs(_state_v2_joint(ch, w) - channel.probs).max() <= 1e-15
+        assert abs(r_w(ch, w) - conditional_mutual_information(channel, (2,), (1,), (0,))) <= 1e-12
+        assert abs(_causal_rate(ch, w) - mutual_information(channel, (2,), (1,))) <= 1e-12
+        rate = conditional_mutual_information(source, (2,), (0,), (1,))
+        assert abs(description_rate_case1(src, w) - rate) <= 1e-12
+
+        r_maxes = []
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (sideinfo.case2, sideinfo.gpdual):
+                mp.setattr(module, "_grid_sweep", lambda *args, **kw: r_maxes.append(args[5]) or [])
+            capacity_case2_sweep(ch, [0.1])
+            capacity_case2_sweep(ch, [0.1], causal=True)
+            rd_case1_sweep(src, 0.1, [0.1])
+        want = [
+            conditional_entropy(ch.state_joint, (1,), (0,)),
+            entropy(marginalize(ch.state_joint, (1,))),
+            conditional_entropy(src.joint, (1,), (2,)),
+        ]
+        assert np.abs(np.subtract(r_maxes, want)).max() <= 1e-12
+
+    def test_a_kernel_on_the_other_state_is_rejected(self):
+        x, y, s1, s2 = Alphabet(2, "X"), Alphabet(2, "Y"), Alphabet(3, "S1"), Alphabet(2, "S2")
+        ch = ChannelInstance(
+            x, y, s1, s2, JointPmf.uniform((s1, s2)), CondKernel.uniform((x, s1, s2), (y,))
+        )
+        on_s1 = CondKernel.uniform((s1,), (V2,))
+        for call in (r_w, _causal_rate, inner_max, causal_inner_max):
+            with pytest.raises(ProbabilityError, match="must condition on S2"):
+                call(ch, on_s1)
+        # the source's S1 has two letters and its S2 three
+        src = SourceInstance(x, x, s2, s1, JointPmf.uniform((x, s2, s1)), 1.0 - np.eye(2))
+        on_s2 = CondKernel.uniform((s1,), (V2,))
+        for call in (description_rate_case1, lambda src, w: build_case1_rd_gp(src, w, 0.1)):
+            with pytest.raises(ProbabilityError, match="must condition on S1"):
+                call(src, on_s2)
 
 
 class TestRelabelingInvariance:
@@ -197,7 +270,7 @@ class TestStrategyTables:
         if layout == "gp":
             p_state, views = ch.state_joint.probs, (enc, enc, dec)
         else:
-            p_state = _state_v2_joint(ch, w).probs
+            p_state = _state_v2_joint(ch, w)
             views = ((0, 2), (0, 2), (1, 2)) if layout == "inner" else ((2,), (0,), (1, 2))
         assume(n_x ** int(np.prod([p_state.shape[i] for i in views[1]])) <= 4096)
         strategies = enumerate_strategies([(s1, s2, v2)[i] for i in views[1]], x)
@@ -237,7 +310,7 @@ class TestSolveReports:
         if solve == "gp":
             p_state, axes, views = ch.state_joint.probs, (s1, s2), (enc, enc, dec)
         else:
-            p_state, axes = _state_v2_joint(ch, w).probs, (s1, s2, v2)
+            p_state, axes = _state_v2_joint(ch, w), (s1, s2, v2)
             views = ((0, 2), (0, 2), (1, 2)) if solve == "inner" else ((2,), (0,), (1, 2))
 
         def run(max_iters):

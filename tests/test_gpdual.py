@@ -409,6 +409,20 @@ class TestWzDual:
             dual = wz_rate_via_gp(src, target, cross_check=False)
             assert primal.status == dual.status == status
 
+    def test_below_a_floor_of_zero_rate_the_primal_runs_no_probe(self):
+        # answer 0 is least for every x, so the floor's rate is exactly 0
+        x, xhat, s1, s2 = Alphabet(2, "X"), Alphabet(3, "Xhat"), Alphabet(2, "S1"), Alphabet(2, "S2")
+        p = np.random.default_rng(3).random((2, 2, 2)) + 0.05
+        d = np.array([[0.5, 0.9, 1.2], [0.3, 0.8, 0.6]])
+        src = SourceInstance(x, xhat, s1, s2, JointPmf((x, s1, s2), p / p.sum()), d)
+        floor = float(src.joint.probs.sum(axis=(1, 2)) @ d.min(axis=1))
+        primal = wz_primal(src, floor - 0.1)
+        assert (primal.value, primal.gap, primal.iterations) == (0.0, 0.0, 0)
+        assert primal.extras["probes"] == 0 and primal.status == "distortion-floor"
+        dual = wz_rate_via_gp(src, floor - 0.1)
+        assert dual.status == "distortion-floor" and dual.extras["tight"]
+        assert dual.value <= dual.gap + 1e-9
+
     def test_zero_distortion_endpoint(self):
         src = example3_source()
         rep = wz_rate_via_gp(src, 0.0, cross_check=False)

@@ -357,6 +357,20 @@ class TestCliInputErrors:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("case", ["cc1", "cc2lb", "cc2ub1", "cc2ub2", "cc2c", "fact1"])
+    def test_eval_distortion_on_a_case_without_one_exits_2(self, tmp_path, capsys, case):
+        n_axes = 7 if case.startswith("fact") else 6
+        joint, distortion = tmp_path / "joint.json", tmp_path / "distortion.json"
+        joint.write_text(json.dumps({"sizes": [2] + [1] * (n_axes - 1), "probs": [0.5, 0.5]}))
+        distortion.write_text(json.dumps({"sizes": [2, 2], "values": [0.0, 1.0, 1.0, 0.0]}))
+        argv = ["eval", "--case", case, "--joint", str(joint)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--distortion", str(distortion)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     # 1.0 + 1e-17 == 1.0, so stepping 1 by 1e-17 never reaches 2; 1 / 5e-324 overflows
     @pytest.mark.parametrize("grid", ["1:2:1e-17", "0:1:5e-324", f"0:1:{1 / GRID_CAP}", "0:1:1e-5"])
     def test_grid_above_the_point_cap_exits_2(self, grid, capsys):
