@@ -53,6 +53,7 @@ from .gpdual import (
     description_rate_case1,
     rd_case1_sweep,
     solve_gp,
+    solve_gps,
     wz_rate_via_gp,
 )
 from .evaluators import (

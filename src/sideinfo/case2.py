@@ -94,7 +94,7 @@ _CAUSAL = ((2,), (0,), (1, 2))
 
 
 def _state_v2_joint(ch: ChannelInstance, w: CondKernel) -> np.ndarray:
-    return ch.state_joint.probs[:, :, None] * _kernel_table(w, ch.s2, "S2")  # (S1, S2, V2)
+    return ch.state_joint.probs[:, :, None] * _kernel_table(w, ch.s2, ch.s1, "S2")  # (S1, S2, V2)
 
 
 def r_w(ch: ChannelInstance, w: CondKernel) -> float:
@@ -103,7 +103,7 @@ def r_w(ch: ChannelInstance, w: CondKernel) -> float:
     V2 - S2 - S1 is a Markov chain, so this is H(V2|S1) - H(V2|S2), read
     from p(s2, s1) and w alone.
     """
-    return _description_rate(ch.state_joint.probs.T, _kernel_table(w, ch.s2, "S2"))
+    return _description_rate(ch.state_joint.probs.T, _kernel_table(w, ch.s2, ch.s1, "S2"))
 
 
 def _inner_tables(ch: ChannelInstance, w: CondKernel):
@@ -174,11 +174,14 @@ def _grid_sweep(
     [R' - eps, R']; when none is, the grid is refined once to half the
     step. The curve is the unit of work: each grid it uses is built once, and
     each orbit of it (``SimplexGrid.orbit``) has its rate computed once and
-    is solved at most once, by the first point that needs it, always on its
+    is solved at most once, for the first point that needs it, always on its
     representative, the orbit's smallest index. Every member reads the
     representative's rate and result. The table of solved orbits lives only
-    for this call. A point hands its fresh orbits' representatives to
-    ``solve_ws`` as one list, in orbit order, and gets one result per kernel back.
+    for this call. The sweep plans first (each point's grid step, admissible
+    kernels and fresh orbits), then hands the whole curve's fresh orbits'
+    representatives to ``solve_ws`` as one list, point by point and in orbit
+    order within a point, gets one result per kernel back, and then builds
+    the points.
 
     Contract: ``rate_of_w`` and the solve are invariant under relabeling
     the codomain letters of w, as the description rates are, and the inner
@@ -208,7 +211,6 @@ def _grid_sweep(
     if not all(rp >= 0 for rp in r_primes):
         raise ValueError("r_prime must be >= 0")
     grids: dict[float, tuple[SimplexGrid, list[float], float]] = {}
-    solved: dict[tuple[float, int], tuple] = {}
 
     def grid_at(step: float):
         if step not in grids:
@@ -219,8 +221,10 @@ def _grid_sweep(
             grids[step] = grid, rws, eps
         return grids[step]
 
-    sign = 1.0 if maximize else -1.0
-    points = []
+    # the plan: each point's grid step and admissible kernels, and the
+    # orbits it is the first to need
+    plan = []
+    fresh: dict[tuple[float, int], None] = {}  # in the order the points first need them
     for r_prime in r_primes:
         r_clamped = min(r_prime, r_max)
         step = opts.grid_step
@@ -234,11 +238,23 @@ def _grid_sweep(
                 break
             step /= 2.0  # refine once, then fail loudly
         else:
+            plan.append((r_prime, None))
+            continue
+        own = sorted({(step, grid.orbit[i]) for i in feasible} - fresh.keys())
+        fresh.update(dict.fromkeys(own))
+        plan.append((r_prime, (r_clamped, step, feasible, own)))
+    solved = dict(zip(
+        fresh, solve_ws([grids[step][0].points[r] for step, r in fresh]), strict=True
+    ))
+
+    sign = 1.0 if maximize else -1.0
+    points = []
+    for r_prime, planned in plan:
+        if planned is None:
             points.append(CurvePoint(r_prime, math.nan, math.nan, -1, "no-feasible-w"))
             continue
-
-        fresh = sorted({(step, grid.orbit[i]) for i in feasible} - solved.keys())
-        solved.update(zip(fresh, solve_ws([grid.points[r] for _, r in fresh]), strict=True))
+        r_clamped, step, feasible, own = planned
+        grid, rws, eps = grids[step]
         results = [solved[step, grid.orbit[i]] for i in feasible]
         best_idx = None
         best_val = -math.inf
@@ -264,9 +280,9 @@ def _grid_sweep(
             winning_r_w=rws[best_idx],
             extras={
                 "epsilon": eps, "grid_step": step, "clamped_r_prime": r_clamped,
-                "kernels_admissible": len(feasible), "kernels_solved": len(fresh),
+                "kernels_admissible": len(feasible), "kernels_solved": len(own),
                 "kernels_not_ok": sum(r[3] != "ok" for r in results),
-                "solve_iterations": sum(solved[key][1] for key in fresh), **extras,
+                "solve_iterations": sum(solved[key][1] for key in own), **extras,
             },
         ))
 
@@ -281,7 +297,7 @@ def _grid_sweep(
 
 def _causal_rate(ch: ChannelInstance, w: CondKernel) -> float:
     p_s2 = ch.state_joint.probs.sum(axis=0)[:, None]  # S1 of one letter
-    return _description_rate(p_s2, _kernel_table(w, ch.s2, "S2"))
+    return _description_rate(p_s2, _kernel_table(w, ch.s2, ch.s1, "S2"))
 
 
 def causal_inner_max(
@@ -317,7 +333,7 @@ def capacity_case2_sweep(
     description cannot be binned against S1), R' is clamped to H(S2), and
     each kernel's inner solve is ``causal_inner_max``'s. The best inner
     maximum wins (smallest grid index on ties within 1e-9); see
-    ``_grid_sweep``. A point's fresh kernels are solved as stacks of at most
+    ``_grid_sweep``. The curve's fresh kernels are solved as stacks of at most
     ``STACK_CAP``, one engine run each, with the values, gaps, iterations
     and statuses of one call per kernel, bit for bit. Each point's extras
     carry ``r_max``.

@@ -5,7 +5,8 @@ log-sum-exp constraints; it is solved with a log-barrier Newton method. With
 a strictly feasible start (Slater) the dual value is tight, so the solves
 here return the rate-distortion value itself, not just a bound. The same
 machinery generalizes to rate-limited encoder-state descriptions: a grid over
-description kernels w(v1|s1) with one dual solve per admissible kernel.
+description kernels w(v1|s1) with one dual program per admissible kernel, the
+programs of one shape solved together as one stacked barrier run.
 
 Internally the programs are posed in nats; the rate-level wrappers report
 bits.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -107,6 +108,8 @@ _NEWTON_TOL = 1e-10  # on half the squared Newton decrement
 _GAP_TOL = 1e-9      # outer stop and certificate: m / t < _GAP_TOL
 _MAX_NEWTON = 200    # Newton steps per barrier stage
 _MAX_BACKTRACKS = 60
+# elements of a stack's (B, n, n) Newton systems: it bounds a run's memory, not its results
+STACK_ELEMENTS = 16 * 41 * 41
 
 
 @dataclass
@@ -131,187 +134,403 @@ def _canonical_rows(p: GpProblem):
     return rows, np.concatenate([p.b_vec, np.zeros(p.nonneg.size), -bounds[:, 1]])
 
 
+def _at(arr, sel):
+    """The members ``sel`` (index array) of a stacked array, or all of it, uncopied, if None."""
+    return arr if sel is None else arr[sel]
+
+
+def _broken(f: np.ndarray) -> list[bool]:
+    """Per member (a row of f), whether one of its constraint values is >= 0."""
+    return (np.maximum.reduce(f, axis=1, initial=-np.inf) >= 0).tolist()
+
+
 class _Barrier:
-    """Barrier-function oracle for min -t c.z - sum log(-f_i).
+    """Barrier-function oracle for a stack of programs min -t c.z - sum log(-f_i).
 
-    The affine constraints are a z + b <= 0. Row k of the 0/1 matrix
-    ``member`` selects group k of the log-sum-exp constraints
-    log sum_{i in group k} exp(z_i) + extra[k] @ z <= 0; ``extra`` is zero
-    except in phase one.
+    Member i of the stack has the affine constraints a[i] z + b[i] <= 0, and
+    row k of its 0/1 matrix ``member[i]`` selects group k of its log-sum-exp
+    constraints log sum_{j in group k} exp(z_j) + extra[k] @ z <= 0. Every
+    member has the same shape; ``extra`` is shared by all of them and is
+    None (zero) except in phase one. Each member goes through the same
+    reductions over the same axes, in the same memory layout, as it would
+    alone (``np.matvec``, ``np.vecdot`` and batched ``matmul`` equal the 2-D
+    calls on each slice), so its numbers do not depend on the stack it is in.
 
-    Contract: the Newton loop evaluates ``value`` once per point, at each
-    stage start and at each line-search trial, and hands the (f, sigma) it
-    returned for the accepted point to ``grad_hess``. A point that breaks an
-    affine row costs no log-sum-exp.
+    Contract, per member: the Newton loop evaluates ``value`` once per point,
+    at its first stage start and at each line-search trial, and hands the
+    (f, sigma) it returned for the accepted point to ``grad_hess``. A point
+    that breaks an affine row costs no log-sum-exp.
     """
 
-    def __init__(self, c, a_mat, b_vec, member, extra):
-        self.c = c
-        self.a = a_mat
-        self.b = b_vec
-        self.member = member
-        self.extra = extra
-        self.m = a_mat.shape[0] + member.shape[0]
+    # the per-member arrays, kept in step by ``take``
+    _STACKED = ("c", "a", "b", "member")
 
-    def _lse(self, z):
-        """Each group's constraint value and softmax weights (zero off the group)."""
-        zg = np.where(self.member, z, -np.inf)
-        mx = zg.max(axis=1, keepdims=True)
-        e = np.exp(zg - mx)
-        s = e.sum(axis=1, keepdims=True)
-        return (mx + np.log(s))[:, 0] + self.extra @ z, e / s
+    def __init__(self, c, a, b, member, extra=None):
+        self.c, self.a, self.b, self.member, self.extra = c, a, b, member, extra
+        self.m = a.shape[1] + member.shape[1]
+        # the Hessians and a work array of their shape, made at the first ``grad_hess``
+        # and reused in place
+        self.buf_h = self.buf_s = None
+
+    def take(self, keep: np.ndarray) -> None:
+        """Keep only the members ``keep``, a mask over the stack."""
+        for name in self._STACKED:
+            setattr(self, name, getattr(self, name)[keep])
+        if self.buf_h is not None:
+            k = self.c.shape[0]
+            self.buf_h, self.buf_s = self.buf_h[:k], self.buf_s[:k]
+
+    def _lse(self, z, sel=None):
+        """Each group's constraint value and softmax weights (zero off the group), per member."""
+        e = np.where(_at(self.member, sel), z[:, None, :], -np.inf)
+        mx = np.maximum.reduce(e, axis=2, keepdims=True)
+        np.exp(np.subtract(e, mx, out=e), out=e)
+        s = np.add.reduce(e, axis=2, keepdims=True)
+        f = (mx + np.log(s))[..., 0]
+        return (f if self.extra is None else f + np.matvec(self.extra, z)), np.divide(e, s, out=e)
 
     def constraints(self, z):
-        return np.concatenate([self.a @ z + self.b, self._lse(z)[0]])
+        return np.concatenate([np.matvec(self.a, z) + self.b, self._lse(z)[0]], axis=1)
 
-    def value(self, t, z):
-        """(barrier value, f, sigma) at z, or (inf, None, None) once some f_i >= 0.
+    def value(self, t, z, sel=None):
+        """(barrier value, f, sigma, c.z, barrier term) of the members ``sel`` at their points z.
 
-        f is every constraint value, affine rows first, and sigma the groups'
-        softmax weights. The affine rows are tested before any log-sum-exp.
+        ``sel`` indexes the stack (None: every member) and ``t`` holds those
+        members' own t. f is every constraint value, affine rows first, and
+        sigma the groups' softmax weights. Where some f_i >= 0 the barrier
+        term -sum log(-f_i), and so the value, is inf, and f and sigma are
+        not set in full (None when no member passes). The affine rows are
+        tested before any log-sum-exp, which runs once, on the members that
+        pass them.
         """
-        f_aff = self.a @ z + self.b
-        if f_aff.max(initial=-np.inf) >= 0:
-            return np.inf, None, None
-        f_lse, sigma = self._lse(z)
-        if f_lse.max(initial=-np.inf) >= 0:
-            return np.inf, None, None
-        f = np.concatenate([f_aff, f_lse])
-        return -t * float(self.c @ z) + float(-np.log(-f).sum()), f, sigma
+        n_aff = self.a.shape[1]
+        f_aff = np.matvec(_at(self.a, sel), z) + _at(self.b, sel)
+        cz = np.vecdot(_at(self.c, sel), z)
+        broken = _broken(f_aff)
+        if all(broken):
+            return np.full(len(broken), np.inf), None, None, cz, np.full(len(broken), np.inf)
+        if not any(broken):
+            f_lse, sigma = self._lse(z, sel)
+            broken = _broken(f_lse)
+            f = np.concatenate([f_aff, f_lse], axis=1)
+        else:
+            rows = [r for r, bad in enumerate(broken) if not bad]
+            f = np.zeros((z.shape[0], self.m))
+            f[:, :n_aff] = f_aff
+            sigma = np.zeros((z.shape[0],) + self.member.shape[1:])
+            f[rows, n_aff:], sigma[rows] = self._lse(z[rows], rows if sel is None else sel[rows])
+            broken = [bad or lse_bad for bad, lse_bad in zip(broken, _broken(f[:, n_aff:]))]
+        if not any(broken):
+            phi = -np.add.reduce(np.log(-f), axis=1)
+        else:
+            rows = [r for r, bad in enumerate(broken) if not bad]
+            phi = np.full(z.shape[0], np.inf)
+            if rows:
+                phi[rows] = -np.add.reduce(np.log(-f[rows]), axis=1)
+        return -t * cz + phi, f, sigma, cz, phi
 
     def grad_hess(self, t, z, f, sigma):
-        """Gradient and Hessian at z from the (f, sigma) that ``value`` returned there."""
-        n_aff = self.a.shape[0]
-        inv_aff = 1.0 / -f[:n_aff]
-        inv_lse = 1.0 / -f[n_aff:]
-        u = sigma + self.extra  # gradient of each group's constraint
-        grad = -t * self.c + self.a.T @ inv_aff + u.T @ inv_lse
-        softmax = np.diag(sigma.T @ inv_lse) - (sigma.T * inv_lse) @ sigma
-        hess = (self.a.T * inv_aff**2) @ self.a + (u.T * inv_lse**2) @ u + softmax
+        """Each member's gradient and Hessian at z from the (f, sigma) ``value`` returned there.
+
+        The Hessians are ``buf_h``, valid until the next call; ``buf_s`` is work space.
+        """
+        if self.buf_h is None:
+            self.buf_h, self.buf_s = (np.empty(self.c.shape + self.c.shape[1:]) for _ in range(2))
+        n_aff = self.a.shape[1]
+        inv_aff = 1.0 / -f[:, :n_aff]
+        inv_lse = 1.0 / -f[:, n_aff:]
+        u = sigma if self.extra is None else sigma + self.extra  # each group's constraint gradient
+        grad = -t[:, None] * self.c + np.matvec(self.a.mT, inv_aff) + np.matvec(u.mT, inv_lse)
+        hess, tmp = self.buf_h, self.buf_s
+        np.matmul(self.a.mT * (inv_aff**2)[:, None, :], self.a, out=hess)
+        np.add(hess, np.matmul(u.mT * (inv_lse**2)[:, None, :], u, out=tmp), out=hess)
+        # the softmax part, diag(sigma' inv_lse) - (sigma' * inv_lse) sigma: 0 - M
+        # off the diagonal, as np.diag(...) - M computes it
+        soft = np.matmul(sigma.mT * inv_lse[:, None, :], sigma, out=tmp)
+        diagonal = soft.reshape(len(soft), -1)[:, :: soft.shape[1] + 1]  # a view
+        d = np.matvec(sigma.mT, inv_lse) - diagonal
+        np.subtract(0.0, soft, out=soft)
+        diagonal[...] = d
+        np.add(hess, soft, out=hess)
         return grad, hess
 
 
-def _newton_stages(
-    barrier: _Barrier,
-    z: np.ndarray,
-    trace: list,
-    stage_values: list,
-    stop_early=None,
-):
-    """Run the barrier path; returns (z, t_final, stages, newton_steps, stages_uncentered).
+def _newton_direction(hess, grad, eye, work):
+    """Each member's Newton step, solving hess + ridge I against -grad.
 
-    The oracle is evaluated once per point: at each stage start, where t
-    changes, and at each line-search trial. The accepted trial's value, f
-    and sigma carry into the next step. A stage is uncentered when it ends,
-    at the step cap or on a failed line search, without half the squared
-    Newton decrement reaching _NEWTON_TOL.
+    The ridge is 1e-12 times the member's mean diagonal, and at least 1e-12.
+    ``work`` is work space of hess's shape. A singular member makes the stacked
+    solve fail for all; the stack is then solved member by member, and a
+    singular member takes the least-squares step of hess + 1e-8 I.
     """
-    t = _T0
-    stages = 0
-    steps = 0
-    uncentered = 0
-    eye = np.eye(z.size)
-    while True:
-        val, f, sigma = barrier.value(t, z)
-        centered = False
-        for _ in range(_MAX_NEWTON):
-            grad, hess = barrier.grad_hess(t, z, f, sigma)
-            ridge = 1e-12 * max(1.0, float(np.trace(hess)) / hess.shape[0])
+    n = hess.shape[1]
+    ridge = [1e-12 * max(1.0, trace / n) for trace in np.trace(hess, axis1=1, axis2=2).tolist()]
+    system = np.add(hess, np.multiply(np.array(ridge)[:, None, None], eye, out=work), out=work)
+    try:
+        return np.linalg.solve(system, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        dz = np.empty_like(grad)
+        for i, (sys_i, hess_i, grad_i) in enumerate(zip(system, hess, grad)):
             try:
-                dz = np.linalg.solve(hess + ridge * eye, -grad)
+                dz[i] = np.linalg.solve(sys_i, -grad_i)
             except np.linalg.LinAlgError:
-                dz = np.linalg.lstsq(hess + 1e-8 * eye, -grad, rcond=None)[0]
-            decrement = float(-grad @ dz)
-            if decrement < 0:  # solve failed to produce a descent direction
-                dz = -grad
-                decrement = float(grad @ grad)
-            centered = decrement / 2.0 <= _NEWTON_TOL
-            alpha = 1.0
-            ok = False
-            for _bt in range(_MAX_BACKTRACKS):
-                cand = z + alpha * dz
-                vnew, fnew, snew = barrier.value(t, cand)
-                if vnew < val - 0.25 * alpha * decrement + 1e-14 * abs(val):
-                    z, val, f, sigma = cand, vnew, fnew, snew
-                    ok = True
-                    break
-                alpha *= 0.5
-            if not ok:
-                if decrement / 2.0 <= max(_NEWTON_TOL, 1e-8):
-                    break
-                raise GpNumericalError(
-                    f"line search failed at barrier t={t} (decrement {decrement})", trace
-                )
-            steps += 1
-            trace.append((t, float(barrier.c @ z)))
-            if centered:
+                dz[i] = np.linalg.lstsq(hess_i + 1e-8 * eye, -grad_i, rcond=None)[0]
+        return dz
+
+
+def _newton_stages(barrier: _Barrier, z: np.ndarray, stop_early=None) -> list:
+    """Run the barrier path of every member of the stack, in lockstep.
+
+    Returns, per member, (z, t_final, stages, newton_steps, stages_uncentered,
+    trace, stage_values), or the GpNumericalError that ended its path. Each
+    member keeps its own t, stage, step count, ``centered`` flag, step
+    length, trace and stage values, and ends its path when ``stop_early(z)``
+    holds at a stage end or m / t < _GAP_TOL; it then leaves the stack. The
+    per-member scalars are Python floats, as they are for one program alone.
+
+    The oracle is evaluated once per member point: at the first stage start
+    and at each line-search trial, where one call evaluates the members still
+    pending. The accepted trial's value, f and sigma carry into the next
+    step; at a later stage start only t changes, so the value is -t c.z plus
+    the stored barrier term, and a restage costs no log-sum-exp. A stage is
+    uncentered when it ends, at the step cap or on a failed line search,
+    without half the squared Newton decrement reaching _NEWTON_TOL.
+    """
+    n_b, n = z.shape
+    z = z.copy()
+    t = np.full(n_b, _T0)
+    val, f, sigma, cz, phi = barrier.value(t, z)
+    val, cz, phi = val.tolist(), cz.tolist(), phi.tolist()
+    stages, steps, uncentered, newton = ([0] * n_b for _ in range(4))
+    traces: list[list] = [[] for _ in range(n_b)]
+    stage_values: list[list] = [[] for _ in range(n_b)]
+    results: list = [None] * n_b
+    ids = list(range(n_b))  # the member at each stack position
+    eye = np.eye(n)
+    while ids:
+        k = len(ids)
+        grad, hess = barrier.grad_hess(t, z, f, sigma)
+        dz = _newton_direction(hess, grad, eye, barrier.buf_s)
+        decrement = np.vecdot(-grad, dz).tolist()
+        ascent = [p for p, d in enumerate(decrement) if d < 0]
+        if ascent:  # the solve failed to produce a descent direction
+            dz[ascent] = -grad[ascent]
+            for p, d in zip(ascent, np.vecdot(grad[ascent], grad[ascent]).tolist()):
+                decrement[p] = d
+        centered = [d / 2.0 <= _NEWTON_TOL for d in decrement]
+        alpha = [1.0] * k
+        accepted = [False] * k
+        pending = list(range(k))  # the stack positions still searching
+        for _bt in range(_MAX_BACKTRACKS):
+            if len(pending) == k:  # every member at one step length: 1 on the first trial
+                sel, cand = None, (z + dz if _bt == 0 else z + alpha[0] * dz)
+            else:
+                sel = np.array(pending)
+                cand = z[sel] + np.array([alpha[p] for p in pending])[:, None] * dz[sel]
+            trial = barrier.value(_at(t, sel), cand, sel)
+            tval = trial[0].tolist()
+            rows = [
+                r for r, p in enumerate(pending)
+                if tval[r] < val[p] - 0.25 * alpha[p] * decrement[p] + 1e-14 * abs(val[p])
+            ]
+            if len(rows) == k:
+                z, f, sigma = cand, trial[1], trial[2]
+                val, cz, phi = tval, trial[3].tolist(), trial[4].tolist()
+                accepted = [True] * k
                 break
-        stages += 1
-        uncentered += not centered
-        stage_values.append(float(barrier.c @ z))
-        if stop_early is not None and stop_early(z):
-            return z, t, stages, steps, uncentered
-        if barrier.m / t < _GAP_TOL:
-            return z, t, stages, steps, uncentered
-        t *= _MU
+            if rows:
+                pos = [pending[r] for r in rows]
+                z[pos], f[pos], sigma[pos] = cand[rows], trial[1][rows], trial[2][rows]
+                tcz, tphi = trial[3].tolist(), trial[4].tolist()
+                for r, p in zip(rows, pos):
+                    val[p], cz[p], phi[p] = tval[r], tcz[r], tphi[r]
+                    accepted[p] = True
+                pending = [p for p in pending if not accepted[p]]
+                if not pending:
+                    break
+            for p in pending:
+                alpha[p] *= 0.5
+        t_now = t.tolist()
+        keep = [True] * k
+        for p, i in enumerate(ids):
+            newton[p] += 1
+            if accepted[p]:
+                steps[p] += 1
+                traces[i].append((t_now[p], cz[p]))
+                if not centered[p] and newton[p] < _MAX_NEWTON:
+                    continue
+            elif decrement[p] / 2.0 > max(_NEWTON_TOL, 1e-8):
+                results[i] = GpNumericalError(
+                    f"line search failed at barrier t={t_now[p]} (decrement {decrement[p]})",
+                    traces[i],
+                )
+                keep[p] = False
+                continue
+            stages[p] += 1
+            uncentered[p] += not centered[p]
+            stage_values[i].append(cz[p])
+            if (stop_early is not None and stop_early(z[p])) or barrier.m / t_now[p] < _GAP_TOL:
+                results[i] = (z[p].copy(), t_now[p], stages[p], steps[p], uncentered[p],
+                              traces[i], stage_values[i])
+                keep[p] = False
+                continue
+            t[p] = t_next = t_now[p] * _MU
+            val[p] = -t_next * cz[p] + phi[p]
+            newton[p] = 0
+        if not all(keep):
+            ids, val, cz, phi, stages, steps, uncentered, newton = (
+                [x for x, kp in zip(xs, keep) if kp]
+                for xs in (ids, val, cz, phi, stages, steps, uncentered, newton)
+            )
+            if ids:
+                mask = np.array(keep)
+                barrier.take(mask)
+                z, t, f, sigma = z[mask], t[mask], f[mask], sigma[mask]
+    return results
 
 
-def _phase_one(barrier: _Barrier) -> np.ndarray:
-    """Find a strictly feasible point by minimizing the worst violation."""
-    n = barrier.c.shape[0]
-    s0 = float(barrier.constraints(np.zeros(n)).max()) + 1.0
-    # augmented problem over (z, s): minimize s with every f_i <= s
-    c_aug = np.zeros(n + 1)
-    c_aug[-1] = -1.0  # maximize -s
+def _phase_one(barrier: _Barrier) -> list:
+    """Each member's strictly feasible point, from minimizing its worst violation.
+
+    A member whose search fails gets the error that ended it in place of a point.
+    """
+    n_b, n = barrier.c.shape
+    s0 = barrier.constraints(np.zeros((n_b, n))).max(axis=1) + 1.0
+    # augmented programs over (z, s): minimize s with every f_i <= s
 
     def with_s(mat, coef):
-        return np.hstack([mat, np.full((mat.shape[0], 1), coef)])
+        return np.concatenate([mat, np.full(mat.shape[:-1] + (1,), coef)], axis=-1)
 
     aug = _Barrier(
-        c_aug, with_s(barrier.a, -1.0), barrier.b,
-        with_s(barrier.member, False), with_s(barrier.extra, -1.0),
+        with_s(np.zeros((n_b, n)), -1.0),  # maximize -s
+        with_s(barrier.a, -1.0), barrier.b, with_s(barrier.member, False),
+        with_s(np.zeros(barrier.member.shape[1:]), -1.0),
     )
-    z = np.append(np.zeros(n), s0)
-    z = _newton_stages(aug, z, [], [], stop_early=lambda zz: zz[-1] < -1e-7)[0]
-    if z[-1] >= 0:
-        raise GpInfeasibleError(f"no strictly feasible point found (margin {z[-1]:.3e})")
-    return z[:-1]
+    z = np.concatenate([np.zeros((n_b, n)), s0[:, None]], axis=1)
+    points = []
+    for res in _newton_stages(aug, z, stop_early=lambda zz: zz[-1] < -1e-7):
+        if isinstance(res, Exception):
+            points.append(res)
+        elif res[0][-1] >= 0:
+            points.append(
+                GpInfeasibleError(f"no strictly feasible point found (margin {res[0][-1]:.3e})")
+            )
+        else:
+            points.append(res[0][:-1])
+    return points
+
+
+def _member(p: GpProblem):
+    """A validated program as arrays of one stack member: (c, a, b, member, start).
+
+    a and b hold every affine row (``_canonical_rows``). Programs whose a and
+    member have the same shapes (variables, affine rows, groups) can share a stack.
+    """
+    a, b = _canonical_rows(p)
+    member = np.zeros((len(p.lse_groups), p.num_vars), dtype=bool)
+    for k, g in enumerate(p.lse_groups):
+        member[k, g] = True
+    return p.c, a, b, member, p.start
+
+
+def _solve_stack(barrier: _Barrier, starts: Sequence) -> list:
+    """``solve_gp`` on each member of a stack, as one barrier run.
+
+    ``starts`` holds each member's start, or None. Returns, per member, its
+    GpReport, or the error its solve raised.
+    """
+    n_b, n = barrier.c.shape
+    c = barrier.c
+    z = np.zeros((n_b, n))
+    for i, start in enumerate(starts):
+        if start is not None:
+            z[i] = start
+    results: list = [None] * n_b
+    need = np.array([s is None for s in starts]) | (barrier.constraints(z).max(axis=1) >= 0)
+    if need.any():
+        sub = _Barrier(c[need], barrier.a[need], barrier.b[need], barrier.member[need])
+        for i, point in zip(np.flatnonzero(need).tolist(), _phase_one(sub)):
+            if isinstance(point, Exception):
+                results[i] = point
+            else:
+                z[i] = point
+    live = np.array([r is None for r in results])
+    if not live.all():
+        barrier.take(live)
+        z = z[live]
+    slater = (-barrier.constraints(z).max(axis=1) >= 1e-8).tolist()
+    for i, res, slater_ok in zip(np.flatnonzero(live).tolist(), _newton_stages(barrier, z), slater):
+        if isinstance(res, Exception):
+            results[i] = res
+            continue
+        z_opt, t_final, stages, steps, uncentered, trace, stage_values = res
+        gap = barrier.m / t_final
+        results[i] = GpReport(
+            value=float(c[i] @ z_opt),
+            z_opt=z_opt,
+            barrier_iters=stages,
+            newton_steps=steps,
+            stages_uncentered=uncentered,
+            certified=bool(slater_ok and gap < _GAP_TOL),
+            slater_ok=slater_ok,
+            gap_bound=gap,
+            trace=_as_trace(trace),
+            stage_values=np.array(stage_values, dtype=float),
+        )
+    return results
+
+
+def solve_gps(problems: Iterable[GpProblem]) -> list[GpReport]:
+    """``solve_gp`` on each program, as stacked barrier runs: one report per program, in order.
+
+    The programs are read one at a time, kept as arrays (``_member``) and
+    grouped by shape. A group is solved as one run (``_solve_stack``) once
+    its Newton systems hold STACK_ELEMENTS elements, and what is left of
+    each group at the end, so a program is held only until its stack runs,
+    and a program too large to share runs alone. Every report equals
+    ``solve_gp``'s on that program alone, bit for bit. A program whose solve
+    fails does not stop the others; the first such error, in program order,
+    is raised once every stack has run.
+    """
+    results: list = []
+    stacks: dict[tuple, list] = {}
+
+    def run(key):
+        at, members = zip(*stacks.pop(key))
+        arrays = [np.stack(col) for col in list(zip(*members))[:4]]
+        starts = [m[4] for m in members]
+        del members  # the stacked arrays replace each program's own
+        for i, res in zip(at, _solve_stack(_Barrier(*arrays), starts)):
+            results[i] = res
+
+    for i, p in enumerate(problems):
+        results.append(None)
+        try:
+            p.validate()
+        except ValueError as exc:
+            results[i] = exc
+            continue
+        member = _member(p)
+        key = member[1].shape + member[3].shape
+        stacks.setdefault(key, []).append((i, member))
+        if len(stacks[key]) * p.num_vars**2 >= STACK_ELEMENTS:
+            run(key)
+    for key in list(stacks):
+        run(key)
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
 
 
 def solve_gp(p: GpProblem) -> GpReport:
     """Maximize the linear objective by a log-barrier Newton method.
 
     Deterministic: t grows geometrically from _T0 by _MU until m/t < _GAP_TOL,
-    each stage centered by damped Newton with backtracking.
+    each stage centered by damped Newton with backtracking. This is the
+    stack of one of ``solve_gps``.
     """
-    p.validate()
-    a_all, b_all = _canonical_rows(p)
-    member = np.zeros((len(p.lse_groups), p.num_vars), dtype=bool)
-    for k, g in enumerate(p.lse_groups):
-        member[k, g] = True
-    barrier = _Barrier(p.c, a_all, b_all, member, np.zeros(member.shape))
-
-    z = None if p.start is None else np.asarray(p.start, dtype=float).copy()
-    if z is None or barrier.constraints(z).max() >= 0:
-        z = _phase_one(barrier)
-    slater_ok = bool(-barrier.constraints(z).max() >= 1e-8)
-
-    trace: list = []
-    stage_values: list = []
-    z, t_final, stages, steps, uncentered = _newton_stages(barrier, z, trace, stage_values)
-    gap = barrier.m / t_final
-    return GpReport(
-        value=float(p.c @ z),
-        z_opt=z,
-        barrier_iters=stages,
-        newton_steps=steps,
-        stages_uncentered=uncentered,
-        certified=bool(slater_ok and gap < _GAP_TOL),
-        slater_ok=slater_ok,
-        gap_bound=gap,
-        trace=_as_trace(trace),
-        stage_values=np.array(stage_values, dtype=float),
-    )
+    return solve_gps([p])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +619,7 @@ def build_case1_rd_gp(src: SourceInstance, w: CondKernel, d_target: float) -> Gp
     are the kept cells, and each (s2, v1, t) group holds the y variables of
     its kept cells. With |V1| = 1 this is exactly ``build_wz_gp``.
     """
-    p4 = src.joint.probs[..., None] * _kernel_table(w, src.s1, "S1")[:, None]
+    p4 = src.joint.probs[..., None] * _kernel_table(w, src.s1, src.s2, "S1")[:, None]
     return _build_dual(src, p4, d_target)
 
 
@@ -490,7 +709,7 @@ class Case1Options:
 
 def description_rate_case1(src: SourceInstance, w: CondKernel) -> float:
     """I(V1;S1|S2) = H(V1|S2) - H(V1|S1) of a description kernel w(v1|s1), in bits."""
-    return _description_rate(src.joint.probs.sum(axis=0), _kernel_table(w, src.s1, "S1"))
+    return _description_rate(src.joint.probs.sum(axis=0), _kernel_table(w, src.s1, src.s2, "S1"))
 
 
 def rd_case1_sweep(
@@ -506,20 +725,24 @@ def rd_case1_sweep(
     program, and the smallest rate wins (smallest grid index on ties); see
     ``_grid_sweep``. The programs are posed as the primal poses D
     (``_excess_target``): below the distortion floor, at the floor, and a
-    certified solve has status "distortion-floor". Each point's extras carry
-    ``d_target``, as given.
+    certified solve has status "distortion-floor". The curve's fresh
+    programs are built as their stacks run and solved as stacked barrier runs
+    (``solve_gps``), each report bit for bit that of one ``solve_gp`` call.
+    Each point's extras carry ``d_target``, as given.
     """
     opts = opts or Case1Options()
     _, _, posed, floor_status = _excess_target(src, d_target)
 
-    def solve_w(w: CondKernel):
-        report = solve_gp(build_case1_rd_gp(src, w, posed))
-        value, gap, status = _dual_value(report, floor_status)
-        return value, report.newton_steps, gap, status, {"gp_report": report}
+    def solve_ws(ws: list[CondKernel]):
+        results = []
+        for report in solve_gps(build_case1_rd_gp(src, w, posed) for w in ws):
+            value, gap, status = _dual_value(report, floor_status)
+            results.append((value, report.newton_steps, gap, status, {"gp_report": report}))
+        return results
 
     r_max = _description_rate(src.joint.probs.sum(axis=0), np.eye(src.s1.size))
     points = _grid_sweep(
-        lambda w: description_rate_case1(src, w), lambda ws: [solve_w(w) for w in ws], src.s1.size,
+        lambda w: description_rate_case1(src, w), solve_ws, src.s1.size,
         Alphabet(opts.v1_size, "V1"), r_primes, r_max, opts, maximize=False,
     )
     for point in points:

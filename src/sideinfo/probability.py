@@ -224,9 +224,14 @@ def mutual_information(p: JointPmf, a: Iterable[int], b: Iterable[int]) -> float
     return conditional_mutual_information(p, a, b, ())
 
 
-def _kernel_table(w: CondKernel, state: Alphabet, name: str) -> np.ndarray:
-    """w(v|a) as an (A, V) array; ``ProbabilityError`` unless w conditions on ``state``."""
-    if w.given_shape != (state.size,):
+def _kernel_table(w: CondKernel, state: Alphabet, other: Alphabet, name: str) -> np.ndarray:
+    """w(v|a) as an (A, V) array; ``ProbabilityError`` unless w conditions on ``state``.
+
+    The given axis must have ``state``'s size, and a kernel given the model's
+    other state alphabet ``other`` is refused even when the sizes agree. A
+    grid kernel, given the axis "slice", passes on its size.
+    """
+    if w.given_shape != (state.size,) or (w.given_axes[0] == other and other != state):
         raise ProbabilityError(f"description kernel must condition on {name}")
     return w.probs
 

@@ -108,9 +108,19 @@ def test_traced_round_runs_the_distortion_solvers():
     # one Wyner-Ziv rate with its primal cross-check, one BA R(D) and a
     # one-point case-1 curve: a solver that stops calling a traced name reads
     # 0 or a wrong count here, not only in a benchmark metric
+    # the case-1 curve solves its programs through the stacked entry, which the
+    # tracer does not wrap; each call's program count is recorded here
+    solve_gps, stacked = gpdual.solve_gps, []
+
+    def counted(programs):
+        programs = list(programs)
+        stacked.append(len(programs))
+        return solve_gps(programs)
+
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        gpdual.solve_gps = counted
         tracer.active = True
         wz = gpdual.wz_rate_via_gp(example3_source(), 0.1)
         rd = ba.ba_rate_distortion(np.array([0.5, 0.5]), 1.0 - np.eye(2), 0.1)
@@ -119,12 +129,14 @@ def test_traced_round_runs_the_distortion_solvers():
         tracer.active = False
         metrics = tracing.layer_metrics(tracer, 0)
     finally:
+        gpdual.solve_gps = solve_gps
         tracer.uninstall()
     assert [wz.status, rd.status, pt.status] == ["ok", "ok", "ok"]
     assert metrics["ba.wz_primal.calls"] == 1  # the cross-check; BA R(D) is not a Wyner-Ziv call
     assert metrics["ba.wz_primal.probes"] == wz.extras["primal_report"].iterations
     assert metrics["ba.ba_rate_distortion.probes"] == rd.extras["probes"] > 0
     assert metrics["gpdual.build_gp.s"] > 0
-    assert metrics["gpdual.solve_gp.calls"] == 1 + pt.extras["kernels_solved"]
+    assert metrics["gpdual.solve_gp.calls"] == 1  # the Wyner-Ziv dual, a stack of one
+    assert stacked == [1, pt.extras["kernels_solved"]]  # the Wyner-Ziv dual, then the curve
     assert metrics["gpdual.description_rate_case1.calls"] > 0
     assert not hasattr(ba.wz_primal, "__wrapped__")  # uninstalled

@@ -46,7 +46,7 @@ from sideinfo.probability import (
 )
 from sideinfo.cli import main
 from sideinfo.gpdual import build_case1_rd_gp, description_rate_case1, rd_case1_sweep
-from sideinfo.problems import example1_channel
+from sideinfo.problems import example1_channel, example2_source
 from sideinfo.strategies import enumerate_strategies
 
 V2 = Alphabet(2, "V2")
@@ -155,6 +155,20 @@ class TestDescriptionRate:
         for call in (description_rate_case1, lambda src, w: build_case1_rd_gp(src, w, 0.1)):
             with pytest.raises(ProbabilityError, match="must condition on S1"):
                 call(src, on_s2)
+
+    def test_a_kernel_on_the_other_state_of_equal_size_is_rejected(self):
+        # |S1| = |S2| = 2 on both builtins: the sizes agree, the alphabets do not
+        ch, src = example1_channel(), example2_source()
+        for call in (r_w, _causal_rate, inner_max, causal_inner_max):
+            with pytest.raises(ProbabilityError, match="must condition on S2"):
+                call(ch, CondKernel((ch.s1,), (V2,), np.eye(2)))
+            call(ch, CondKernel((ch.s2,), (V2,), np.eye(2)))  # the state itself
+            call(ch, simplex_grid(2, V2, 0.5).points[1])  # a grid kernel, given "slice"
+        for call in (description_rate_case1, lambda src, w: build_case1_rd_gp(src, w, 0.1)):
+            with pytest.raises(ProbabilityError, match="must condition on S1"):
+                call(src, CondKernel((src.s2,), (V2,), np.eye(2)))
+            call(src, CondKernel((src.s1,), (V2,), np.eye(2)))
+            call(src, simplex_grid(2, V2, 0.5).points[1])
 
 
 class TestRelabelingInvariance:

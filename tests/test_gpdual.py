@@ -7,18 +7,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sideinfo.gpdual
-from sideinfo.ba import LN2, SolverOptions, SourceInstance, wz_primal
+from sideinfo.ba import LN2, SolverOptions, SourceInstance, _excess_target, wz_primal
 from sideinfo.gpdual import (
     Case1Options,
     GpInfeasibleError,
     GpNumericalError,
     GpProblem,
     _Barrier,
+    _newton_direction,
     build_case1_rd_gp,
     build_wz_gp,
     description_rate_case1,
     rd_case1_sweep,
     solve_gp,
+    solve_gps,
     wz_rate_via_gp,
 )
 from sideinfo.evaluators import example2_closed_form
@@ -120,26 +122,140 @@ class TestBarrierPath:
         assert rep.certified
 
     def test_one_log_sum_exp_per_trial_point(self, monkeypatch):
-        lse = _Barrier._lse
-        counts, solve = [0], sideinfo.gpdual.solve_gp
-        ratios = []
+        value, lse = _Barrier.value, _Barrier._lse
+        evaluated = [0]  # members the log-sum-exp covered, over all calls
+        rounds = []  # per value call: (members passing affine rows, members each _lse call covered)
+        inside = []
 
-        def counted(self, z):
-            counts[0] += 1
-            return lse(self, z)
+        def counted_lse(self, z, sel=None):
+            evaluated[0] += len(z)
+            if inside:
+                inside[-1].append(len(z))
+            return lse(self, z, sel)
 
-        def solve_counted(p):
-            counts[0] = 0
-            rep = solve(p)
-            ratios.append(counts[0] / rep.newton_steps)
-            return rep
+        def counted_value(self, t, z, sel=None):
+            a, b = (self.a, self.b) if sel is None else (self.a[sel], self.b[sel])
+            passing = int((np.matvec(a, z) + b < 0).all(axis=1).sum())
+            inside.append([])
+            out = value(self, t, z, sel)
+            rounds.append((passing, inside.pop()))
+            return out
 
-        monkeypatch.setattr(_Barrier, "_lse", counted)
-        monkeypatch.setattr(sideinfo.gpdual, "solve_gp", solve_counted)
-        # the rd-grid benchmark's curve: 47 programs
+        programs, reports, solve_gps = [], [], sideinfo.gpdual.solve_gps
+
+        def recorded(ps):
+            ps = list(ps)
+            programs.extend(ps)
+            reports.extend(solve_gps(ps))
+            return reports[-len(ps):]
+
+        monkeypatch.setattr(_Barrier, "_lse", counted_lse)
+        monkeypatch.setattr(_Barrier, "value", counted_value)
+        monkeypatch.setattr(sideinfo.gpdual, "solve_gps", recorded)
+        # the rd-grid benchmark's curve: 47 programs, solved in stacks
         rd_case1_sweep(example2_source(), 0.1, [0.0, 0.1, 0.2, 0.3], Case1Options(grid_step=0.1))
-        assert len(ratios) == 47
-        assert max(ratios) <= 1.25
+        assert len(programs) == 47
+        # each line-search round is one value call: one _lse call, on exactly the
+        # members whose trial passes its affine rows, or none when no trial does
+        assert all(calls == ([passing] if passing else []) for passing, calls in rounds)
+        assert max(passing for passing, _ in rounds) >= 3  # stacks of at least 3 members
+        assert evaluated[0] <= 1.25 * sum(rep.newton_steps for rep in reports)
+        # and each program alone, a stack of one
+        for p in list(programs):
+            evaluated[0] = 0
+            rep = solve_gp(p)
+            assert evaluated[0] <= 1.25 * rep.newton_steps
+
+
+REPORT_FIELDS = ("value", "z_opt", "newton_steps", "barrier_iters", "stages_uncentered", "trace",
+                 "stage_values", "gap_bound", "certified", "slater_ok")
+
+
+def case1_program(make_source, rows, d, phase_one):
+    """The case-1 dual of example source ``make_source`` for the kernel w(v1|s1) = ``rows`` at D,
+    posed as the sweep poses it; with ``phase_one`` it has no start."""
+    src = make_source()
+    w = CondKernel((src.s1,), (Alphabet(2, "V1"),), np.array(rows, dtype=float))
+    p = build_case1_rd_gp(src, w, _excess_target(src, d)[2])
+    return dataclasses.replace(p, start=None) if phase_one else p
+
+
+def kernel_rows(a, b):
+    return [[a / 10, 1 - a / 10], [b / 10, 1 - b / 10]]
+
+
+# example2's three zero-rate kernels at D = 0.1 whose line searches backtrack
+# about 36 times per Newton step, each with partners of its shape (the same
+# zero cells); the numbers are tenths of w(0|s1) for s1 = 0, 1
+HEAVY_STACKS = [
+    [(1, 9), (2, 7), (3, 8), (4, 6)],
+    [(2, 10), (3, 10), (6, 10), (9, 10)],
+    [(0, 9), (0, 8), (0, 3), (0, 6)],
+]
+
+
+class TestStackedSolve:
+    """A stack of programs of one shape, solved as one barrier run, is each of them solved alone."""
+
+    @staticmethod
+    def solve_both(programs):
+        sizes = []
+        newton_stages = sideinfo.gpdual._newton_stages
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sideinfo.gpdual, "_newton_stages",
+                       lambda bar, z, **kw: sizes.append(len(z)) or newton_stages(bar, z, **kw))
+            stacked = solve_gps(programs)
+        for p, got in zip(programs, stacked, strict=True):
+            want = solve_gp(p)
+            for name in REPORT_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        return stacked, sizes
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(
+        make_source=st.sampled_from([example2_source, example4_source]),
+        d=st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+        kernels=st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9), st.booleans()),
+                         min_size=3, max_size=5),
+    )
+    @example(make_source=example2_source, d=0.1,
+             kernels=[(1, 2, False), (2, 1, True), (3, 3, False), (9, 1, True)])
+    def test_stack_equals_each_member_alone(self, make_source, d, kernels):
+        programs = [case1_program(make_source, kernel_rows(a, b), d, p1) for a, b, p1 in kernels]
+        _, sizes = self.solve_both(programs)
+        # kernels with no zero cell share one shape: one main run of them all
+        assert len(programs) in sizes
+
+    @pytest.mark.parametrize("stack", HEAVY_STACKS, ids=["full", "zero-at-1-1", "zero-at-0-0"])
+    def test_backtracking_heavy_members(self, stack):
+        programs = [case1_program(example2_source, kernel_rows(a, b), 0.1, False) for a, b in stack]
+        programs.append(case1_program(example2_source, kernel_rows(*stack[1]), 0.1, True))
+        stacked, sizes = self.solve_both(programs)
+        assert len(programs) in sizes
+        steps = [rep.newton_steps for rep in stacked]
+        assert max(steps) > 250 and min(steps) < 150  # members leave the stack far apart
+
+    def test_singular_member_takes_its_own_least_squares_step(self):
+        # diag(-1e-12, 1) plus its ridge 1e-12 is exactly singular: the stacked
+        # solve fails, and only that member falls back to least squares
+        rng = np.random.default_rng(7)
+        spd = [m @ m.T + np.eye(2) for m in rng.normal(size=(2, 2, 2))]
+        hess = np.array([spd[0], np.diag([-1e-12, 1.0]), spd[1]])
+        grad = rng.normal(size=(3, 2))
+        eye = np.eye(2)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(hess + 1e-12 * eye, -grad[..., None])
+        stacked = _newton_direction(hess.copy(), grad, eye, np.empty_like(hess))
+        for i in range(3):
+            one = slice(i, i + 1)
+            alone = _newton_direction(hess[one].copy(), grad[one], eye, np.empty((1, 2, 2)))
+            assert np.array_equal(stacked[i], alone[0])
+        assert np.array_equal(
+            stacked[1], np.linalg.lstsq(hess[1] + 1e-8 * eye, -grad[1], rcond=None)[0]
+        )
+        ridge = 1e-12 * max(1.0, float(np.trace(hess[0])) / 2)
+        assert np.array_equal(stacked[0], np.linalg.solve(hess[0] + ridge * eye, -grad[0]))
 
 
 class TestValidate:
@@ -174,8 +290,8 @@ class TestValidate:
 
 
 
-def random_barrier(seed, n_aff, n_groups, phase_one):
-    """A strictly feasible point of a random oracle, with its groups.
+def random_barrier(seed, n_aff, n_groups, phase_one, n_b=3):
+    """A stack of ``n_b`` random oracles of one shape, a strictly feasible point of each, their groups.
 
     Groups have uneven sizes and may overlap. With ``phase_one`` the last
     variable is the phase-one slack s: it is in no group, and every group's
@@ -184,37 +300,48 @@ def random_barrier(seed, n_aff, n_groups, phase_one):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     n_grp = n - 1 if phase_one else n
-    groups = [
-        rng.choice(n_grp, size=int(rng.integers(1, n_grp + 1)), replace=False)
-        for _ in range(n_groups)
-    ]
-    member = np.zeros((n_groups, n), dtype=bool)
-    extra = np.zeros((n_groups, n))
-    for k, g in enumerate(groups):
-        member[k, g] = True
+    extra = None
     if phase_one:
+        extra = np.zeros((n_groups, n))
         extra[:, -1] = -1.0
-    z = rng.normal(size=n)
-    z[:n_grp] -= max((np.log(np.exp(z[g]).sum()) for g in groups), default=0.0)
-    z[:n_grp] -= rng.uniform(0.2, 2.0)  # every log-sum-exp <= -0.2 before the slack
-    if phase_one:
-        z[-1] = rng.uniform(-0.1, 1.0)
-    a = rng.normal(size=(n_aff, n))
-    b = -(a @ z) - rng.uniform(0.1, 2.0, size=n_aff)
-    return _Barrier(rng.normal(size=n), a, b, member, extra), z, groups
+    c, a, b, member, z, groups = [], [], [], [], [], []
+    for _ in range(n_b):
+        grp = [
+            rng.choice(n_grp, size=int(rng.integers(1, n_grp + 1)), replace=False)
+            for _ in range(n_groups)
+        ]
+        mem = np.zeros((n_groups, n), dtype=bool)
+        for k, g in enumerate(grp):
+            mem[k, g] = True
+        zi = rng.normal(size=n)
+        zi[:n_grp] -= max((np.log(np.exp(zi[g]).sum()) for g in grp), default=0.0)
+        zi[:n_grp] -= rng.uniform(0.2, 2.0)  # every log-sum-exp <= -0.2 before the slack
+        if phase_one:
+            zi[-1] = rng.uniform(-0.1, 1.0)
+        ai = rng.normal(size=(n_aff, n))
+        b.append(-(ai @ zi) - rng.uniform(0.1, 2.0, size=n_aff))
+        c.append(rng.normal(size=n))
+        a.append(ai)
+        member.append(mem)
+        z.append(zi)
+        groups.append(grp)
+    stacked = (np.array(c), np.array(a).reshape(n_b, n_aff, n), np.array(b).reshape(n_b, n_aff),
+               np.array(member).reshape(n_b, n_groups, n))
+    return _Barrier(*stacked, extra), np.array(z), groups
 
 
-def per_group_oracle(barrier, t, z, groups):
-    """Reference: constraint values, gradient and Hessian, one group at a time."""
-    n = z.size
-    f_aff = barrier.a @ z + barrier.b
-    grad = -t * barrier.c + barrier.a.T @ (1.0 / -f_aff)
-    hess = (barrier.a.T * f_aff**-2) @ barrier.a
+def per_group_oracle(barrier, i, t, z, groups):
+    """Reference for member i: constraint values, gradient and Hessian, one group at a time."""
+    a, b, c = barrier.a[i], barrier.b[i], barrier.c[i]
+    extra = np.zeros((len(groups), z.size)) if barrier.extra is None else barrier.extra
+    f_aff = a @ z + b
+    grad = -t * c + a.T @ (1.0 / -f_aff)
+    hess = (a.T * f_aff**-2) @ a
     fs = []
     for k, g in enumerate(groups):
         sigma = np.exp(z[g]) / np.exp(z[g]).sum()
-        f = math.log(np.exp(z[g]).sum()) + barrier.extra[k] @ z
-        u = barrier.extra[k].copy()
+        f = math.log(np.exp(z[g]).sum()) + extra[k] @ z
+        u = extra[k].copy()
         u[g] += sigma
         grad += u / -f
         hess += np.outer(u, u) / f**2
@@ -224,7 +351,7 @@ def per_group_oracle(barrier, t, z, groups):
 
 
 class TestBarrierOracle:
-    """The array oracle against a per-group loop and against finite differences."""
+    """The stacked oracle against a per-group loop on each member and against finite differences."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
@@ -239,19 +366,22 @@ class TestBarrierOracle:
     @example(seed=3, n_aff=2, n_groups=4, phase_one=True, t=20.0)
     def test_matches_per_group_reference(self, seed, n_aff, n_groups, phase_one, t):
         barrier, z, groups = random_barrier(seed, n_aff, n_groups, phase_one)
-        f_ref, grad_ref, hess_ref = per_group_oracle(barrier, t, z, groups)
-        assert f_ref.max(initial=-np.inf) < 0
-        np.testing.assert_allclose(barrier.constraints(z), f_ref, rtol=1e-13, atol=1e-13)
-        grad, hess = barrier.grad_hess(t, z, *barrier.value(t, z)[1:])
-        assert np.abs(grad - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
-        assert np.abs(hess - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
-        # the gradient is that of ``value``: central differences
+        ts = t * np.array([1.0, 2.0, 0.5])  # each member its own t
+        f_all = barrier.constraints(z)
+        grad, hess = barrier.grad_hess(ts, z, *barrier.value(ts, z)[1:3])
         h = 1e-6
         fd = np.array([
-            (barrier.value(t, z + h * e)[0] - barrier.value(t, z - h * e)[0]) / (2 * h)
-            for e in np.eye(z.size)
-        ])
-        assert np.abs(fd - grad).max() <= 1e-6 * max(1.0, np.abs(grad).max())
+            (barrier.value(ts, z + h * e)[0] - barrier.value(ts, z - h * e)[0]) / (2 * h)
+            for e in np.eye(z.shape[1])
+        ]).T
+        for i in range(len(z)):
+            f_ref, grad_ref, hess_ref = per_group_oracle(barrier, i, ts[i], z[i], groups[i])
+            assert f_ref.max(initial=-np.inf) < 0
+            np.testing.assert_allclose(f_all[i], f_ref, rtol=1e-13, atol=1e-13)
+            assert np.abs(grad[i] - grad_ref).max() <= 1e-12 * np.abs(grad_ref).max()
+            assert np.abs(hess[i] - hess_ref).max() <= 1e-12 * np.abs(hess_ref).max()
+            # the gradient is that of ``value``: central differences
+            assert np.abs(fd[i] - grad[i]).max() <= 1e-6 * max(1.0, np.abs(grad[i]).max())
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
@@ -266,26 +396,34 @@ class TestBarrierOracle:
         # the (f, sigma) a line-search trial returns, fed to grad_hess at the
         # accepted point, is exactly what recomputing them from z gives
         barrier, z, _ = random_barrier(seed, n_aff, n_groups, phase_one)
-        val, f, sigma = barrier.value(t, z)
-        grad, hess = barrier.grad_hess(t, z, f, sigma)
-        dz = np.linalg.solve(hess + 1e-12 * np.eye(z.size), -grad)
+        ts = np.full(len(z), t)
+        val, f, sigma = barrier.value(ts, z)[:3]
+        grad, hess = barrier.grad_hess(ts, z, f, sigma)
+        dz = np.linalg.solve(hess + 1e-12 * np.eye(z.shape[1]), -grad[..., None])[..., 0]
         for alpha in 0.5 ** np.arange(60):
             cand = z + alpha * dz
-            trial = barrier.value(t, cand)
-            if trial[0] < val:
+            trial = barrier.value(ts, cand)
+            if (trial[0] < val).all():
                 break
-        assert trial[0] < val
-        fresh = barrier.grad_hess(t, cand, barrier.constraints(cand), barrier._lse(cand)[1])
-        for got, want in zip(barrier.grad_hess(t, cand, *trial[1:]), fresh):
+        assert (trial[0] < val).all()
+        grad_f, hess_f = barrier.grad_hess(ts, cand, barrier.constraints(cand), barrier._lse(cand)[1])
+        fresh = grad_f, hess_f.copy()  # the Hessians are the oracle's buffer
+        for got, want in zip(barrier.grad_hess(ts, cand, *trial[1:3]), fresh):
             assert np.array_equal(got, want)
 
     def test_affine_violation_costs_no_log_sum_exp(self, monkeypatch):
         barrier, z, _ = random_barrier(3, 2, 4, False)
-        monkeypatch.setattr(barrier, "_lse", lambda z: pytest.fail("_lse was called"))
-        # push z along the first affine row until it is violated
-        row = barrier.a[0]
-        bad = z + (1.0 - (row @ z + barrier.b[0])) / (row @ row) * row
-        assert barrier.value(1.0, bad) == (np.inf, None, None)
+        lse, covered = barrier._lse, []
+        monkeypatch.setattr(barrier, "_lse", lambda z, sel=None: covered.append(len(z)) or lse(z, sel))
+        # push member 1 along its first affine row until the row is violated
+        row = barrier.a[1, 0]
+        bad = z.copy()
+        bad[1] += (1.0 - (row @ z[1] + barrier.b[1, 0])) / (row @ row) * row
+        val = barrier.value(np.ones(3), bad)[0]
+        assert covered == [2] and np.isinf(val[1]) and np.isfinite(val[[0, 2]]).all()
+        covered.clear()
+        assert np.isinf(barrier.value(np.ones(1), bad[1:2], np.array([1]))[0]).all()
+        assert covered == []
 
     def test_group_with_a_repeated_index_rejected(self):
         p = GpProblem(
@@ -654,9 +792,10 @@ class TestCase1Curve:
     def test_status_uncertified(self, monkeypatch):
         src, opts = example2_source(), Case1Options(grid_step=0.5)
         assert rd_case1_sweep(src, 0.1, [0.2], opts)[0].status == "ok"
-        solve = sideinfo.gpdual.solve_gp
+        solve = sideinfo.gpdual.solve_gps
         monkeypatch.setattr(
-            sideinfo.gpdual, "solve_gp", lambda p: dataclasses.replace(solve(p), certified=False)
+            sideinfo.gpdual, "solve_gps",
+            lambda ps: [dataclasses.replace(rep, certified=False) for rep in solve(ps)],
         )
         assert rd_case1_sweep(src, 0.1, [0.2], opts)[0].status == "uncertified"
 
@@ -735,12 +874,21 @@ class TestCase1CurveIsOneSweep:
 
     def test_each_admissible_kernel_solved_once(self, monkeypatch, admissible_kernels):
         src, opts = example2_source(), Case1Options(epsilon=0.05, grid_step=0.25)
-        solve = sideinfo.gpdual.solve_gp
-        calls = []
-        monkeypatch.setattr(sideinfo.gpdual, "solve_gp", lambda p: calls.append(p) or solve(p))
+        solve = sideinfo.gpdual.solve_gps
+        calls, runs = [], []
+
+        def counted(ps):
+            ps = list(ps)
+            calls.extend(ps)
+            runs.append(len(ps))
+            return solve(ps)
+
+        monkeypatch.setattr(sideinfo.gpdual, "solve_gps", counted)
         for _ in range(2):  # the second sweep starts from nothing again
             calls.clear()
+            runs.clear()
             sweep = rd_case1_sweep(src, 0.1, self.R_PRIMES, opts)
+            assert runs == [len(calls)]  # the curve's fresh orbits go to one solve call
             bands, orbit = admissible_kernels(
                 sweep, lambda w: description_rate_case1(src, w), src.s1.size, Alphabet(2, "V1")
             )
