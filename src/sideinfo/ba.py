@@ -20,11 +20,11 @@ step, one certificate, the concavity bound U(q), and its own accelerated
 loop, which ``_stacked_strategy_max`` runs on a stack of same-shape
 instances at once: classic capacity, these oracles, both state-description
 capacity solvers and every multiplier probe run on it. Every capacity solve
-takes its tables from ``_strategy_tables``, given a state joint and its
-encoder, cell and decoder views; a single one is a ``_strategy_solve``, and
-the capacity sweep stacks the tables of a curve point's kernels. The engine
-returns its log tables; ``_functionals`` evaluates (J, U) at any tables, for
-the sweep's measurements and for re-checking a certificate.
+takes its tables from ``_strategy_tables``, given stacked state joints and
+their encoder, cell and decoder views; a single solve is a ``_strategy_solve``
+on a stack of one, and the capacity sweep builds each stack's tables in one
+call. The engine returns its log tables; ``_functionals`` evaluates (J, U) at
+any tables, for the sweep's measurements and for re-checking a certificate.
 
 All values are in bits. Every report carries a certified optimality gap.
 """
@@ -725,36 +725,32 @@ def _cell_strategies(ch: ChannelInstance, axes, cell) -> StrategySpace:
 
 
 def _strategy_tables(ch: ChannelInstance, strategies: StrategySpace, p_state, enc, cell, dec):
-    """(p_e, p(o|t,e)) of the strategy solve on ``p_state`` with views ``enc``, ``cell``, ``dec``.
+    """(p_e, p(o|t,e)), (B, E) and (B, T, E, O), of the strategy solves on the stacked state
+    joints ``p_state`` (B, S1, S2, ...) with views ``enc``, ``cell``, ``dec``.
 
-    ``p_state`` is the state joint with axes (S1, S2, ...); each view is a tuple
-    of its axes: the encoder view e, the strategy cell whose entry picks x, and
-    the decoder's state view d, with decoder view o = y * |d| + d. A view's index
-    is row-major over its axes, 0 for an empty tuple. ``strategies`` are the
-    cell's (``_cell_strategies``). States with mass at most ZERO_TOL are
-    skipped, the others summed in row-major state order; encoder views left
-    without mass get zero rows.
-    """
-    def dims(axes):
-        return tuple(p_state.shape[i] for i in axes)
-
-    mass = p_state.ravel()
-    live = np.flatnonzero(mass > ZERO_TOL)
-    idx = np.unravel_index(live, p_state.shape)
-    e, c, d = (_view_index(p_state.shape, idx, axes) for axes in (enc, cell, dec))
-    n_t, n_y, n_d = len(strategies), ch.y.size, math.prod(dims(dec))
-    p_e = np.zeros(math.prod(dims(enc)))
-    np.add.at(p_e, e, mass[live])
-    # one (T, Y) block per live state, added into p(o|t,e) in state order
+    Each view is a tuple of state axes: the encoder view e, the strategy cell
+    whose entry picks x, and the decoder's state view d, with decoder view
+    o = y * |d| + d. A view's index is row-major over its axes, 0 for an
+    empty tuple. ``strategies`` are the cell's (``_cell_strategies``). States
+    with mass at most ZERO_TOL add exact zeros, the others are summed in
+    row-major state order, so no instance's tables depend on the stack;
+    encoder views left without mass get zero rows."""
+    shape = p_state.shape[1:]
+    mass = np.where(p_state > ZERO_TOL, p_state, 0.0).reshape(len(p_state), -1)
+    idx = np.unravel_index(np.arange(mass.shape[1]), shape)
+    e, c, d = (_view_index(shape, idx, axes) for axes in (enc, cell, dec))
+    n_b, n_t, n_y, n_d = len(mass), len(strategies), ch.y.size, math.prod(shape[i] for i in dec)
+    p_e = np.zeros((n_b, math.prod(shape[i] for i in enc)))
+    k = np.arange(n_b)[:, None, None, None]
+    np.add.at(p_e, (k[:, :, 0, 0], e), mass)
+    # one (T, Y) block per state, added into p(o|t,e) in state order
     x = strategies.tables[:, c].T
-    rows = mass[live, None, None] * ch.kernel.probs[x, idx[0][:, None], idx[1][:, None]]
-    p_ote = np.zeros((n_t, p_e.size, n_y * n_d))
+    rows = mass[:, :, None, None] * ch.kernel.probs[x, idx[0][:, None], idx[1][:, None]]
+    p_ote = np.zeros((n_b, n_t, p_e.shape[1], n_y * n_d))
     o = np.arange(n_y) * n_d + d[:, None, None]
-    np.add.at(p_ote, (np.arange(n_t)[:, None], e[:, None, None], o), rows)
-    sup = p_e > ZERO_TOL
-    p_ote[:, sup, :] /= p_e[sup][None, :, None]
-    p_ote[:, ~sup, :] = 0.0
-    return p_e, p_ote
+    np.add.at(p_ote, (k, np.arange(n_t)[:, None], e[:, None, None], o), rows)
+    sup = (p_e > ZERO_TOL)[:, None, :, None]
+    return p_e, np.where(sup, p_ote / np.where(sup, p_e[:, None, :, None], 1.0), 0.0)
 
 
 def _strategy_solve(ch, p_state, axes, views, delta, max_iters) -> SolveReport:
@@ -769,9 +765,9 @@ def _strategy_solve(ch, p_state, axes, views, delta, max_iters) -> SolveReport:
     """
     enc, cell, dec = views
     strategies = _cell_strategies(ch, axes, cell)
-    p_e, p_ote = _strategy_tables(ch, strategies, p_state, enc, cell, dec)
+    p_e, p_ote = _strategy_tables(ch, strategies, p_state[None], enc, cell, dec)
     value, gap, iters, log_q, log_big_q, trace, ok = alternating_strategy_max(
-        p_e, p_ote, delta, max_iters
+        p_e[0], p_ote[0], delta, max_iters
     )
     given, seen = [axes[i] for i in enc], [ch.y] + [axes[i] for i in dec]
     log_q = log_q.T.reshape([a.size for a in given] + [-1])

@@ -14,7 +14,7 @@ of ``sideinfo.probability``, read from p(s1, s2) and w(v2|s2) as arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,7 +86,7 @@ class CurvePoint:
 
 
 # kernels solved in one stacked engine run: it bounds a run's memory, not its results
-STACK_CAP = 16
+STACK_CAP = 32
 
 # the (enc, cell, dec) views of the two inner solves on the state joint (S1, S2, V2)
 _NONCAUSAL = ((0, 2), (0, 2), (1, 2))
@@ -109,7 +109,8 @@ def r_w(ch: ChannelInstance, w: CondKernel) -> float:
 def _inner_tables(ch: ChannelInstance, w: CondKernel):
     """p(e) over (s1, v2) and p(o|t, e) over (y, s2, v2) for the inner solve."""
     strategies = _cell_strategies(ch, (ch.s1, ch.s2, w.out_axes[0]), _NONCAUSAL[1])
-    return _strategy_tables(ch, strategies, _state_v2_joint(ch, w), *_NONCAUSAL)
+    p_e, p_ote = _strategy_tables(ch, strategies, _state_v2_joint(ch, w)[None], *_NONCAUSAL)
+    return p_e[0], p_ote[0]
 
 
 def inner_max(
@@ -149,16 +150,13 @@ def u_w_bound(
     return u / LN2
 
 
-def _auto_epsilon(rws: Sequence[float]) -> float:
-    values = np.sort(np.unique(np.concatenate(([0.0], np.asarray(rws)))))
-    gaps = np.diff(values)
-    coarsest = float(gaps.max()) if gaps.size else 0.0
-    return max(0.02, coarsest)
+def _auto_epsilon(rws: np.ndarray) -> float:
+    return max(0.02, float(np.diff(np.unique(np.append(rws, 0.0))).max(initial=0.0)))
 
 
 def _grid_sweep(
-    rate_of_w: Callable[[CondKernel], float],
-    solve_ws: Callable[[list[CondKernel]], list[tuple[float, int, float, str, dict]]],
+    rate_of: Callable[[SimplexGrid], np.ndarray],
+    solve_ws: Callable[[np.ndarray], list[tuple[float, int, float, str, dict]]],
     slices: int,
     codomain: Alphabet,
     r_primes: Sequence[float],
@@ -173,17 +171,18 @@ def _grid_sweep(
     clamped to ``r_max``, and a kernel is admissible when its rate lies in
     [R' - eps, R']; when none is, the grid is refined once to half the
     step. The curve is the unit of work: each grid it uses is built once, and
-    each orbit of it (``SimplexGrid.orbit``) has its rate computed once and
-    is solved at most once, for the first point that needs it, always on its
-    representative, the orbit's smallest index. Every member reads the
-    representative's rate and result. The table of solved orbits lives only
-    for this call. The sweep plans first (each point's grid step, admissible
-    kernels and fresh orbits), then hands the whole curve's fresh orbits'
-    representatives to ``solve_ws`` as one list, point by point and in orbit
-    order within a point, gets one result per kernel back, and then builds
-    the points.
+    each orbit of it (``SimplexGrid.orbit``) is rated once, by one ``rate_of``
+    call on the grid of the representatives (the orbits' smallest indices),
+    and solved at most once, for the first point that needs it, on its
+    representative. Every member reads the representative's rate and result.
+    The table of solved orbits lives only for this call. The sweep plans
+    first (each point's grid step, admissible kernels and fresh orbits), then
+    hands the whole curve's fresh representatives to ``solve_ws`` as one
+    (R, slices, k) array, point by point and in orbit order within a point,
+    gets one result per kernel back, and then builds the points, with a
+    ``CondKernel`` for each winner.
 
-    Contract: ``rate_of_w`` and the solve are invariant under relabeling
+    Contract: ``rate_of`` and the solve are invariant under relabeling
     the codomain letters of w, as the description rates are, and the inner
     solves and dual programs are up to their certified gaps. Members of an
     orbit then carry equal values, so the winner (ties within 1e-9 go to
@@ -210,42 +209,39 @@ def _grid_sweep(
     """
     if not all(rp >= 0 for rp in r_primes):
         raise ValueError("r_prime must be >= 0")
-    grids: dict[float, tuple[SimplexGrid, list[float], float]] = {}
+    grids: dict[float, tuple[SimplexGrid, list[int], np.ndarray, float]] = {}
 
     def grid_at(step: float):
         if step not in grids:
             grid = simplex_grid(slices, codomain, step)
-            rates = {r: rate_of_w(grid.points[r]) for r in sorted(set(grid.orbit))}
-            rws = [rates[r] for r in grid.orbit]
+            reps, inverse = np.unique(grid.orbit, return_inverse=True)
+            rws = rate_of(replace(grid, ints=grid.ints[reps]))[inverse]
             eps = opts.epsilon if opts.epsilon is not None else _auto_epsilon(rws)
-            grids[step] = grid, rws, eps
+            grids[step] = grid, grid.orbit.tolist(), rws, eps
         return grids[step]
 
-    # the plan: each point's grid step and admissible kernels, and the
-    # orbits it is the first to need
+    # the plan: each point's grid step, its admissible kernels and the orbits it first needs
     plan = []
     fresh: dict[tuple[float, int], None] = {}  # in the order the points first need them
     for r_prime in r_primes:
         r_clamped = min(r_prime, r_max)
         step = opts.grid_step
         for _ in range(2):
-            grid, rws, eps = grid_at(step)
-            feasible = [
-                i for i, rw in enumerate(rws)
-                if r_clamped - eps - 1e-12 <= rw <= r_clamped + 1e-12
-            ]
+            grid, orbit, rws, eps = grid_at(step)
+            feasible = np.flatnonzero(
+                (r_clamped - eps - 1e-12 <= rws) & (rws <= r_clamped + 1e-12)
+            ).tolist()
             if feasible:
                 break
             step /= 2.0  # refine once, then fail loudly
         else:
             plan.append((r_prime, None))
             continue
-        own = sorted({(step, grid.orbit[i]) for i in feasible} - fresh.keys())
+        own = sorted({(step, orbit[i]) for i in feasible} - fresh.keys())
         fresh.update(dict.fromkeys(own))
         plan.append((r_prime, (r_clamped, step, feasible, own)))
-    solved = dict(zip(
-        fresh, solve_ws([grids[step][0].points[r] for step, r in fresh]), strict=True
-    ))
+    ws = np.array([grids[step][0].probs[r] for step, r in fresh])  # the fresh representatives
+    solved = dict(zip(fresh, solve_ws(ws), strict=True))
 
     sign = 1.0 if maximize else -1.0
     points = []
@@ -254,30 +250,21 @@ def _grid_sweep(
             points.append(CurvePoint(r_prime, math.nan, math.nan, -1, "no-feasible-w"))
             continue
         r_clamped, step, feasible, own = planned
-        grid, rws, eps = grids[step]
-        results = [solved[step, grid.orbit[i]] for i in feasible]
-        best_idx = None
-        best_val = -math.inf
+        grid, orbit, rws, eps = grids[step]
+        results = [solved[step, orbit[i]] for i in feasible]
+        best_idx, best_val = None, -math.inf
         for i, (val, _, _, _, _) in zip(feasible, results):
             sval = sign * val
             if sval > best_val + 1e-9 or (sval > best_val - 1e-9 and best_idx is None):
-                best_val = sval
-                best_idx = i
-        value, iters, gap, status, extras = solved[step, grid.orbit[best_idx]]
+                best_val, best_idx = sval, i
+        value, iters, gap, status, extras = solved[step, orbit[best_idx]]
         if maximize and status == "ok":
             status = next(
                 (r[3] for r in results if r[3] != "ok" and r[0] + r[2] > value + gap), "ok"
             )
         points.append(CurvePoint(
-            r_prime=r_prime,
-            value=value,
-            raw_value=value,
-            winning_w=best_idx,
-            status=status,
-            iterations=iters,
-            gap=gap,
-            winning_kernel=grid.points[best_idx],
-            winning_r_w=rws[best_idx],
+            r_prime, value, value, best_idx, status, iters, gap,
+            CondKernel(grid.given_axes, grid.out_axes, grid.probs[best_idx]), float(rws[best_idx]),
             extras={
                 "epsilon": eps, "grid_step": step, "clamped_r_prime": r_clamped,
                 "kernels_admissible": len(feasible), "kernels_solved": len(own),
@@ -332,11 +319,11 @@ def capacity_case2_sweep(
     ``inner_max``'s. Causal states: the rate is I(V2;S2) (the causal
     description cannot be binned against S1), R' is clamped to H(S2), and
     each kernel's inner solve is ``causal_inner_max``'s. The best inner
-    maximum wins (smallest grid index on ties within 1e-9); see
-    ``_grid_sweep``. The curve's fresh kernels are solved as stacks of at most
-    ``STACK_CAP``, one engine run each, with the values, gaps, iterations
-    and statuses of one call per kernel, bit for bit. Each point's extras
-    carry ``r_max``.
+    maximum wins (smallest grid index on ties within 1e-9); see ``_grid_sweep``,
+    whose one call rates the grid. The curve's fresh kernels are solved as
+    stacks of at most ``STACK_CAP``, each one ``_strategy_tables`` call and one
+    engine run, with the values, gaps, iterations and statuses of one call per
+    kernel, bit for bit. Each point's extras carry ``r_max``.
     """
     opts = opts or Case2Options()
     rate, views = (_causal_rate, _CAUSAL) if causal else (r_w, _NONCAUSAL)
@@ -345,14 +332,11 @@ def capacity_case2_sweep(
     v2 = Alphabet(opts.v2_size, "V2")
     strategies = _cell_strategies(ch, (ch.s1, ch.s2, v2), views[1])
 
-    def solve_ws(ws: list[CondKernel]):
+    def solve_ws(ws: np.ndarray):
         results = []
         for at in range(0, len(ws), STACK_CAP):
-            tables = [
-                _strategy_tables(ch, strategies, _state_v2_joint(ch, w), *views)
-                for w in ws[at : at + STACK_CAP]
-            ]
-            p_e, p_ote = (np.stack(t) for t in zip(*tables))
+            p_state = ch.state_joint.probs[:, :, None] * ws[at : at + STACK_CAP, None]
+            p_e, p_ote = _strategy_tables(ch, strategies, p_state, *views)
             results += [
                 (value, iters, gap, "ok" if ok else "nonconverged", {})
                 for value, gap, iters, *_, ok in _stacked_strategy_max(
@@ -362,7 +346,7 @@ def capacity_case2_sweep(
         return results
 
     points = _grid_sweep(
-        lambda w: rate(ch, w), solve_ws, ch.s2.size, v2, r_primes, r_max, opts, maximize=True,
+        lambda reps: rate(ch, reps), solve_ws, ch.s2.size, v2, r_primes, r_max, opts, maximize=True,
     )
     for point in points:
         point.extras["r_max"] = r_max

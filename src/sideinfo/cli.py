@@ -24,7 +24,7 @@ from .gpdual import (
     rd_case1_sweep,
     wz_rate_via_gp,
 )
-from .probability import Alphabet, JointPmf, ProbabilityError
+from .probability import Alphabet, JointPmf, ProbabilityError, grid_size
 from .problems import ProblemFileError, load_problem
 from .strategies import StrategyCapacityError
 
@@ -103,6 +103,21 @@ def _emit(lines: list[str], out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_rows(header: str, rows, out_path: str | None) -> int:
+    """Write ``header`` and the line of each (line, ok) of ``rows``; exit 3 once a row is not
+    ok, or when a solver fails, which ends the rows and still writes the partial CSV."""
+    lines, code = [header], EXIT_OK
+    try:
+        for line, ok in rows:
+            lines.append(line)
+            code = code if ok else EXIT_SOLVER
+    except SOLVER_ERRORS as exc:  # partial CSV on solver failure
+        print(f"solver failure: {exc}", file=sys.stderr)
+        code = EXIT_SOLVER
+    _emit(lines, out_path)
+    return code
+
+
 def _curve_row(pt: CurvePoint) -> str:
     """One ``CURVE_HEADER`` row."""
     return (
@@ -125,26 +140,16 @@ def _require_source(inst) -> SourceInstance:
 
 def _cmd_capacity_case2(args, causal: bool) -> int:
     ch = _require_channel(_load(args.problem))
-    opts = _options(
-        Case2Options,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        grid_step=args.grid_step,
-        v2_size=args.v2,
-    )
+    opts = _options(Case2Options, epsilon=args.epsilon, delta=args.delta,
+                    grid_step=args.grid_step, v2_size=args.v2)
+    _options(grid_size, slices=ch.s2.size, k=opts.v2_size, step=opts.grid_step)
     grid = _parse_grid(args.rprime_grid)
-    lines = [CURVE_HEADER]
-    code = EXIT_OK
-    try:
+
+    def rows():
         for pt in capacity_case2_sweep(ch, grid, opts, causal=causal):
-            lines.append(_curve_row(pt))
-            if pt.status != "ok":
-                code = EXIT_SOLVER
-    except SOLVER_ERRORS as exc:  # partial CSV on solver failure
-        print(f"solver failure: {exc}", file=sys.stderr)
-        code = EXIT_SOLVER
-    _emit(lines, args.out)
-    return code
+            yield _curve_row(pt), pt.status == "ok"
+
+    return _write_rows(CURVE_HEADER, rows(), args.out)
 
 
 def _cmd_wz_rate(args) -> int:
@@ -155,55 +160,39 @@ def _cmd_wz_rate(args) -> int:
     opts = _options(SolverOptions, delta=args.delta)
     if not (math.isfinite(args.tight_tol) and args.tight_tol >= 0):
         raise CliError("--tight-tol must be finite and >= 0", EXIT_PARSE)
-    code = EXIT_OK
-    lines = []
-    try:
-        if args.via == "both":
-            lines.append("D,primal,gp,gap")
-            for d in ds:
-                rep = wz_rate_via_gp(src, d, opts, tight_tol=args.tight_tol)
-                primal = rep.extras["primal_value"]
-                gap = abs(primal - rep.value)
-                lines.append(f"{_fmt(d)},{_fmt(primal)},{_fmt(rep.value)},{_fmt(gap)}")
-                if rep.status != "ok":  # uncertified, or not tight within --tight-tol
-                    code = EXIT_SOLVER
-        else:
-            lines.append("D,value,gap,iterations,status")
-            for d in ds:
-                if args.via == "ba":
-                    rep = wz_primal(src, d, opts)
-                else:
-                    rep = wz_rate_via_gp(src, d, opts, cross_check=False)
-                lines.append(
-                    f"{_fmt(d)},{_fmt(rep.value)},{_fmt(rep.gap)},{rep.iterations},{rep.status}"
-                )
-                if rep.status not in ("ok", "distortion-floor"):
-                    code = EXIT_SOLVER
-    except SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        code = EXIT_SOLVER
-    _emit(lines, args.out)
-    return code
+
+    def rows():
+        for d in ds:
+            if args.via == "ba":
+                rep = wz_primal(src, d, opts)
+            else:  # the primal cross-check only with --via both
+                rep = wz_rate_via_gp(src, d, opts, args.via == "both", args.tight_tol)
+            if args.via != "both":
+                row = f"{_fmt(d)},{_fmt(rep.value)},{_fmt(rep.gap)},{rep.iterations},{rep.status}"
+                yield row, rep.status in ("ok", "distortion-floor")
+                continue
+            primal = rep.extras["primal_value"]
+            gap = abs(primal - rep.value)
+            # not ok: uncertified, or not tight within --tight-tol
+            yield f"{_fmt(d)},{_fmt(primal)},{_fmt(rep.value)},{_fmt(gap)}", rep.status == "ok"
+
+    header = "D,primal,gp,gap" if args.via == "both" else "D,value,gap,iterations,status"
+    return _write_rows(header, rows(), args.out)
 
 
 def _cmd_rd_case1(args) -> int:
     src = _require_source(_load(args.problem))
     opts = _options(Case1Options, epsilon=args.epsilon, grid_step=args.grid_step, v1_size=args.v1)
+    _options(grid_size, slices=src.s1.size, k=opts.v1_size, step=opts.grid_step)
     ds = _parse_grid(args.d)
     rps = _parse_grid(args.rprime)
-    lines = ["d," + CURVE_HEADER]
-    code = EXIT_OK
-    try:
+
+    def rows():
         for d in ds:
             for pt in rd_case1_sweep(src, d, rps, opts):
-                lines.append(f"{_fmt(d)},{_curve_row(pt)}")
-                if pt.status != "ok":
-                    code = EXIT_SOLVER
-    except SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        code = EXIT_SOLVER
-    _emit(lines, args.out)
-    return code
+                yield f"{_fmt(d)},{_curve_row(pt)}", pt.status == "ok"
+
+    return _write_rows("d," + CURVE_HEADER, rows(), args.out)
 
 
 _EVAL_AXES = {

@@ -733,16 +733,17 @@ def rd_case1_sweep(
     opts = opts or Case1Options()
     _, _, posed, floor_status = _excess_target(src, d_target)
 
-    def solve_ws(ws: list[CondKernel]):
+    def solve_ws(ws: np.ndarray):
         results = []
-        for report in solve_gps(build_case1_rd_gp(src, w, posed) for w in ws):
+        kernels = (CondKernel((src.s1,), (Alphabet(opts.v1_size, "V1"),), w) for w in ws)
+        for report in solve_gps(build_case1_rd_gp(src, w, posed) for w in kernels):
             value, gap, status = _dual_value(report, floor_status)
             results.append((value, report.newton_steps, gap, status, {"gp_report": report}))
         return results
 
     r_max = _description_rate(src.joint.probs.sum(axis=0), np.eye(src.s1.size))
     points = _grid_sweep(
-        lambda w: description_rate_case1(src, w), solve_ws, src.s1.size,
+        lambda reps: description_rate_case1(src, reps), solve_ws, src.s1.size,
         Alphabet(opts.v1_size, "V1"), r_primes, r_max, opts, maximize=False,
     )
     for point in points:

@@ -7,6 +7,7 @@ as exact zeros inside logarithms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ ZERO_TOL = 1e-15
 # problem-file round trip relies on this); otherwise every slice is divided by
 # its sum, after which sums equal 1 to within rounding, not exactly.
 SUM_TOL = 1e-9
+KERNEL_CAP = 10**6  # kernels in one description-kernel grid (``grid_size``)
 
 
 class ProbabilityError(ValueError):
@@ -176,9 +178,7 @@ def entropy(p: JointPmf) -> float:
 
 
 def entropy_of(arr: np.ndarray) -> float:
-    x = np.asarray(arr, dtype=float).ravel()
-    x = x[x > ZERO_TOL]
-    return float(-(x * np.log2(x)).sum())
+    return float(_entropies(np.asarray(arr, dtype=float).reshape(1, -1))[0])
 
 
 def binary_entropy(p: float) -> float:
@@ -225,25 +225,40 @@ def mutual_information(p: JointPmf, a: Iterable[int], b: Iterable[int]) -> float
 
 
 def _kernel_table(w: CondKernel, state: Alphabet, other: Alphabet, name: str) -> np.ndarray:
-    """w(v|a) as an (A, V) array; ``ProbabilityError`` unless w conditions on ``state``.
+    """w(v|a) as an (A, V) array, or a grid's (R, A, V); raises unless w conditions on ``state``.
 
-    The given axis must have ``state``'s size, and a kernel given the model's
-    other state alphabet ``other`` is refused even when the sizes agree. A
-    grid kernel, given the axis "slice", passes on its size.
+    The given axis must have ``state``'s size, and a kernel given the model's other state
+    alphabet ``other`` is refused even when the sizes agree; a grid, given "slice", passes.
     """
-    if w.given_shape != (state.size,) or (w.given_axes[0] == other and other != state):
+    if tuple(a.size for a in w.given_axes) != (state.size,) or w.given_axes[0] == other != state:
         raise ProbabilityError(f"description kernel must condition on {name}")
     return w.probs
 
 
-def _description_rate(p_ab: np.ndarray, w: np.ndarray) -> float:
-    """I(V;A|B) = H(V|B) - H(V|A) in bits for V - A - B, from the arrays p(a, b) as (A, B)
-    and w(v|a) as (A, V). An absent B is one letter; the identity w gives H(A|B)."""
+def _entropies(arr: np.ndarray) -> np.ndarray:
+    """The entropy of each arr[r] in bits, with the bits of its own 1-D sum over its entries
+    above ZERO_TOL: those go first, in order, and rows with as many are summed as one block."""
+    x = arr.reshape(len(arr), -1)
+    live = x > ZERO_TOL
+    terms = x * np.log2(np.where(live, x, 1.0))
+    terms = np.take_along_axis(terms, np.argsort(~live, axis=1, kind="stable"), axis=1)
+    counts, out = live.sum(axis=1), np.empty(len(x))
+    for c in np.unique(counts):
+        out[counts == c] = -terms[counts == c, :c].sum(axis=1)
+    return out
+
+
+def _description_rate(p_ab: np.ndarray, w: np.ndarray):
+    """I(V;A|B) = H(V|B) - H(V|A) in bits for V - A - B, from the arrays p(a, b) as (A, B) and
+    w(v|a) as (A, V), or each rate of a stack w (R, A, V) with the bits it has alone. An absent
+    B is one letter; the identity w gives H(A|B)."""
+    ws = w.reshape(-1, *w.shape[-2:])
     p_a = p_ab.sum(axis=1)
-    h_v_given_b = entropy_of(w.T @ p_ab) - entropy_of(p_ab.sum(axis=0))
-    h_v_given_a = entropy_of(p_a[:, None] * w) - entropy_of(p_a)
-    # mathematically nonnegative; clear entropy-combination roundoff
-    return max(h_v_given_b - h_v_given_a, 0.0)
+    h_v_given_b = _entropies(np.matmul(ws.swapaxes(1, 2), p_ab)) - entropy_of(p_ab.sum(axis=0))
+    h_v_given_a = _entropies(p_a[:, None] * ws) - entropy_of(p_a)
+    rates = h_v_given_b - h_v_given_a
+    rates[rates < 0.0] = 0.0  # mathematically nonnegative; clear entropy-combination roundoff
+    return rates if w.ndim == 3 else float(rates[0])
 
 
 def check_markov(
@@ -258,56 +273,71 @@ def check_markov(
     return violation <= tol, violation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexGrid:
     """Uniformly spaced grid of conditional kernels, one simplex per slice.
 
-    ``orbit[i]`` is the smallest index of a point equal to point i up to a
-    permutation of the codomain letters.
+    ``ints`` holds the exact integer compositions of n = 1 / step as one
+    (K, slices, k) array and ``probs`` the kernels ints / n; ``points``
+    builds their ``CondKernel``s on first use. ``orbit[i]`` is the smallest
+    index of a point equal to point i up to a permutation of the codomain letters.
     """
 
     step: float
-    points: tuple[CondKernel, ...]
-    orbit: tuple[int, ...]
+    given_axes: tuple[Alphabet, ...]
+    out_axes: tuple[Alphabet, ...]
+    ints: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ints)
 
+    @functools.cached_property
+    def probs(self) -> np.ndarray:
+        return self.ints / grid_divisions(self.step)
 
-def _compositions(total: int, parts: int):
-    """Nonnegative integer tuples of length ``parts`` summing to ``total``, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    @functools.cached_property
+    def points(self) -> tuple[CondKernel, ...]:
+        return tuple(CondKernel(self.given_axes, self.out_axes, w) for w in self.probs)
+
+    @functools.cached_property
+    def orbit(self) -> np.ndarray:
+        # relabeling permutes the columns; codes sort them (k > 1: (n + 1) ** slices <= K)
+        n, slices = grid_divisions(self.step), self.ints.shape[1]
+        codes = np.einsum("ksc,s->kc", self.ints, (n + 1) ** np.arange(slices)[::-1])
+        _, first, inverse = np.unique(np.sort(codes, axis=1), axis=0, return_index=True,
+                                      return_inverse=True)
+        return first[inverse.ravel()]
 
 
 def grid_divisions(step: float) -> int:
-    """The number of grid steps n = 1 / step; raises unless 0 < step <= 1 divides 1."""
+    """The number of grid steps n = 1 / step; raises unless step divides 1 in 1..KERNEL_CAP steps."""
     n = round(1.0 / step) if 0 < step <= 1 else 0
-    if n < 1 or abs(n * step - 1.0) > 1e-9:
-        raise ProbabilityError(f"grid step must be in (0, 1] and divide 1, got {step}")
+    if not 1 <= n <= KERNEL_CAP or abs(n * step - 1.0) > 1e-9:
+        raise ProbabilityError(f"grid step must divide 1 in at most {KERNEL_CAP} steps, got {step}")
     return n
+
+
+def grid_size(slices: int, k: int, step: float) -> int:
+    """The kernels comb(n + k - 1, k - 1) ** slices of a grid; raises past ``KERNEL_CAP``."""
+    count = math.comb(grid_divisions(step) + k - 1, k - 1) ** slices
+    if count > KERNEL_CAP:
+        raise ProbabilityError(f"a grid of step {step} has {count} kernels, more than {KERNEL_CAP}")
+    return count
 
 
 def simplex_grid(slices: int, codomain: Alphabet, step: float) -> SimplexGrid:
     """All kernels with ``slices`` conditioning rows whose entries are multiples of ``step``.
 
-    Degenerate kernels (a single codomain atom per row) are corner points of
-    every simplex and are therefore always included.
+    Rows are the compositions of n = 1 / step into k parts in lexicographic order, the last
+    slice fastest. Degenerate kernels (a single codomain atom per row) are corner points of
+    every simplex and are therefore always included. A grid past ``KERNEL_CAP`` is refused.
     """
-    n = grid_divisions(step)
     if slices < 1:
         raise ProbabilityError("slices must be >= 1")
-    k = codomain.size
-    given = (Alphabet(slices, "slice"),)
-    points, orbit, first = [], [], {}
-    for combo in itertools.product(list(_compositions(n, k)), repeat=slices):
-        points.append(CondKernel(given, (codomain,), np.array(combo, dtype=float) / n))
-        # relabeling the codomain permutes the integer columns
-        orbit.append(first.setdefault(tuple(sorted(zip(*combo))), len(orbit)))
-    expected = math.comb(n + k - 1, k - 1) ** slices
-    assert len(points) == expected
-    return SimplexGrid(step=step, points=tuple(points), orbit=tuple(orbit))
+    n, k = grid_divisions(step), codomain.size
+    grid_size(slices, k, step)
+    # k - 1 bars among n + k - 1 places, in lexicographic order: the parts between them
+    bars = np.array(list(itertools.combinations(range(n + k - 1), k - 1)), dtype=np.intp)
+    rows = np.diff(bars, axis=1, prepend=-1, append=n + k - 1) - 1
+    ints = rows[np.indices((len(rows),) * slices).reshape(slices, -1).T]
+    return SimplexGrid(step, (Alphabet(slices, "slice"),), (codomain,), ints)

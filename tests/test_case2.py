@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -19,6 +20,8 @@ from sideinfo.ba import (
     gp_channel_capacity,
 )
 from sideinfo.case2 import (
+    _CAUSAL,
+    _NONCAUSAL,
     Case2Options,
     _causal_rate,
     _grid_sweep,
@@ -50,6 +53,7 @@ from sideinfo.problems import example1_channel, example2_source
 from sideinfo.strategies import enumerate_strategies
 
 V2 = Alphabet(2, "V2")
+C3 = Alphabet(3, "C")
 
 
 def degenerate_w(ch):
@@ -288,11 +292,96 @@ class TestStrategyTables:
             views = ((0, 2), (0, 2), (1, 2)) if layout == "inner" else ((2,), (0,), (1, 2))
         assume(n_x ** int(np.prod([p_state.shape[i] for i in views[1]])) <= 4096)
         strategies = enumerate_strategies([(s1, s2, v2)[i] for i in views[1]], x)
-        got = _strategy_tables(ch, strategies, p_state, *views)
+        got = [t[0] for t in _strategy_tables(ch, strategies, p_state[None], *views)]
         want = per_state_tables(ch, strategies, p_state, *views)
         assert all(np.array_equal(g, r) for g, r in zip(got, want))
         if layout == "inner":
             assert all(np.array_equal(g, r) for g, r in zip(_inner_tables(ch, w), want))
+
+
+class TestStackedGrid:
+    """A curve's array layer: one rate call per grid and one table call per stack, each
+    instance with the bits of one call of its own."""
+
+    @pytest.mark.parametrize("views", [_NONCAUSAL, _CAUSAL], ids=["noncausal", "causal"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stacked_tables_equal_one_call_per_kernel(self, views, seed):
+        rng = np.random.default_rng(seed)
+        n_x, n_y, n_s1, n_s2, n_v2 = (int(n) for n in rng.integers(1, [3, 4, 4, 4, 4]))
+        x, y, s1, s2, v2 = (Alphabet(n, a) for n, a in zip(
+            (n_x, n_y, n_s1, n_s2, n_v2), ("X", "Y", "S1", "S2", "V2")))
+        sj = rng.random((n_s1, n_s2))
+        sj[rng.random(sj.shape) < 0.3] = 0.0  # zero-mass states
+        sj[rng.random(sj.shape) < 0.1] = 1e-16  # below ZERO_TOL
+        sj.flat[0] += 0.1
+        kern = rng.random((n_x, n_s1, n_s2, n_y)) + 0.05
+        kern[rng.random(kern.shape) < 0.3] = 0.0
+        kern[..., 0] += 0.05
+        ch = ChannelInstance(
+            x, y, s1, s2, JointPmf((s1, s2), sj / sj.sum()),
+            CondKernel((x, s1, s2), (y,), kern / kern.sum(axis=3, keepdims=True)),
+        )
+        ws = rng.random((7, n_s2, n_v2))
+        ws[rng.random(ws.shape) < 0.3] = 0.0
+        ws[rng.random(ws.shape) < 0.1] = 1e-15  # cells of the joint below ZERO_TOL
+        ws[..., 0] += 0.05
+        ws /= ws.sum(axis=2, keepdims=True)
+        p_state = ch.state_joint.probs[:, :, None] * ws[:, None]  # as the sweep stacks them
+        strategies = enumerate_strategies([(s1, s2, v2)[i] for i in views[1]], x)
+        p_e, p_ote = _strategy_tables(ch, strategies, p_state, *views)
+        for b, w in enumerate(ws):
+            joint = _state_v2_joint(ch, CondKernel((s2,), (v2,), w))
+            assert joint.tobytes() == p_state[b].tobytes()
+            one_e, one_ote = _strategy_tables(ch, strategies, joint[None], *views)
+            assert p_e[b].tobytes() == one_e[0].tobytes()
+            assert p_ote[b].tobytes() == one_ote[0].tobytes()
+            want = per_state_tables(ch, strategies, joint, *views)
+            assert np.array_equal(p_e[b], want[0]) and np.array_equal(p_ote[b], want[1])
+
+    @staticmethod
+    def models(n_s):
+        """example1 and example2 (n_s = 2), or a random channel and source on n_s-letter states."""
+        if n_s == 2:
+            return example1_channel(), example2_source()
+        rng = np.random.default_rng(n_s)
+        x, s = Alphabet(2, "X"), (Alphabet(n_s, "S1"), Alphabet(n_s, "S2"))
+        sj = rng.random((n_s, n_s))
+        sj[0, 1] = 0.0
+        ch = ChannelInstance(x, x, *s, JointPmf(s, sj / sj.sum()), CondKernel.uniform((x, *s), (x,)))
+        p = rng.random((2, n_s, n_s))
+        src = SourceInstance(x, x, *s, JointPmf((x, *s), p / p.sum()), 1.0 - np.eye(2))
+        return ch, src
+
+    @pytest.mark.parametrize("n_s, k, step", [(2, 2, 0.05), (2, 3, 0.25), (3, 3, 0.5), (3, 4, 0.5)])
+    def test_stacked_rates_equal_one_kernel_calls(self, n_s, k, step):
+        # every orbit representative's rate, from one call on the grid of them;
+        # three-letter states give entropies of more than 8 terms
+        ch, src = self.models(n_s)
+        grid = simplex_grid(n_s, Alphabet(k, "V"), step)
+        reps = np.unique(grid.orbit)
+        rep_grid = dataclasses.replace(grid, ints=grid.ints[reps])
+        for rate, model in ((r_w, ch), (_causal_rate, ch), (description_rate_case1, src)):
+            stacked = rate(model, rep_grid)
+            assert stacked.shape == reps.shape
+            assert stacked.tobytes() == np.array([rate(model, w) for w in rep_grid.points]).tobytes()
+
+    def test_orbit_members_read_their_representatives_rate(self):
+        # each orbit is rated by its representative's position, so at R' = j with
+        # epsilon 0.5 exactly orbit j is admissible, and every member with it
+        grid = simplex_grid(2, C3, 0.25)
+        reps, sizes = np.unique(grid.orbit, return_counts=True)
+        rated = []
+        points = _grid_sweep(
+            lambda rep_grid: rated.append(len(rep_grid)) or np.arange(len(rep_grid), dtype=float),
+            lambda ws: [(0.0, 1, 0.0, "ok", {})] * len(ws), 2, C3,
+            [float(j) for j in range(len(reps))], math.inf,
+            Case2Options(epsilon=0.5, grid_step=0.25), maximize=True,
+        )
+        assert rated == [len(reps)]
+        assert [pt.extras["kernels_admissible"] for pt in points] == sizes.tolist()
+        assert [pt.winning_w for pt in points] == reps.tolist()
+        assert [pt.winning_r_w for pt in points] == [float(j) for j in range(len(reps))]
+        assert all(type(pt.winning_r_w) is float for pt in points)
 
 
 class TestSolveReports:
@@ -346,7 +435,7 @@ class TestSolveReports:
             np.testing.assert_allclose(
                 rep.extras["posterior"].probs, np.exp(rep.extras["log_posterior"]), rtol=1e-12
             )
-            p_e, p_ote = _strategy_tables(ch, strategies, p_state, *views)
+            p_e, p_ote = (t[0] for t in _strategy_tables(ch, strategies, p_state[None], *views))
             j_val, u_val = _functionals(
                 p_e, p_ote,
                 rep.extras["log_q"].reshape(-1, n_t).T,
@@ -595,7 +684,7 @@ class TestCapacityCurve:
         # m, which a relabeling keeps; the winners m = 1 are "ok" but the
         # losers m = 0.75 (two kernels) and m = 0.5 are not
         def solve_w(w):
-            m = float(w.probs.max())
+            m = float(w.max())
             return m, 1, 0.0, "nonconverged" if m < 1.0 else "ok", {}
 
         point = self.one_point(solve_w)
@@ -606,7 +695,7 @@ class TestCapacityCurve:
         # as above, but the m = 0.75 losers stopped with gap 0.5: their optimum
         # may be as large as 1.25, above the winner's certified 1.0
         def solve_w(w):
-            m = float(w.probs.max())
+            m = float(w.max())
             if m == 1.0:
                 return m, 1, 0.0, "ok", {}
             return m, 1, 0.5 if m == 0.75 else 0.0, "nonconverged", {}
@@ -621,11 +710,11 @@ class TestCapacityCurve:
     @staticmethod
     def three_points(r_primes, values, maximize, not_ok=()):
         def solve_w(w):
-            m = float(w.probs.max())
+            m = float(w.max())
             return values[m], 1, 0.0, "nonconverged" if m in not_ok else "ok", {}
 
         return _grid_sweep(
-            rate_of_w=lambda w: float(w.probs.max()) - 0.5,
+            rate_of=lambda reps: reps.probs.max(axis=(1, 2)) - 0.5,
             solve_ws=lambda ws: [solve_w(w) for w in ws],
             slices=1,
             codomain=V2,
@@ -658,7 +747,7 @@ class TestCapacityCurve:
     def one_point(solve_w):
         """The one point of five kernels [a, 1 - a], all admissible, valued by ``solve_w``."""
         (point,) = _grid_sweep(
-            rate_of_w=lambda w: 0.0,
+            rate_of=lambda reps: np.zeros(len(reps)),
             solve_ws=lambda ws: [solve_w(w) for w in ws],
             slices=1,
             codomain=V2,
@@ -817,13 +906,14 @@ class TestCurveIsOneSweep:
         solve, rate = (causal_inner_max, _causal_rate) if causal else (inner_max, r_w)
 
         def one_call_each(ws):
-            reports = [solve(ch, w, opts) for w in ws]
+            reports = [solve(ch, CondKernel((ch.s2,), (V2,), w), opts) for w in ws]
             return [(r.value, r.iterations, r.gap, r.status, {}) for r in reports]
 
+        def one_rate_each(reps):
+            return np.array([rate(ch, w) for w in reps.points])
+
         r_max = sweep[0].extras["r_max"]
-        want = _grid_sweep(
-            lambda w: rate(ch, w), one_call_each, ch.s2.size, V2, r_primes, r_max, opts, True
-        )
+        want = _grid_sweep(one_rate_each, one_call_each, ch.s2.size, V2, r_primes, r_max, opts, True)
         for got, ref in zip(sweep, want, strict=True):
             for name in ("r_prime", "value", "raw_value", "winning_w", "status", "iterations",
                          "gap", "winning_r_w"):
@@ -845,14 +935,15 @@ class TestCurveIsOneSweep:
 
     def test_readme_grid_solves_each_orbit_once(self, monkeypatch, capsys):
         # the README capacity-case2 curve: 441 kernels in 221 orbits, of which
-        # 439 kernels in 220 orbits are admissible at some R'
+        # 439 kernels in 220 orbits are admissible at some R'; the 221
+        # representatives are rated in one call
         rates, solves = [], []
         r_w_fn = sideinfo.case2.r_w
         monkeypatch.setattr(sideinfo.case2, "r_w", lambda *a: rates.append(a) or r_w_fn(*a))
         self.count_solves(monkeypatch, solves)
         argv = "capacity-case2 --problem builtin:example1 --rprime-grid 0:0.72:0.06"
         assert main(argv.split()) == 0
-        assert (len(solves), len(rates)) == (220, 221)
+        assert (len(solves), [len(reps) for _, reps in rates]) == (220, [221])
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_each_admissible_kernel_solved_once(self, causal, monkeypatch, admissible_kernels):

@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sideinfo.probability import (
+    KERNEL_CAP,
     Alphabet,
     CondKernel,
     JointPmf,
     ProbabilityError,
+    ZERO_TOL,
+    _entropies,
     binary_entropy,
     chain,
     check_markov,
     conditional_mutual_information,
     entropy,
+    entropy_of,
+    grid_size,
     marginalize,
     mutual_information,
     simplex_grid,
@@ -216,7 +221,9 @@ class TestSimplexGrid:
         with pytest.raises(ProbabilityError):
             simplex_grid(1, A2, 0.3)
 
-    @pytest.mark.parametrize("slices, codomain, step", [(2, A2, 0.05), (2, C3, 0.25), (3, C3, 0.5)])
+    @pytest.mark.parametrize(
+        "slices, codomain, step", [(2, A2, 0.05), (2, C3, 0.25), (3, C3, 0.5), (3, C3, 0.25)]
+    )
     def test_orbit_is_smallest_index_of_relabelings(self, slices, codomain, step):
         g = simplex_grid(slices, codomain, step)
         index = {k.probs.tobytes(): i for i, k in enumerate(g.points)}
@@ -234,6 +241,48 @@ class TestSimplexGrid:
             rows, swap_fixed, cycle_fixed = math.comb(n + 2, 2), n // 2 + 1, int(n % 3 == 0)
             burnside = (rows**slices + 3 * swap_fixed**slices + 2 * cycle_fixed**slices) // 6
             assert len(reps) == burnside
+
+    @pytest.mark.parametrize(
+        "slices, k, step", [(1, 1, 0.5), (2, 1, 0.25), (1, 3, 0.125), (2, 2, 0.05), (3, 3, 0.25)]
+    )
+    def test_probs_are_the_integer_compositions_over_n(self, slices, k, step):
+        # the brute-force grid: every row a composition of n into k parts, in
+        # lexicographic order, over the product of the slices, the last fastest
+        n = round(1 / step)
+        rows = sorted(c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n)
+        want = np.array(list(itertools.product(rows, repeat=slices)), dtype=float) / n
+        g = simplex_grid(slices, Alphabet(k, "V"), step)
+        assert g.ints.shape == (len(want), slices, k) and len(g) == len(want)
+        assert g.probs.tobytes() == want.tobytes()
+        # each point's CondKernel holds its row of probs, bit for bit
+        assert all(w.probs.tobytes() == g.probs[i].tobytes() for i, w in enumerate(g.points))
+        assert {w.given_axes for w in g.points} == {(Alphabet(slices, "slice"),)}
+
+    def test_grid_past_the_kernel_cap_is_refused_unbuilt(self):
+        assert grid_size(2, 2, 0.05) == 441 and grid_size(3, 1, 1.0 / KERNEL_CAP) == 1
+        assert grid_size(1, 2, 1.0 / (KERNEL_CAP - 1)) == KERNEL_CAP
+        with pytest.raises(ProbabilityError, match=f"more than {KERNEL_CAP}"):
+            grid_size(1, 2, 1.0 / KERNEL_CAP)
+        with pytest.raises(ProbabilityError, match="100020001 kernels"):
+            simplex_grid(2, A2, 0.0001)
+        # one kernel, but more steps than an integer grid of n = 1 / step holds
+        with pytest.raises(ProbabilityError, match=f"at most {KERNEL_CAP} steps"):
+            simplex_grid(2, Alphabet(1, "V"), 1e-19)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 40))
+def test_stacked_entropies_equal_one_sum_per_row_bit_for_bit(seed, n_rows, n_cols):
+    # rows with exact zeros, entries below ZERO_TOL and none above it, and
+    # rows long enough (> 8 entries) for numpy's pairwise sum
+    rng = np.random.default_rng(seed)
+    x = rng.random((n_rows, n_cols)) ** 3
+    x[rng.random(x.shape) < 0.3] = 0.0
+    x[rng.random(x.shape) < 0.1] = 1e-16
+    x[rng.random(n_rows) < 0.1] = 0.0
+    want = [-(r[r > ZERO_TOL] * np.log2(r[r > ZERO_TOL])).sum() for r in x]
+    assert _entropies(x).tobytes() == np.array(want).tobytes()
+    assert [entropy_of(row) for row in x] == want
 
 
 @settings(max_examples=60, deadline=None)

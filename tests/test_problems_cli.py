@@ -10,6 +10,7 @@ from sideinfo.ba import ChannelInstance, SourceInstance
 import sideinfo.cli
 import sideinfo.gpdual
 from sideinfo.cli import GRID_CAP, _parse_grid, main
+from sideinfo.probability import KERNEL_CAP, grid_size
 from sideinfo.gpdual import GpNumericalError
 from sideinfo.probability import binary_entropy
 from sideinfo.problems import (
@@ -376,6 +377,22 @@ class TestCliInputErrors:
     def test_grid_above_the_point_cap_exits_2(self, grid, capsys):
         assert main(["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid", grid]) == 2
         assert f"more than {GRID_CAP} points" in capsys.readouterr().err
+
+    # 1 / 0.0001 = 10,000 steps: 10,001 rows per slice, 10,001 ** 2 kernels on two slices
+    @pytest.mark.parametrize("argv", [
+        ["capacity-case2", "--problem", "builtin:example1", "--rprime-grid", "0:0.1:0.1"],
+        ["capacity-case2c", "--problem", "builtin:example1", "--rprime-grid", "0:0.1:0.1"],
+        ["rd-case1", "--problem", "builtin:example2", "--d", "0.1", "--rprime", "0.1"],
+    ])
+    def test_kernel_grid_above_the_kernel_cap_exits_2(self, argv, capsys):
+        assert main(argv + ["--grid-step", "0.0001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert f"100020001 kernels, more than {KERNEL_CAP}" in captured.err
+
+    def test_kernel_grid_at_three_letters_is_under_the_kernel_cap(self):
+        # the |V| = 3 grid at step 0.05, and its refinement, which a sweep may build
+        assert grid_size(2, 3, 0.05) == 231**2 and grid_size(2, 3, 0.025) == 861**2 <= KERNEL_CAP
 
     def test_grid_at_the_point_cap_is_read(self):
         assert len(_parse_grid(f"0:{GRID_CAP - 1}:1")) == GRID_CAP
